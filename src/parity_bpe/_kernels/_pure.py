@@ -4,9 +4,28 @@ Semantics contract shared with the compiled twin in ``_speedups.pyx``:
 pair counting is positional (overlapping adjacencies each count), merge
 replacement is leftmost-first and non-overlapping, and encoding repeatedly
 applies the lowest-ranked applicable merge to all of its occurrences.
+
+Encoding a pre-token of ``n`` ids takes O(n log n) here: a min-heap holds
+one key per adjacent pair in the table, ordered by rank and then position,
+so each merge costs a few heap operations instead of a rescan of the whole
+pre-token (the approach of tiktoken's ``_byte_pair_merge`` and Hugging Face
+``Word::merge_all``; van Antwerpen and Neubeck 2024 give linear-time
+variants). Pre-tokens shorter than ``QUEUE_MIN_IDS`` ids are still encoded
+by rescanning, which is cheaper at that size. A merge whose result has an
+earlier canonical id can create a pair of lower rank than the one being
+applied; such a pair waits until every occurrence of the current rank is
+merged, exactly as a rescan would find it only on its next pass. The
+compiled twin still rescans once per applied merge.
 """
 
 from __future__ import annotations
+
+from heapq import heapify, heappop, heappush
+
+# Below this many ids, building the heap costs more than the rescans it
+# saves: on a 2000-merge model the two break even at about 7 ids. Dictionary
+# words with their leading space are 3-6 bytes and stay on the rescan.
+QUEUE_MIN_IDS = 7
 
 
 def count_pairs(tokens) -> dict:
@@ -65,6 +84,8 @@ def encode_ids(ids, table: dict) -> list:
     (leftmost-first, non-overlapping) until no pair is in the table.
     """
     seq = list(ids)
+    if len(seq) >= QUEUE_MIN_IDS:
+        return _encode_queue(seq, table)
     while len(seq) > 1:
         best_rank = -1
         best_a = best_b = best_new = 0
@@ -88,3 +109,72 @@ def encode_ids(ids, table: dict) -> list:
                 i += 1
         seq = out
     return seq
+
+
+def _encode_queue(seq: list, table: dict) -> list:
+    """``encode_ids`` by a rank-ordered merge queue; consumes ``seq``.
+
+    Keys are ``rank * n + position`` of a pair's left symbol. Symbols stay
+    at their input positions; a merged-away right symbol becomes ``None``,
+    and neighbours are found by stepping over those holes (at most one
+    fewer than the bytes of the token beside them). A popped key is stale,
+    and skipped, unless the pair now at its position still has its rank.
+    """
+    n = len(seq)
+    get = table.get
+    heap = []
+    for i in range(n - 1):
+        entry = get((seq[i], seq[i + 1]))
+        if entry is not None:
+            heap.append(entry[0] * n + i)
+    heapify(heap)
+    seq.append(-1)  # sentinel: the hole walks to the right stop at n
+    pending = []  # keys of pairs ranked below the merge being applied
+    rank = -1
+    while True:
+        if pending and (not heap or heap[0] // n != rank):
+            heap.extend(pending)
+            heapify(heap)
+            pending = []
+        if not heap:
+            break
+        key = heappop(heap)
+        i = key % n
+        left = seq[i]
+        if left is None:
+            continue
+        j = i + 1
+        while seq[j] is None:
+            j += 1
+        if j == n:
+            continue
+        entry = get((left, seq[j]))
+        if entry is None or entry[0] * n + i != key:
+            continue
+        rank, new = entry
+        seq[i] = new
+        seq[j] = None
+        h = i - 1
+        while h >= 0 and seq[h] is None:
+            h -= 1
+        if h >= 0:
+            entry = get((seq[h], new))
+            if entry is not None:
+                if entry[0] > rank:
+                    heappush(heap, entry[0] * n + h)
+                else:
+                    pending.append(entry[0] * n + h)
+        k = j + 1
+        while seq[k] is None:
+            k += 1
+        if k < n:
+            entry = get((new, seq[k]))
+            if entry is not None:
+                if entry[0] > rank:
+                    heappush(heap, entry[0] * n + i)
+                else:
+                    pending.append(entry[0] * n + i)
+    seq.pop()
+    # Sliced to an exact-size copy: the word cache keeps every result, and a
+    # comprehension's list carries spare capacity.
+    return [t for t in seq if t is not None][:]

@@ -44,7 +44,13 @@ def _digest_config(config: dict) -> str:
 
 
 def _read_lines(path: str | None) -> list[bytes]:
-    data = sys.stdin.buffer.read() if path in (None, "-") else Path(path).read_bytes()
+    if path in (None, "-"):
+        data = sys.stdin.buffer.read()
+    else:
+        try:
+            data = Path(path).read_bytes()
+        except OSError as exc:
+            raise DataError(f"cannot read input {path}: {exc.strerror or exc}") from None
     records = data.split(b"\n")
     if records and records[-1] == b"":
         records.pop()
@@ -90,8 +96,8 @@ def build_parser() -> _Parser:
     train.add_argument(
         "--unit",
         choices=[u.value for u in NormUnit],
-        default=NormUnit.LINES.value,
-        help="normalization unit for dev compression rates (default: lines)",
+        default=None,
+        help="normalization unit for dev compression rates (default: lines; --no-dev: bytes)",
     )
     train.add_argument("--window", type=int, default=100, help="moving-window size (0 disables)")
     train.add_argument("--alpha", type=float, default=2.0, help="window quota multiplier")
@@ -179,6 +185,13 @@ def cmd_train(args) -> int:
         raise ConfigError("choose a mode: --classical or --parity [--no-dev]")
     if args.classical and args.no_dev:
         raise ConfigError("--no-dev only applies to --parity")
+    unit = args.unit
+    if args.no_dev:
+        if unit not in (None, NormUnit.BYTES.value):
+            raise ConfigError("--no-dev forces --unit bytes")
+        unit = NormUnit.BYTES.value
+    elif unit is None:
+        unit = NormUnit.LINES.value
 
     corpus = load_labeled_corpus(manifest, args.limit_per_language)
     resolved = {
@@ -188,7 +201,7 @@ def cmd_train(args) -> int:
         "mode": "classical" if args.classical else "parity",
         "no_dev": bool(args.no_dev),
         "dev": args.dev,
-        "unit": args.unit,
+        "unit": unit,
         "window": args.window,
         "alpha": args.alpha,
         "hybrid_split": args.hybrid_split,
@@ -199,8 +212,6 @@ def cmd_train(args) -> int:
         model, log = train_classical(corpus, merges)
         summary_table = compute_cr(corpus, model, NormUnit.BYTES)
     elif args.no_dev:
-        if NormUnit(args.unit) is not NormUnit.BYTES and args.unit != NormUnit.LINES.value:
-            raise ConfigError("--no-dev forces --unit bytes")
         config = ParityConfig(
             total_merges=merges,
             global_merges=int(merges * args.hybrid_split),
@@ -219,11 +230,11 @@ def cmd_train(args) -> int:
             global_merges=int(merges * args.hybrid_split),
             window_size=args.window,
             alpha=args.alpha,
-            unit=NormUnit(args.unit),
+            unit=NormUnit(unit),
             dev_source=DEV_SOURCE_PARALLEL,
         )
         model, log = train_parity(corpus, dev, config)
-        summary_table = compute_cr(dev, model, NormUnit(args.unit))
+        summary_table = compute_cr(dev, model, NormUnit(unit))
 
     model_out = Path(args.model_out)
     log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")
@@ -266,9 +277,10 @@ def cmd_train(args) -> int:
 
 def cmd_encode(args) -> int:
     model = TokenizerModel.load(args.model)
+    records = _read_lines(args.input)  # before the output is truncated
     out, close = _open_out(args.output)
     try:
-        for record in _read_lines(args.input):
+        for record in records:
             if args.format == "ids":
                 out.write(" ".join(str(i) for i in model.encode_ids(record)) + "\n")
             else:
@@ -281,9 +293,10 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     model = TokenizerModel.load(args.model)
+    records = _read_lines(args.input)  # before the output is truncated
     out = sys.stdout.buffer if args.output in (None, "-") else open(args.output, "wb")
     try:
-        for record in _read_lines(args.input):
+        for record in records:
             fields = record.split()
             if args.format == "ids":
                 try:
@@ -292,7 +305,11 @@ def cmd_decode(args) -> int:
                     raise DataError(f"bad token id in input: {exc}") from None
                 out.write(model.decode_ids(ids) + b"\n")
             else:
-                tokens = [unescape_token(f.decode("ascii")) for f in fields]
+                try:
+                    texts = [f.decode("ascii") for f in fields]
+                except UnicodeDecodeError:
+                    raise DataError("non-ASCII byte in token input") from None
+                tokens = [unescape_token(t) for t in texts]
                 out.write(model.decode(tokens) + b"\n")
     finally:
         if out is not sys.stdout.buffer:

@@ -8,6 +8,7 @@ applied to every language's shard and to the reference-corpus token totals.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,8 @@ class ParityConfig:
             )
         if self.window_size < 0:
             raise ConfigError(f"window size must be >= 0, got {self.window_size}")
+        if not math.isfinite(self.alpha):
+            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha_fraction <= 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha!r}")
         if self.dev_source not in (DEV_SOURCE_PARALLEL, DEV_SOURCE_TRAINING):

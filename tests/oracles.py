@@ -1,9 +1,9 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately naive and self-contained: sequential merge
-replay for encoding, from-scratch sliding-window pair recounts, a bitwise
-UTF-8 scalar counter, and a pairwise-difference Gini. None of it shares code
-with the package paths it verifies.
+replay and a per-merge rescan for encoding, from-scratch sliding-window pair
+recounts, a bitwise UTF-8 scalar counter, and a pairwise-difference Gini.
+None of it shares code with the package paths it verifies.
 """
 
 from collections import Counter
@@ -29,6 +29,38 @@ def replay_encode(merges, text: bytes) -> list[bytes]:
             tokens = replaced
         out.extend(tokens)
     return out
+
+
+def rescan_encode_ids(ids, table: dict) -> list:
+    """Kernel-level encoder: rescan for the lowest-ranked pair, apply it
+    leftmost-first and non-overlapping everywhere, repeat.
+
+    ``table`` maps an adjacent id pair to ``(rank, merged_id)``.
+    """
+    seq = list(ids)
+    while len(seq) > 1:
+        best_rank = -1
+        best_a = best_b = best_new = 0
+        for i in range(len(seq) - 1):
+            entry = table.get((seq[i], seq[i + 1]))
+            if entry is not None and (best_rank < 0 or entry[0] < best_rank):
+                best_rank = entry[0]
+                best_new = entry[1]
+                best_a, best_b = seq[i], seq[i + 1]
+        if best_rank < 0:
+            break
+        out = []
+        i = 0
+        n = len(seq)
+        while i < n:
+            if i + 1 < n and seq[i] == best_a and seq[i + 1] == best_b:
+                out.append(best_new)
+                i += 2
+            else:
+                out.append(seq[i])
+                i += 1
+        seq = out
+    return seq
 
 
 def sliding_pair_counts(words) -> Counter:

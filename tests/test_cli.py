@@ -86,6 +86,27 @@ class TestTrain:
         assert code == 0
         meta = json.loads((tmp_path / "nodev.bpe.meta.json").read_text())
         assert meta["summary"]["cr_unit"] == "bytes"
+        assert meta["config"]["unit"] == "bytes"
+
+    @pytest.mark.parametrize("unit", ["lines", "chars", "words"])
+    def test_no_dev_rejects_other_units(self, tmp_path, synth_dir, unit, capsys):
+        code = run(
+            ["train", "--parity", "--no-dev", "--unit", unit, "--merges", "30",
+             "--corpus", synth_dir / "manifest.json", "--model-out", tmp_path / "m.bpe"]
+        )
+        assert code == 1
+        assert "--unit bytes" in capsys.readouterr().err
+        assert not (tmp_path / "m.bpe").exists()
+
+    @pytest.mark.parametrize("alpha", ["nan", "inf"])
+    def test_non_finite_alpha_is_usage_error(self, tmp_path, synth_dir, alpha, capsys):
+        code = run(
+            ["train", "--parity", "--alpha", alpha, "--merges", "30",
+             "--corpus", synth_dir / "manifest.json", "--dev", synth_dir / "dev",
+             "--model-out", tmp_path / "m.bpe"]
+        )
+        assert code == 1
+        assert "alpha must be finite" in capsys.readouterr().err
 
     def test_missing_mode_is_usage_error(self, synth_dir, capsys):
         code = run(["train", "--merges", "10", "--corpus", synth_dir / "manifest.json"])
@@ -169,6 +190,24 @@ class TestEncodeDecode:
 
     def test_missing_model_is_data_error(self, tmp_path):
         assert run(["encode", "--model", tmp_path / "none.bpe", "--input", "-"]) == 2
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_missing_input_is_data_error(self, example_model, tmp_path, command, capsys):
+        out = tmp_path / "out.txt"
+        out.write_text("kept\n")
+        code = run([command, "--model", example_model, "--input", tmp_path / "missing.txt",
+                    "--output", out])
+        assert code == 2
+        assert "missing.txt" in capsys.readouterr().err
+        assert out.read_text() == "kept\n"
+
+    def test_non_ascii_token_input_is_data_error(self, example_model, tmp_path, capsys):
+        src = tmp_path / "tokens.txt"
+        src.write_bytes("b \u00e9\n".encode("utf-8"))
+        code = run(["decode", "--model", example_model, "--input", src,
+                    "--output", tmp_path / "out.txt"])
+        assert code == 2
+        assert "non-ASCII" in capsys.readouterr().err
 
 
 class TestEval:
