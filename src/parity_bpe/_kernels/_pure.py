@@ -10,22 +10,19 @@ one key per adjacent pair in the table, ordered by rank and then position,
 so each merge costs a few heap operations instead of a rescan of the whole
 pre-token (the approach of tiktoken's ``_byte_pair_merge`` and Hugging Face
 ``Word::merge_all``; van Antwerpen and Neubeck 2024 give linear-time
-variants). Pre-tokens shorter than ``QUEUE_MIN_IDS`` ids are still encoded
-by rescanning, which is cheaper at that size. A merge whose result has an
-earlier canonical id can create a pair of lower rank than the one being
-applied; such a pair waits until every occurrence of the current rank is
-merged, exactly as a rescan would find it only on its next pass. The
-compiled twin still rescans once per applied merge.
+variants). The queue serves every length; on the 3-6 ids of a dictionary
+word it is about a microsecond slower than a rescan, a cost the word cache
+pays once per distinct word.
+
+A merge whose result has an earlier canonical id can create a pair of lower
+rank than the one being applied; such a pair waits until every occurrence
+of the current rank is merged, exactly as a rescan would find it only on
+its next pass. The compiled twin still rescans once per applied merge.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
-
-# Below this many ids, building the heap costs more than the rescans it
-# saves: on a 2000-merge model the two break even at about 7 ids. Dictionary
-# words with their leading space are 3-6 bytes and stay on the rescan.
-QUEUE_MIN_IDS = 7
 
 
 def count_pairs(tokens) -> dict:
@@ -82,37 +79,6 @@ def encode_ids(ids, table: dict) -> list:
     ``table`` maps an adjacent id pair to ``(rank, merged_id)``. The lowest
     rank present in the sequence is applied to all of its occurrences
     (leftmost-first, non-overlapping) until no pair is in the table.
-    """
-    seq = list(ids)
-    if len(seq) >= QUEUE_MIN_IDS:
-        return _encode_queue(seq, table)
-    while len(seq) > 1:
-        best_rank = -1
-        best_a = best_b = best_new = 0
-        for i in range(len(seq) - 1):
-            entry = table.get((seq[i], seq[i + 1]))
-            if entry is not None and (best_rank < 0 or entry[0] < best_rank):
-                best_rank = entry[0]
-                best_new = entry[1]
-                best_a, best_b = seq[i], seq[i + 1]
-        if best_rank < 0:
-            break
-        out = []
-        i = 0
-        n = len(seq)
-        while i < n:
-            if i + 1 < n and seq[i] == best_a and seq[i + 1] == best_b:
-                out.append(best_new)
-                i += 2
-            else:
-                out.append(seq[i])
-                i += 1
-        seq = out
-    return seq
-
-
-def _encode_queue(seq: list, table: dict) -> list:
-    """``encode_ids`` by a rank-ordered merge queue; consumes ``seq``.
 
     Keys are ``rank * n + position`` of a pair's left symbol. Symbols stay
     at their input positions; a merged-away right symbol becomes ``None``,
@@ -120,6 +86,7 @@ def _encode_queue(seq: list, table: dict) -> list:
     fewer than the bytes of the token beside them). A popped key is stale,
     and skipped, unless the pair now at its position still has its rank.
     """
+    seq = list(ids)
     n = len(seq)
     get = table.get
     heap = []
@@ -133,8 +100,8 @@ def _encode_queue(seq: list, table: dict) -> list:
     rank = -1
     while True:
         if pending and (not heap or heap[0] // n != rank):
-            heap.extend(pending)
-            heapify(heap)
+            for key in pending:
+                heappush(heap, key)
             pending = []
         if not heap:
             break
