@@ -7,7 +7,6 @@ module scores tokenizers on compression, vocabulary usage, entropy,
 morphological alignment, and cross-language cost inequality.
 """
 
-from ._kernels import BACKEND as KERNEL_BACKEND
 from .corpus import (
     LabeledCorpus,
     NormUnit,
@@ -64,7 +63,6 @@ from .trainer import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "LabeledCorpus",
     "NormUnit",
     "ParallelDevCorpus",

@@ -1,7 +1,6 @@
-"""Pure-Python reference implementations of the hot kernels.
+"""The hot kernels of training and encoding.
 
-Semantics contract shared with the compiled twin in ``_speedups.pyx``:
-pair counting is positional (overlapping adjacencies each count), merge
+Pair counting is positional (overlapping adjacencies each count), merge
 replacement is leftmost-first and non-overlapping, and encoding repeatedly
 applies the lowest-ranked applicable merge to all of its occurrences.
 
@@ -17,7 +16,10 @@ pays once per distinct word.
 A merge whose result has an earlier canonical id can create a pair of lower
 rank than the one being applied; such a pair waits until every occurrence
 of the current rank is merged, exactly as a rescan would find it only on
-its next pass. The compiled twin still rescans once per applied merge.
+its next pass.
+
+Callers reach these through the module (``_kernels.encode_ids(...)``): the
+benchmark's tracer wraps them by their dotted names.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ re-run the command.
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
@@ -97,7 +98,8 @@ def build_parser() -> _Parser:
         "--unit",
         choices=[u.value for u in NormUnit],
         default=None,
-        help="normalization unit for dev compression rates (default: lines; --no-dev: bytes)",
+        help="normalization unit for dev compression rates "
+        "(default: lines; --classical and --no-dev: bytes)",
     )
     train.add_argument("--window", type=int, default=100, help="moving-window size (0 disables)")
     train.add_argument("--alpha", type=float, default=2.0, help="window quota multiplier")
@@ -186,9 +188,11 @@ def cmd_train(args) -> int:
     if args.classical and args.no_dev:
         raise ConfigError("--no-dev only applies to --parity")
     unit = args.unit
-    if args.no_dev:
+    if args.classical or args.no_dev:
+        # both measure compression on the training corpus, which is in bytes
         if unit not in (None, NormUnit.BYTES.value):
-            raise ConfigError("--no-dev forces --unit bytes")
+            flag = "--classical" if args.classical else "--no-dev"
+            raise ConfigError(f"{flag} forces --unit bytes")
         unit = NormUnit.BYTES.value
     elif unit is None:
         unit = NormUnit.LINES.value
@@ -293,24 +297,26 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     model = TokenizerModel.load(args.model)
-    records = _read_lines(args.input)  # before the output is truncated
+    decoded = []  # every record is decoded before the output is truncated
+    for record in _read_lines(args.input):
+        fields = record.split()
+        if args.format == "ids":
+            try:
+                ids = [int(f) for f in fields]
+            except ValueError as exc:
+                raise DataError(f"bad token id in input: {exc}") from None
+            decoded.append(model.decode_ids(ids))
+        else:
+            try:
+                texts = [f.decode("ascii") for f in fields]
+            except UnicodeDecodeError:
+                raise DataError("non-ASCII byte in token input") from None
+            tokens = [unescape_token(t) for t in texts]
+            decoded.append(model.decode(tokens))
     out = sys.stdout.buffer if args.output in (None, "-") else open(args.output, "wb")
     try:
-        for record in records:
-            fields = record.split()
-            if args.format == "ids":
-                try:
-                    ids = [int(f) for f in fields]
-                except ValueError as exc:
-                    raise DataError(f"bad token id in input: {exc}") from None
-                out.write(model.decode_ids(ids) + b"\n")
-            else:
-                try:
-                    texts = [f.decode("ascii") for f in fields]
-                except UnicodeDecodeError:
-                    raise DataError("non-ASCII byte in token input") from None
-                tokens = [unescape_token(t) for t in texts]
-                out.write(model.decode(tokens) + b"\n")
+        for data in decoded:
+            out.write(data + b"\n")
     finally:
         if out is not sys.stdout.buffer:
             out.close()
@@ -342,19 +348,11 @@ def _report_for(model_path: Path, dev, args):
     )
 
 
-def _write_csv(path: str, report) -> None:
-    import csv
-
-    langs = sorted(report.per_language)
-    metrics = sorted(report.per_language[langs[0]])
+def _write_csv(path: str, header: list, rows: list) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["language"] + metrics)
-        for lang in langs:
-            writer.writerow([lang] + [report.per_language[lang][m] for m in metrics])
-        writer.writerow(
-            ["GLOBAL"] + [report.global_metrics.get(m, "") for m in metrics]
-        )
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def cmd_eval(args) -> int:
@@ -368,7 +366,11 @@ def cmd_eval(args) -> int:
     else:
         sys.stdout.write(text)
     if args.csv:
-        _write_csv(args.csv, report)
+        langs = sorted(report.per_language)
+        metrics = sorted(report.per_language[langs[0]])
+        rows = [[lang] + [report.per_language[lang][m] for m in metrics] for lang in langs]
+        rows.append(["GLOBAL"] + [report.global_metrics.get(m, "") for m in metrics])
+        _write_csv(args.csv, ["language"] + metrics, rows)
     return 0
 
 
@@ -422,20 +424,15 @@ def cmd_compare(args) -> int:
     )
     print(header)
     print("-" * len(header))
-    lines = []
     for metric, values in rows:
-        line = metric.ljust(name_width) + "".join(f"  {v:>18.6f}" for v in values)
-        print(line)
-        lines.append((metric, values))
+        print(metric.ljust(name_width) + "".join(f"  {v:>18.6f}" for v in values))
 
     if args.csv:
-        import csv
-
-        with open(args.csv, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric"] + [p.name for p in model_paths])
-            for metric, values in lines:
-                writer.writerow([metric] + values)
+        _write_csv(
+            args.csv,
+            ["metric"] + [p.name for p in model_paths],
+            [[metric] + values for metric, values in rows],
+        )
     return 0
 
 

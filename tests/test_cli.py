@@ -9,6 +9,7 @@ from parity_bpe import MetricReport, TokenizerModel, full_report, load_parallel_
 from parity_bpe.cli import main
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
+NON_BYTE_UNITS = ("lines", "chars", "words")
 
 
 @pytest.fixture()
@@ -38,6 +39,7 @@ class TestTrain:
         assert (tmp_path / "classical.bpe.log.jsonl").exists()
         meta = json.loads((tmp_path / "classical.bpe.meta.json").read_text())
         assert meta["summary"]["merges_learned"] == 60
+        assert meta["config"]["unit"] == "bytes"
         assert meta["config_hash"]
         assert "manifest" in meta["inputs"]
         out = capsys.readouterr().out
@@ -88,10 +90,15 @@ class TestTrain:
         assert meta["summary"]["cr_unit"] == "bytes"
         assert meta["config"]["unit"] == "bytes"
 
-    @pytest.mark.parametrize("unit", ["lines", "chars", "words"])
-    def test_no_dev_rejects_other_units(self, tmp_path, synth_dir, unit, capsys):
+    # --classical and --parity --no-dev both measure compression in bytes
+    @pytest.mark.parametrize(
+        "mode, unit",
+        [pytest.param(["--parity", "--no-dev"], u, id=u) for u in NON_BYTE_UNITS]
+        + [pytest.param(["--classical"], u, id=f"classical-{u}") for u in NON_BYTE_UNITS],
+    )
+    def test_no_dev_rejects_other_units(self, tmp_path, synth_dir, mode, unit, capsys):
         code = run(
-            ["train", "--parity", "--no-dev", "--unit", unit, "--merges", "30",
+            ["train", *mode, "--unit", unit, "--merges", "30",
              "--corpus", synth_dir / "manifest.json", "--model-out", tmp_path / "m.bpe"]
         )
         assert code == 1
@@ -200,6 +207,15 @@ class TestEncodeDecode:
         assert code == 2
         assert "missing.txt" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+
+    def test_bad_record_leaves_output_intact(self, example_model, tmp_path):
+        src = tmp_path / "tokens.txt"
+        src.write_bytes(b"b a\n\\xzz\n")
+        out = tmp_path / "out.txt"
+        out.write_text("keep\n")
+        code = run(["decode", "--model", example_model, "--input", src, "--output", out])
+        assert code == 2
+        assert out.read_text() == "keep\n"
 
     def test_non_ascii_token_input_is_data_error(self, example_model, tmp_path, capsys):
         src = tmp_path / "tokens.txt"

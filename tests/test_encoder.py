@@ -1,19 +1,39 @@
-"""The pre-token encoder against independent references.
+"""The kernels' semantics, and the encoder against independent references.
 
-The pure-Python ``encode_ids`` encodes with a rank-ordered merge queue;
-these tests hold it to the results of a per-merge rescan and a sequential
-merge replay. They call ``_pure`` directly, so the queue is tested whichever
-kernel backend is active.
+``encode_ids`` encodes with a rank-ordered merge queue; these tests hold it
+to the results of a per-merge rescan and a sequential merge replay.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parity_bpe import TokenizerModel, pretokenize
-from parity_bpe._kernels import _pure
+from parity_bpe import TokenizerModel, _kernels, pretokenize
 
 from .oracles import replay_encode, rescan_encode_ids
+
+
+def test_overlapping_pairs_counted_positionally():
+    assert _kernels.count_pairs((1, 1, 1)) == {(1, 1): 2}
+
+
+def test_overlapping_merge_is_leftmost_nonoverlapping():
+    new, replaced, deltas = _kernels.merge_and_deltas((1, 1, 1), 1, 1, 9)
+    assert new == (9, 1)
+    assert replaced == 1
+    assert deltas == {(1, 1): -2, (9, 1): 1}
+
+
+def test_no_match_returns_input():
+    word = (1, 2, 3)
+    new, replaced, deltas = _kernels.merge_and_deltas(word, 7, 8, 9)
+    assert new is word and replaced == 0 and deltas == {}
+
+
+def test_encode_applies_by_rank():
+    # ids: a=0 b=1; merges: (1,0)->2 rank0, (2,1)->3 rank1
+    table = {(1, 0): (0, 2), (2, 1): (1, 3)}
+    assert _kernels.encode_ids([1, 0, 1, 0, 1], table) == [2, 3]
 
 
 @st.composite
@@ -42,11 +62,11 @@ def tables_and_ids(draw):
 @given(tables_and_ids())
 def test_matches_rescan(case):
     table, ids = case
-    assert _pure.encode_ids(ids, table) == rescan_encode_ids(ids, table)
+    assert _kernels.encode_ids(ids, table) == rescan_encode_ids(ids, table)
 
 
 def _queue_encode(model, data: bytes) -> list[bytes]:
-    return [model.id_to_bytes[i] for i in _pure.encode_ids(list(data), model._table)]
+    return [model.id_to_bytes[i] for i in _kernels.encode_ids(list(data), model._table)]
 
 
 # (a, bc) is the last merge and rebuilds "abc", whose canonical id is older.
