@@ -41,38 +41,48 @@ def merge_and_deltas(tokens, a: int, b: int, c: int):
 
     Returns ``(new_tokens, replacements, deltas)`` where ``deltas`` maps
     adjacent pairs to the change in their positional count caused by the
-    replacement. ``new_tokens`` is the input object when nothing matched.
+    replacement; pairs whose count does not change are left out.
+    ``new_tokens`` is the input object when nothing matched.
+
+    Only the pairs beside a replacement are counted: the old pairs touching
+    its two positions and the new pairs touching ``c``. A pair between two
+    adjacent replacements is counted once, by the left one.
     """
     n = len(tokens)
     out = []
-    i = 0
-    replaced = 0
-    while i < n:
-        if i + 1 < n and tokens[i] == a and tokens[i + 1] == b:
-            out.append(c)
-            i += 2
-            replaced += 1
-        else:
-            out.append(tokens[i])
-            i += 1
-    if not replaced:
-        return tokens, 0, {}
     deltas: dict = {}
-    for i in range(n - 1):
-        key = (tokens[i], tokens[i + 1])
-        d = deltas.get(key, 0) - 1
-        if d:
-            deltas[key] = d
-        else:
-            del deltas[key]
-    for i in range(len(out) - 1):
-        key = (out[i], out[i + 1])
-        d = deltas.get(key, 0) + 1
-        if d:
-            deltas[key] = d
-        else:
-            del deltas[key]
-    return tuple(out), replaced, deltas
+    get = deltas.get
+    prev = -2  # input position of the previous replacement
+    i = 0
+    while i < n:
+        t = tokens[i]
+        if t != a or i + 1 == n or tokens[i + 1] != b:
+            out.append(t)
+            i += 1
+            continue
+        out.append(c)
+        deltas[(a, b)] = get((a, b), 0) - 1
+        if i and prev != i - 2:
+            x = tokens[i - 1]
+            key = (x, a)
+            deltas[key] = get(key, 0) - 1
+            key = (x, c)
+            deltas[key] = get(key, 0) + 1
+        if i + 2 < n:
+            y = tokens[i + 2]
+            key = (b, y)
+            deltas[key] = get(key, 0) - 1
+            if y == a and i + 3 < n and tokens[i + 3] == b:
+                y = c  # the next pair is replaced too
+            key = (c, y)
+            deltas[key] = get(key, 0) + 1
+        prev = i
+        i += 2
+    if prev < 0:
+        return tokens, 0, {}
+    if c in tokens:  # only then can a new pair cancel an old one
+        deltas = {key: d for key, d in deltas.items() if d}
+    return tuple(out), n - len(out), deltas
 
 
 def encode_ids(ids, table: dict) -> list:

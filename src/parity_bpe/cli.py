@@ -101,13 +101,17 @@ def build_parser() -> _Parser:
         help="normalization unit for dev compression rates "
         "(default: lines; --classical and --no-dev: bytes)",
     )
-    train.add_argument("--window", type=int, default=100, help="moving-window size (0 disables)")
-    train.add_argument("--alpha", type=float, default=2.0, help="window quota multiplier")
+    train.add_argument(
+        "--window", type=int, default=None, help="moving-window size (0 disables; default 100)"
+    )
+    train.add_argument(
+        "--alpha", type=float, default=None, help="window quota multiplier (default 2.0)"
+    )
     train.add_argument(
         "--hybrid-split",
         type=float,
-        default=0.0,
-        help="fraction of the budget trained with the global objective first",
+        default=None,
+        help="fraction of the budget trained with the global objective first (default 0.0)",
     )
     train.add_argument("--limit-per-language", type=int, default=None)
     train.add_argument("--model-out", default="model.bpe")
@@ -187,6 +191,21 @@ def cmd_train(args) -> int:
         raise ConfigError("choose a mode: --classical or --parity [--no-dev]")
     if args.classical and args.no_dev:
         raise ConfigError("--no-dev only applies to --parity")
+    if args.classical:
+        parity_flags = {
+            "--window": args.window,
+            "--alpha": args.alpha,
+            "--hybrid-split": args.hybrid_split,
+            "--dev": args.dev,
+        }
+        given = [flag for flag, value in parity_flags.items() if value is not None]
+        if given:
+            raise ConfigError(f"--classical takes no {', '.join(given)}")
+    # Parity-only flags get their defaults here, not from argparse, so that
+    # --classical can tell a given flag from an absent one.
+    window = 100 if args.window is None else args.window
+    alpha = 2.0 if args.alpha is None else args.alpha
+    hybrid_split = 0.0 if args.hybrid_split is None else args.hybrid_split
     unit = args.unit
     if args.classical or args.no_dev:
         # both measure compression on the training corpus, which is in bytes
@@ -206,9 +225,9 @@ def cmd_train(args) -> int:
         "no_dev": bool(args.no_dev),
         "dev": args.dev,
         "unit": unit,
-        "window": args.window,
-        "alpha": args.alpha,
-        "hybrid_split": args.hybrid_split,
+        "window": window,
+        "alpha": alpha,
+        "hybrid_split": hybrid_split,
         "limit_per_language": args.limit_per_language,
     }
 
@@ -218,9 +237,9 @@ def cmd_train(args) -> int:
     elif args.no_dev:
         config = ParityConfig(
             total_merges=merges,
-            global_merges=int(merges * args.hybrid_split),
-            window_size=args.window,
-            alpha=args.alpha,
+            global_merges=int(merges * hybrid_split),
+            window_size=window,
+            alpha=alpha,
             unit=NormUnit.BYTES,
             dev_source=DEV_SOURCE_TRAINING,
         )
@@ -231,9 +250,9 @@ def cmd_train(args) -> int:
         dev = load_parallel_dev(dev_dir, list(corpus.languages))
         config = ParityConfig(
             total_merges=merges,
-            global_merges=int(merges * args.hybrid_split),
-            window_size=args.window,
-            alpha=args.alpha,
+            global_merges=int(merges * hybrid_split),
+            window_size=window,
+            alpha=alpha,
             unit=NormUnit(unit),
             dev_source=DEV_SOURCE_PARALLEL,
         )

@@ -171,7 +171,6 @@ def load_labeled_corpus(
         for lang in known
     }
     n_records = {lang: 0 for lang in known}
-    fallback = set()
 
     for lang, path in declared:
         if not path.exists():
@@ -184,7 +183,7 @@ def load_labeled_corpus(
                 try:
                     record = json.loads(raw)
                     text, rec_lang = record["text"], record["lang"]
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from None
                 if not isinstance(text, str) or not isinstance(rec_lang, str):
                     raise CorpusError(f"{path}:{lineno}: text and lang must be strings")
@@ -195,15 +194,15 @@ def load_labeled_corpus(
                 if limit_per_language is not None and n_records[rec_lang] >= limit_per_language:
                     continue
                 n_records[rec_lang] += 1
-                data = text.encode("utf-8")
+                try:
+                    data = text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise CorpusError(f"{path}:{lineno}: invalid text ({exc})") from None
                 words = pretokenize(data)
                 per_language[rec_lang].update(words)
                 t = totals[rec_lang]
                 t[NormUnit.BYTES] += len(data)
-                nchars, fb = char_count(data)
-                t[NormUnit.CHARS] += nchars
-                if fb:
-                    fallback.add(rec_lang)
+                t[NormUnit.CHARS] += len(text)  # valid UTF-8, so one char per code point
                 t[NormUnit.WORDS] += len(words)
                 t[NormUnit.LINES] += 1
 
@@ -211,9 +210,7 @@ def load_labeled_corpus(
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
 
-    return LabeledCorpus(
-        tuple(sorted(known)), per_language, totals, frozenset(fallback)
-    )
+    return LabeledCorpus(tuple(sorted(known)), per_language, totals)
 
 
 def load_parallel_dev(directory: str | Path, languages: list[str]) -> ParallelDevCorpus:

@@ -91,18 +91,26 @@ class ParityConfig:
 
 
 class SelectionWindow:
-    """Ring buffer of the most recent language selections."""
+    """Ring buffer of the most recent language selections.
+
+    A running count per language is kept beside the buffer, so ``count`` is
+    O(1) rather than a scan of the window.
+    """
 
     def __init__(self, size: int):
         self.size = size
-        self._recent: deque[str] = deque(maxlen=size) if size > 0 else deque(maxlen=0)
+        self._recent: deque[str] = deque(maxlen=max(size, 0))
+        self._counts: Counter = Counter()
 
     def push(self, lang: str) -> None:
         if self.size > 0:
+            if len(self._recent) == self.size:
+                self._counts[self._recent[0]] -= 1
             self._recent.append(lang)
+            self._counts[lang] += 1
 
     def count(self, lang: str) -> int:
-        return sum(1 for x in self._recent if x == lang)
+        return self._counts[lang]
 
     def contents(self) -> tuple[str, ...]:
         return tuple(self._recent)

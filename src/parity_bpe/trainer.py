@@ -1,10 +1,14 @@
 """Greedy merge learning over a tokenized corpus.
 
 The trainer keeps every unique pre-token as a token-id sequence together
-with its per-language multiplicity. Adjacent-pair counts are maintained
-incrementally per language; selection uses lazily-invalidated max-heaps
-keyed on (count, left bytes, right bytes) so ties break deterministically
-on the lexicographically smallest byte spans.
+with sparse per-language multiplicities: one (language index, count) entry
+per language the pre-token occurs in. Adjacent-pair counts are maintained
+incrementally per language, from the pairs beside each replacement only.
+Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
+right bytes), so ties break deterministically on the lexicographically
+smallest byte spans. Each heap is built from the live counts on its first
+selection and receives updates only after that; since the key is unique per
+pair, the picks do not depend on when a heap was built.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from operator import itemgetter
 from pathlib import Path
 
 from . import _kernels
@@ -115,68 +120,80 @@ class TrainLog:
 
 
 class _WordStore:
-    """Unique token sequences with per-language counts and a pair index.
+    """Unique token sequences with sparse per-language counts and a pair index.
 
-    ``index[pair][word_id]`` is the positional occurrence count of the pair
-    inside that word; ``pair_counts[pair]`` (when tracked) is the per-language
-    occurrence count weighted by word multiplicity. ``token_totals`` tracks
-    the per-language total token count and shrinks by one per replacement.
+    ``counts[word_id]`` is a tuple of ``(lang_index, count)`` entries, one per
+    language the word occurs in, in language order. Most words occur in one
+    language, so the per-word loops run once per entry, not once per
+    language. ``index[pair][word_id]`` is the positional occurrence count of
+    the pair inside that word. ``pair_counts[pair]`` (when tracked) is the
+    per-language occurrence count weighted by word multiplicity, a list of
+    ``n_langs`` ints; a pair whose counts all reach zero is removed.
+    ``token_totals`` tracks the per-language total token count and shrinks by
+    one per replacement. An untracked store (the dev store) keeps only the
+    words, the index and the token totals.
     """
 
     def __init__(self, n_langs: int, track_pairs: bool):
         self.n_langs = n_langs
         self.words: list[tuple[int, ...]] = []
-        self.counts: list[list[int]] = []
+        self.counts: list[tuple[tuple[int, int], ...]] = []
         self.index: dict[tuple[int, int], dict[int, int]] = {}
         self.pair_counts: dict[tuple[int, int], list[int]] | None = (
             {} if track_pairs else None
         )
         self.token_totals = [0] * n_langs
 
-    def add_word(self, tokens: tuple[int, ...], counts_vec: list[int]) -> None:
+    def add_word(self, tokens: tuple[int, ...], entries: tuple[tuple[int, int], ...]) -> None:
         wid = len(self.words)
         self.words.append(tokens)
-        self.counts.append(counts_vec)
-        for li, c in enumerate(counts_vec):
+        self.counts.append(entries)
+        for li, c in entries:
             self.token_totals[li] += len(tokens) * c
+        pair_counts = self.pair_counts
         for pair, occ in _kernels.count_pairs(tokens).items():
-            slot = self.index.setdefault(pair, {})
+            slot = self.index.get(pair)
+            if slot is None:
+                slot = self.index[pair] = {}
             slot[wid] = occ
-            if self.pair_counts is not None:
-                vec = self.pair_counts.get(pair)
+            if pair_counts is not None:
+                vec = pair_counts.get(pair)
                 if vec is None:
-                    vec = self.pair_counts[pair] = [0] * self.n_langs
-                for li, c in enumerate(counts_vec):
-                    if c:
-                        vec[li] += occ * c
+                    vec = pair_counts[pair] = [0] * self.n_langs
+                for li, c in entries:
+                    vec[li] += occ * c
 
     def apply_merge(self, a: int, b: int, c: int):
         """Replace (a, b) with c in every word containing it.
 
-        Returns (per-language replacement counts, per-pair count deltas).
+        Returns (per-language replacement counts, per-pair count deltas). The
+        deltas are per-language lists; an untracked store returns none.
         """
         n_langs = self.n_langs
-        occ_map = self.index.get((a, b))
         repl = [0] * n_langs
         changed: dict[tuple[int, int], list[int]] = {}
+        occ_map = self.index.get((a, b))
         if not occ_map:
             return repl, changed
+        index = self.index
+        index_get = index.get
+        changed_get = changed.get
+        words = self.words
+        counts = self.counts
+        track = self.pair_counts is not None
         for wid in list(occ_map):
-            new_tokens, n_rep, deltas = _kernels.merge_and_deltas(
-                self.words[wid], a, b, c
-            )
+            new_tokens, n_rep, deltas = _kernels.merge_and_deltas(words[wid], a, b, c)
             if not n_rep:
                 continue
-            self.words[wid] = new_tokens
-            cvec = self.counts[wid]
-            for li in range(n_langs):
-                if cvec[li]:
-                    repl[li] += n_rep * cvec[li]
+            words[wid] = new_tokens
+            entries = counts[wid]
+            for li, cnt in entries:
+                repl[li] += n_rep * cnt
             for pair, d in deltas.items():
-                slot = self.index.get(pair)
-                if d > 0:
-                    if slot is None:
-                        slot = self.index[pair] = {}
+                slot = index_get(pair)
+                if slot is None:
+                    index[pair] = {wid: d}
+                elif d > 0:
                     slot[wid] = slot.get(wid, 0) + d
                 else:
                     remaining = slot[wid] + d
@@ -185,27 +202,23 @@ class _WordStore:
                     else:
                         del slot[wid]
                         if not slot:
-                            del self.index[pair]
-                acc = changed.get(pair)
-                if acc is None:
-                    acc = changed[pair] = [0] * n_langs
-                for li in range(n_langs):
-                    if cvec[li]:
-                        acc[li] += d * cvec[li]
+                            del index[pair]
+                if track:
+                    acc = changed_get(pair)
+                    if acc is None:
+                        acc = changed[pair] = [0] * n_langs
+                    for li, cnt in entries:
+                        acc[li] += d * cnt
         for li in range(n_langs):
             self.token_totals[li] -= repl[li]
-        if self.pair_counts is not None:
-            for pair, dvec in changed.items():
-                vec = self.pair_counts.get(pair)
-                if vec is None:
-                    vec = self.pair_counts[pair] = [0] * n_langs
-                alive = False
-                for li in range(n_langs):
-                    vec[li] += dvec[li]
-                    if vec[li]:
-                        alive = True
-                if not alive:
-                    del self.pair_counts[pair]
+        pair_counts = self.pair_counts
+        for pair, dvec in changed.items():
+            vec = pair_counts.get(pair)
+            new = list(dvec) if vec is None else [x + d for x, d in zip(vec, dvec)]
+            if any(new):
+                pair_counts[pair] = new
+            elif vec is not None:
+                del pair_counts[pair]
         return repl, changed
 
 
@@ -255,32 +268,53 @@ class TrainerState:
             self.dev = _WordStore(n_langs, track_pairs=False)
             self._fill_store(self.dev, {l: dev_words[l] for l in self.langs})
 
+        # Each heap is built on its first selection: classical training never
+        # reads a language heap, and parity training without a hybrid prelude
+        # never reads the global one.
         self.global_heap: list = []
         self.lang_heaps: list[list] = [[] for _ in range(n_langs)]
-        for pair, vec in self.train.pair_counts.items():
-            self._push_entries(pair, vec, range(n_langs))
+        self._global_built = False
+        self._built_langs: list[int] = []
 
     def _fill_store(self, store: _WordStore, multisets: dict[str, dict[bytes, int]]):
-        combined: dict[bytes, list[int]] = {}
-        n_langs = len(self.langs)
+        combined: dict[bytes, list[tuple[int, int]]] = {}
         for li, lang in enumerate(self.langs):
             for word, count in multisets[lang].items():
-                vec = combined.get(word)
-                if vec is None:
-                    vec = combined[word] = [0] * n_langs
-                vec[li] += count
+                entries = combined.get(word)
+                if entries is None:
+                    combined[word] = [(li, count)]
+                else:
+                    entries.append((li, count))
         for word in sorted(combined):
-            store.add_word(tuple(word), combined[word])
+            store.add_word(tuple(word), tuple(combined[word]))
 
-    def _push_entries(self, pair, vec, lang_indices) -> None:
-        a, b = pair
-        lb, rb = self.vocab[a], self.vocab[b]
-        total = sum(vec)
-        if total > 0:
-            heapq.heappush(self.global_heap, (-total, lb, rb, a, b))
-        for li in lang_indices:
-            if vec[li] > 0:
-                heapq.heappush(self.lang_heaps[li], (-vec[li], lb, rb, a, b))
+    def _build_heap(self, heap: list, value_of) -> None:
+        """Fill an empty heap with one entry per pair with a positive count."""
+        vocab = self.vocab
+        for (a, b), vec in self.train.pair_counts.items():
+            count = value_of(vec)
+            if count > 0:
+                heap.append((-count, vocab[a], vocab[b], a, b))
+        heapq.heapify(heap)
+
+    def _push_changes(self, changed: dict[tuple[int, int], list[int]]) -> None:
+        """Push the new counts of changed pairs into the heaps built so far."""
+        built = [(li, self.lang_heaps[li]) for li in self._built_langs]
+        if not (self._global_built or built):
+            return
+        pc = self.train.pair_counts
+        vocab = self.vocab
+        for pair, dvec in changed.items():
+            vec = pc.get(pair)
+            if vec is None:
+                continue
+            a, b = pair
+            lb, rb = vocab[a], vocab[b]
+            if self._global_built and any(dvec):
+                heapq.heappush(self.global_heap, (-sum(vec), lb, rb, a, b))
+            for li, heap in built:
+                if dvec[li] and vec[li] > 0:
+                    heapq.heappush(heap, (-vec[li], lb, rb, a, b))
 
     def _select(self, heap, value_of, consume: bool):
         """Pop until the top entry matches its live count; that is the argmax."""
@@ -303,12 +337,19 @@ class TrainerState:
 
     def select_global(self, consume: bool = True):
         """Best pair by summed count across languages, or None if exhausted."""
+        if not self._global_built:
+            self._build_heap(self.global_heap, sum)
+            self._global_built = True
         return self._select(self.global_heap, sum, consume)
 
     def select_for_lang(self, lang: str, consume: bool = True):
         """Best pair within one language's shard, or None if exhausted."""
         li = self.lang_index[lang]
-        return self._select(self.lang_heaps[li], lambda vec: vec[li], consume)
+        value_of = itemgetter(li)
+        if li not in self._built_langs:
+            self._build_heap(self.lang_heaps[li], value_of)
+            self._built_langs.append(li)
+        return self._select(self.lang_heaps[li], value_of, consume)
 
     def apply(self, pair: tuple[int, int]) -> MergeInfo:
         """Record the merge and replace its occurrences in all stores."""
@@ -325,13 +366,7 @@ class TrainerState:
         self.merges.append(byte_pair)
 
         train_repl, changed = self.train.apply_merge(a, b, canonical)
-        pc = self.train.pair_counts
-        n_langs = len(self.langs)
-        for p, dvec in changed.items():
-            vec = pc.get(p)
-            if vec is None or not any(dvec):
-                continue
-            self._push_entries(p, vec, [li for li in range(n_langs) if dvec[li]])
+        self._push_changes(changed)
 
         dev_repl = None
         if self.dev is not None:
@@ -364,9 +399,9 @@ class TrainerState:
     def tokenized_words(self, store: str = "train"):
         """Yield (token byte spans, per-language counts) for inspection."""
         ws = self.train if store == "train" else self.dev
-        for tokens, cvec in zip(ws.words, ws.counts):
+        for tokens, entries in zip(ws.words, ws.counts):
             spans = tuple(self.vocab[t] for t in tokens)
-            yield spans, {lang: cvec[li] for li, lang in enumerate(self.langs) if cvec[li]}
+            yield spans, {self.langs[li]: c for li, c in entries if c}
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))

@@ -83,14 +83,15 @@ def test_criterion_4_incremental_consistency(corpus, dev):
             if record.step % 25 != 0:
                 return
             # pair counts: from-scratch positional recount over current words
+            # (each word's counts are sparse (lang_index, count) entries)
             recount = {}
-            for tokens, cvec in zip(state.train.words, state.train.counts):
+            for tokens, entries in zip(state.train.words, state.train.counts):
                 for i in range(len(tokens) - 1):
                     pair = (tokens[i], tokens[i + 1])
                     vec = recount.get(pair)
                     if vec is None:
-                        vec = recount[pair] = [0] * len(cvec)
-                    for li, c in enumerate(cvec):
+                        vec = recount[pair] = [0] * len(state.langs)
+                    for li, c in entries:
                         vec[li] += c
             assert recount == state.train.pair_counts
             # dev table: re-encode the dev corpus with the merges so far

@@ -40,6 +40,11 @@ class TestTrain:
         meta = json.loads((tmp_path / "classical.bpe.meta.json").read_text())
         assert meta["summary"]["merges_learned"] == 60
         assert meta["config"]["unit"] == "bytes"
+        # parity-only settings keep their defaults, so equal runs hash equal
+        assert meta["config"]["window"] == 100
+        assert meta["config"]["alpha"] == 2.0
+        assert meta["config"]["hybrid_split"] == 0.0
+        assert meta["config"]["dev"] is None
         assert meta["config_hash"]
         assert "manifest" in meta["inputs"]
         out = capsys.readouterr().out
@@ -104,6 +109,39 @@ class TestTrain:
         assert code == 1
         assert "--unit bytes" in capsys.readouterr().err
         assert not (tmp_path / "m.bpe").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--window", "7"), ("--alpha", "9"), ("--hybrid-split", "0.5"), ("--dev", "nowhere")],
+    )
+    def test_classical_rejects_parity_flags(self, tmp_path, flag, value, capsys):
+        # the corpus does not exist: the flag is rejected before it is loaded
+        code = run(
+            ["train", "--classical", flag, value, "--merges", "20",
+             "--corpus", tmp_path / "absent.json", "--model-out", tmp_path / "m.bpe"]
+        )
+        assert code == 1
+        assert f"--classical takes no {flag}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            pytest.param(b'{"text": "ok \xff", "lang": "aa"}', id="raw-byte"),
+            pytest.param(b'{"text": "ok \\ud800", "lang": "aa"}', id="lone-surrogate"),
+        ],
+    )
+    def test_bad_text_is_data_error(self, tmp_path, record, capsys):
+        (tmp_path / "aa.jsonl").write_bytes(b'{"text": "fine", "lang": "aa"}\n' + record + b"\n")
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({"languages": [{"lang": "aa", "path": "aa.jsonl"}]}))
+        code = run(
+            ["train", "--classical", "--merges", "5",
+             "--corpus", manifest, "--model-out", tmp_path / "m.bpe"]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "aa.jsonl:2:" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("alpha", ["nan", "inf"])
     def test_non_finite_alpha_is_usage_error(self, tmp_path, synth_dir, alpha, capsys):

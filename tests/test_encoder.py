@@ -5,12 +5,12 @@ to the results of a per-merge rescan and a sequential merge replay.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import TokenizerModel, _kernels, pretokenize
 
-from .oracles import replay_encode, rescan_encode_ids
+from .oracles import replace_pair, replay_encode, rescan_encode_ids, sliding_pair_counts
 
 
 def test_overlapping_pairs_counted_positionally():
@@ -28,6 +28,42 @@ def test_no_match_returns_input():
     word = (1, 2, 3)
     new, replaced, deltas = _kernels.merge_and_deltas(word, 7, 8, 9)
     assert new is word and replaced == 0 and deltas == {}
+
+
+def _recount_merge(tokens, a, b, c):
+    """merge_and_deltas from the oracles: replace, then recount every pair."""
+    # ids as one-byte spans: a replaced pair is the only two-byte span
+    spans = replace_pair(tuple(bytes([t]) for t in tokens), bytes([a]), bytes([b]))
+    new = tuple(c if len(span) == 2 else span[0] for span in spans)
+    old_counts = sliding_pair_counts([(tuple(tokens), 1)])
+    new_counts = sliding_pair_counts([(new, 1)])
+    deltas = {
+        pair: new_counts[pair] - old_counts[pair]
+        for pair in old_counts.keys() | new_counts.keys()
+        if new_counts[pair] != old_counts[pair]
+    }
+    return new, len(tokens) - len(new), deltas
+
+
+# Ids 0-3 for tokens and the pair, 0-4 for the result: a == b, runs such as
+# abab, and a result already in the word (or equal to a or b) all come up.
+@settings(max_examples=500, deadline=None)
+@given(
+    st.lists(st.integers(0, 3), max_size=14).map(tuple),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.integers(0, 4),
+)
+@example((0, 1, 0, 1), 0, 1, 4)  # abab
+@example((0, 1, 0, 1, 0), 0, 1, 4)
+@example((2, 2, 2, 2, 2), 2, 2, 4)  # a == b
+@example((4, 0, 1, 4), 0, 1, 4)  # c beside the pair
+@example((0, 1, 0, 1), 0, 1, 0)  # c == a
+def test_merge_and_deltas_matches_recount(tokens, a, b, c):
+    new, replaced, deltas = _kernels.merge_and_deltas(tokens, a, b, c)
+    assert (new, replaced, deltas) == _recount_merge(tokens, a, b, c)
+    if not replaced:
+        assert new is tokens
 
 
 def test_encode_applies_by_rank():

@@ -1,0 +1,62 @@
+"""Golden determinism: training on the session fixture reproduces pinned bytes.
+
+The hashes were taken from a run of the trainer before its per-word counts
+became sparse and its heaps lazy; any change to what is learned, or to how
+the model and log are written, shows up here as a hash mismatch.
+"""
+
+import hashlib
+
+import pytest
+
+from parity_bpe import NormUnit, ParityConfig, train_no_dev
+
+from .conftest import MERGE_BUDGET
+
+# run -> (sha256 of the saved model, sha256 of the JSONL train log)
+GOLDEN = {
+    "classical": (
+        "aa0921517117f8a00ea40c8ea59d66774422bda396a4baf0f58fd14bac0579d5",
+        "b136b81ff49565f4f899f0570475472cfa83e048c4f17caaf56d566302ca34e5",
+    ),
+    "hybrid": (
+        "751b63c4108b2841c54623eedb8788fa5d5b7c4d6937a71ad8c2903733f282e8",
+        "82b748c77789f3358bb6d8638552963dfe13fbfe05557bab8421bef4d48f0a02",
+    ),
+    "no_dev": (
+        "b18f6a224c6c47032591c9757b3d89343ae5494ea194e8f50ec8b56d4c2edda7",
+        "8f2e667d3d3b337edce8795355b748e1b4580c34a31bdc936fba0c66de89a802",
+    ),
+    "parity": (
+        "0ab5df0d84ecda76e4a3abcfbe114ae109a36f0ec4f308106328dd117e92534f",
+        "9c9c6b3edb005a9f170c3406cc1d7a24b6b7c3c23db3f76333b82749ec20e94b",
+    ),
+    "window": (
+        "c3ac740daa6abc097bb290d31dd51cf6f3084f9df1bc17f04c726b005d98ce8f",
+        "9a516d17dc91c153b0731421b43d9957d60e8284fbe0970b7ba191c89d7c1903",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def no_dev_run(corpus):
+    config = ParityConfig(
+        total_merges=MERGE_BUDGET,
+        window_size=20,
+        unit=NormUnit.BYTES,
+        dev_source="training_as_dev",
+    )
+    return train_no_dev(corpus, config)
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_model_and_log_bytes_are_pinned(name, request, tmp_path):
+    model, log = request.getfixturevalue(f"{name}_run")
+    model.save(tmp_path / "model.bpe")
+    log.to_jsonl(tmp_path / "log.jsonl")
+    got = (_sha256(tmp_path / "model.bpe"), _sha256(tmp_path / "log.jsonl"))
+    assert got == GOLDEN[name]

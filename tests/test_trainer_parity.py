@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parity_bpe import (
     ConfigError,
@@ -91,6 +93,18 @@ class TestComputeCr:
     def test_zero_unit_total_rejected(self):
         with pytest.raises(DataError, match="zero"):
             CRTable(NormUnit.LINES, ("aa",), {"aa": 0}, {"aa": 5})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.lists(st.sampled_from(["aa", "bb", "cc"]), max_size=30))
+def test_window_count_matches_its_contents(size, pushes):
+    window = SelectionWindow(size)
+    for i, lang in enumerate(pushes):
+        window.push(lang)
+        recent = pushes[max(0, i + 1 - size) : i + 1] if size else []
+        assert window.contents() == tuple(recent)
+        for code in ("aa", "bb", "cc"):
+            assert window.count(code) == recent.count(code)
 
 
 class TestSelectLanguage:
