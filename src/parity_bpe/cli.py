@@ -20,8 +20,9 @@ from .metrics import RENYI_ALPHA_DEFAULT, full_report, load_gold_tsv
 from .parity import (
     DEV_SOURCE_PARALLEL,
     DEV_SOURCE_TRAINING,
+    CRTable,
     ParityConfig,
-    compute_cr,
+    reference_unit_totals,
     train_no_dev,
     train_parity,
 )
@@ -201,6 +202,8 @@ def cmd_train(args) -> int:
         given = [flag for flag, value in parity_flags.items() if value is not None]
         if given:
             raise ConfigError(f"--classical takes no {', '.join(given)}")
+    if args.no_dev and args.dev is not None:
+        raise ConfigError("--no-dev takes no --dev")
     # Parity-only flags get their defaults here, not from argparse, so that
     # --classical can tell a given flag from an absent one.
     window = 100 if args.window is None else args.window
@@ -233,7 +236,7 @@ def cmd_train(args) -> int:
 
     if args.classical:
         model, log = train_classical(corpus, merges)
-        summary_table = compute_cr(corpus, model, NormUnit.BYTES)
+        reference = corpus
     elif args.no_dev:
         config = ParityConfig(
             total_merges=merges,
@@ -244,10 +247,10 @@ def cmd_train(args) -> int:
             dev_source=DEV_SOURCE_TRAINING,
         )
         model, log = train_no_dev(corpus, config)
-        summary_table = compute_cr(corpus, model, NormUnit.BYTES)
+        reference = corpus
     else:
         dev_dir = _require(args, "dev")
-        dev = load_parallel_dev(dev_dir, list(corpus.languages))
+        reference = load_parallel_dev(dev_dir, list(corpus.languages))
         config = ParityConfig(
             total_merges=merges,
             global_merges=int(merges * hybrid_split),
@@ -256,8 +259,15 @@ def cmd_train(args) -> int:
             unit=NormUnit(unit),
             dev_source=DEV_SOURCE_PARALLEL,
         )
-        model, log = train_parity(corpus, dev, config)
-        summary_table = compute_cr(dev, model, NormUnit(unit))
+        model, log = train_parity(corpus, reference, config)
+    # The trainer's final token totals are what encoding the reference
+    # corpus with the model would give, so it is not encoded again.
+    summary_table = CRTable(
+        NormUnit(unit),
+        reference.languages,
+        reference_unit_totals(reference, unit),
+        log.token_totals,
+    )
 
     model_out = Path(args.model_out)
     log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")

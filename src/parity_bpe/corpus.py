@@ -4,6 +4,16 @@ All text is handled as raw bytes. Pre-tokenization splits before every
 ASCII-whitespace run and attaches the run to the following pre-token
 (leading-space convention), so concatenating the pre-tokens of any input
 restores it byte for byte. No Unicode normalization is applied.
+
+A labeled training file is read in one piece: it is decoded once (UTF-8,
+surrogates passed through, as ``json.loads`` decodes bytes), split on
+``\n``, and each line, stripped of ASCII whitespace as ``bytes.strip``
+strips it, is parsed in place by ``JSONDecoder.raw_decode`` and must end
+where the value ends. Its pre-tokens are counted with one ``Counter`` per
+language. On any error the file is read again with one ``json.loads`` per
+line, so the corpus, and every ``CorpusError`` with its ``path:lineno``,
+are those of the per-line loader. Files that need that path, such as one
+with a UTF-8 byte-order mark on a line, load correctly but more slowly.
 """
 
 from __future__ import annotations
@@ -13,6 +23,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import chain
 from pathlib import Path
 
 from .errors import CorpusError
@@ -20,6 +31,9 @@ from .errors import CorpusError
 # A pre-token is a whitespace run glued to the following non-whitespace run;
 # a trailing whitespace run with nothing after it stands alone.
 _PRETOKEN_RE = re.compile(rb"\s*\S+|\s+")
+# What bytes.strip() removes; str.strip() would also remove Unicode spaces.
+_ASCII_WS = " \t\n\r\x0b\x0c"
+_DECODER = json.JSONDecoder()
 
 
 class NormUnit(str, Enum):
@@ -68,15 +82,13 @@ class LabeledCorpus:
 
     ``per_language`` maps a language code to a Counter of pre-token bytes;
     ``unit_totals[lang][unit]`` holds the corpus length of that language in
-    each normalization unit. ``char_fallback`` lists languages whose char
-    totals fell back to byte counting on invalid UTF-8. Instances are
-    treated as immutable after construction.
+    each normalization unit. Instances are treated as immutable after
+    construction.
     """
 
     languages: tuple[str, ...]
     per_language: dict[str, Counter]
     unit_totals: dict[str, dict[NormUnit, int]]
-    char_fallback: frozenset[str] = frozenset()
 
     @classmethod
     def from_multisets(cls, multisets: dict[str, dict[bytes, int]]) -> "LabeledCorpus":
@@ -90,7 +102,6 @@ class LabeledCorpus:
         languages = tuple(sorted(multisets))
         per_language: dict[str, Counter] = {}
         unit_totals: dict[str, dict[NormUnit, int]] = {}
-        fallback = set()
         for lang in languages:
             words = Counter()
             for w, c in multisets[lang].items():
@@ -100,20 +111,13 @@ class LabeledCorpus:
             if not words:
                 raise CorpusError(f"empty language partition: {lang!r}")
             per_language[lang] = words
-            nbytes = sum(len(w) * c for w, c in words.items())
-            nchars = 0
-            for w, c in words.items():
-                n, fb = char_count(w)
-                nchars += n * c
-                if fb:
-                    fallback.add(lang)
             unit_totals[lang] = {
-                NormUnit.BYTES: nbytes,
-                NormUnit.CHARS: nchars,
+                NormUnit.BYTES: sum(len(w) * c for w, c in words.items()),
+                NormUnit.CHARS: sum(char_count(w)[0] * c for w, c in words.items()),
                 NormUnit.WORDS: sum(words.values()),
                 NormUnit.LINES: len(words),
             }
-        return cls(languages, per_language, unit_totals, frozenset(fallback))
+        return cls(languages, per_language, unit_totals)
 
 
 @dataclass
@@ -175,42 +179,79 @@ def load_labeled_corpus(
     for lang, path in declared:
         if not path.exists():
             raise CorpusError(f"missing corpus file for {lang!r}: {path}")
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                try:
-                    record = json.loads(raw)
-                    text, rec_lang = record["text"], record["lang"]
-                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                    raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from None
-                if not isinstance(text, str) or not isinstance(rec_lang, str):
-                    raise CorpusError(f"{path}:{lineno}: text and lang must be strings")
-                if rec_lang not in known:
-                    raise CorpusError(
-                        f"{path}:{lineno}: unknown language {rec_lang!r} not in manifest"
-                    )
-                if limit_per_language is not None and n_records[rec_lang] >= limit_per_language:
-                    continue
-                n_records[rec_lang] += 1
-                try:
-                    data = text.encode("utf-8")
-                except UnicodeEncodeError as exc:
-                    raise CorpusError(f"{path}:{lineno}: invalid text ({exc})") from None
-                words = pretokenize(data)
-                per_language[rec_lang].update(words)
-                t = totals[rec_lang]
-                t[NormUnit.BYTES] += len(data)
-                t[NormUnit.CHARS] += len(text)  # valid UTF-8, so one char per code point
-                t[NormUnit.WORDS] += len(words)
-                t[NormUnit.LINES] += 1
+        kept, chars = _read_records(path, known, n_records, limit_per_language)
+        for rec_lang, texts in kept.items():
+            per_language[rec_lang].update(chain.from_iterable(map(_PRETOKEN_RE.findall, texts)))
+            t = totals[rec_lang]
+            t[NormUnit.BYTES] += sum(map(len, texts))
+            t[NormUnit.CHARS] += chars[rec_lang]
+            t[NormUnit.LINES] += len(texts)
+            n_records[rec_lang] += len(texts)
 
     for lang in known:
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
+        totals[lang][NormUnit.WORDS] = per_language[lang].total()
 
     return LabeledCorpus(tuple(sorted(known)), per_language, totals)
+
+
+def _read_records(
+    path: Path, known: set[str], n_records: dict[str, int], limit: int | None
+) -> tuple[dict[str, list[bytes]], dict[str, int]]:
+    """The records one file adds: UTF-8 texts and char totals per language.
+
+    The whole file is decoded once and each line parsed in place. Any error
+    there sends the file through the per-line ``json.loads`` loop, which
+    raises the ``path:lineno`` error; the fast pass only ever accepts what
+    that loop accepts, with the same values.
+    """
+    try:
+        lines = path.read_bytes().decode("utf-8", "surrogatepass").split("\n")
+        return _parse_lines(path, lines, _parse_whole_line, _ASCII_WS, known, n_records, limit)
+    except (UnicodeDecodeError, CorpusError):
+        pass
+    with open(path, "rb") as fh:
+        return _parse_lines(path, fh, json.loads, None, known, n_records, limit)
+
+
+def _parse_whole_line(line: str):
+    """The JSON value that fills ``line``; what ``json.loads`` returns for it."""
+    value, end = _DECODER.raw_decode(line)
+    if end != len(line):
+        raise json.JSONDecodeError("Extra data", line, end)
+    return value
+
+
+def _parse_lines(path, lines, parse, strip_chars, known, n_records, limit):
+    """The record loop shared by both passes; raises at the first bad line.
+
+    ``n_records`` counts what earlier files kept; it is read, not changed.
+    """
+    kept: dict[str, list[bytes]] = {lang: [] for lang in known}
+    chars = dict.fromkeys(known, 0)
+    for lineno, raw in enumerate(lines, 1):
+        raw = raw.strip(strip_chars)
+        if not raw:
+            continue
+        try:
+            record = parse(raw)
+            text, rec_lang = record["text"], record["lang"]
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from None
+        if not isinstance(text, str) or not isinstance(rec_lang, str):
+            raise CorpusError(f"{path}:{lineno}: text and lang must be strings")
+        if rec_lang not in known:
+            raise CorpusError(f"{path}:{lineno}: unknown language {rec_lang!r} not in manifest")
+        texts = kept[rec_lang]
+        if limit is not None and n_records[rec_lang] + len(texts) >= limit:
+            continue
+        try:
+            texts.append(text.encode("utf-8"))
+        except UnicodeEncodeError as exc:
+            raise CorpusError(f"{path}:{lineno}: invalid text ({exc})") from None
+        chars[rec_lang] += len(text)  # valid UTF-8, so one char per code point
+    return kept, chars
 
 
 def load_parallel_dev(directory: str | Path, languages: list[str]) -> ParallelDevCorpus:

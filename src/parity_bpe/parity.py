@@ -12,6 +12,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, unit_length
 from .errors import ConfigError, CorpusError, DataError
@@ -78,17 +79,6 @@ class ParityConfig:
             return None
         return self.alpha_fraction * self.window_size / n_langs
 
-    def as_dict(self) -> dict:
-        return {
-            "total_merges": self.total_merges,
-            "global_merges": self.global_merges,
-            "window_size": self.window_size,
-            "alpha": self.alpha,
-            "unit": NormUnit(self.unit).value,
-            "dev_source": self.dev_source,
-            "min_count": self.min_count,
-        }
-
 
 class SelectionWindow:
     """Ring buffer of the most recent language selections.
@@ -143,27 +133,37 @@ class CRTable:
         return {lang: self.cr(lang) for lang in self.langs}
 
 
+def reference_unit_totals(
+    reference: ParallelDevCorpus | LabeledCorpus, unit: NormUnit
+) -> dict[str, int]:
+    """Length of each language of a reference corpus in ``unit``."""
+    unit = NormUnit(unit)
+    if isinstance(reference, ParallelDevCorpus):
+        return {
+            lang: sum(unit_length(line, unit) for line in reference.lines[lang])
+            for lang in reference.languages
+        }
+    return {lang: reference.unit_totals[lang][unit] for lang in reference.languages}
+
+
 def compute_cr(
     dev: ParallelDevCorpus | LabeledCorpus, model: TokenizerModel, unit: NormUnit
 ) -> CRTable:
     """Compression-rate table of ``model`` over a reference corpus."""
     unit = NormUnit(unit)
-    unit_totals: dict[str, int] = {}
-    token_totals: dict[str, int] = {}
     if isinstance(dev, ParallelDevCorpus):
-        for lang in dev.languages:
-            unit_totals[lang] = sum(unit_length(line, unit) for line in dev.lines[lang])
-            token_totals[lang] = sum(model.token_count(line) for line in dev.lines[lang])
-        langs = dev.languages
+        token_totals = {
+            lang: sum(model.token_count(line) for line in dev.lines[lang])
+            for lang in dev.languages
+        }
     else:
-        for lang in dev.languages:
-            unit_totals[lang] = dev.unit_totals[lang][unit]
-            token_totals[lang] = sum(
-                model.token_count(word) * count
-                for word, count in dev.per_language[lang].items()
+        token_totals = {
+            lang: sum(
+                model.token_count(word) * count for word, count in dev.per_language[lang].items()
             )
-        langs = dev.languages
-    return CRTable(unit, tuple(langs), unit_totals, token_totals)
+            for lang in dev.languages
+        }
+    return CRTable(unit, tuple(dev.languages), reference_unit_totals(dev, unit), token_totals)
 
 
 def _ordered_candidates(
@@ -273,6 +273,7 @@ def _run_minmax(
         if on_step is not None:
             on_step(state, record)
 
+    log.token_totals = dict(zip(langs, token_totals))
     return state.to_model(), log
 
 
@@ -290,20 +291,15 @@ def train_parity(
     if missing:
         raise CorpusError(f"dev corpus missing languages: {missing}")
 
-    unit = NormUnit(config.unit)
-    dev_words: dict[str, Counter] = {}
-    unit_totals: list[int] = []
-    for lang in train.languages:
-        words = Counter()
-        total = 0
-        for line in dev.lines[lang]:
-            words.update(pretokenize(line))
-            total += unit_length(line, unit)
-        dev_words[lang] = words
-        unit_totals.append(total)
-
+    dev_words = {
+        lang: Counter(chain.from_iterable(map(pretokenize, dev.lines[lang])))
+        for lang in train.languages
+    }
+    unit_totals = reference_unit_totals(dev, config.unit)
     state = TrainerState(train, dev_words=dev_words, min_count=config.min_count)
-    return _run_minmax(state, config, unit_totals, state.dev.token_totals, on_step)
+    return _run_minmax(
+        state, config, [unit_totals[lang] for lang in state.langs], state.dev.token_totals, on_step
+    )
 
 
 def train_no_dev(

@@ -84,12 +84,19 @@ class TrainStep:
 
 
 class TrainLog:
-    """Ordered record of learned merges, one entry per merge."""
+    """Ordered record of learned merges, one entry per merge.
+
+    ``token_totals`` holds the per-language token totals of the reference
+    corpus after the last merge (the training corpus for classical and
+    no-dev training, the dev corpus for parity training). The trainers set
+    it; it is not written to the JSONL file, so a log read back has None.
+    """
 
     def __init__(self):
         self.steps: list[TrainStep] = []
         self.stopped_early = False
         self.stop_reason: str | None = None
+        self.token_totals: dict[str, int] | None = None
 
     def append(self, step: TrainStep) -> None:
         self.steps.append(step)
@@ -143,25 +150,6 @@ class _WordStore:
             {} if track_pairs else None
         )
         self.token_totals = [0] * n_langs
-
-    def add_word(self, tokens: tuple[int, ...], entries: tuple[tuple[int, int], ...]) -> None:
-        wid = len(self.words)
-        self.words.append(tokens)
-        self.counts.append(entries)
-        for li, c in entries:
-            self.token_totals[li] += len(tokens) * c
-        pair_counts = self.pair_counts
-        for pair, occ in _kernels.count_pairs(tokens).items():
-            slot = self.index.get(pair)
-            if slot is None:
-                slot = self.index[pair] = {}
-            slot[wid] = occ
-            if pair_counts is not None:
-                vec = pair_counts.get(pair)
-                if vec is None:
-                    vec = pair_counts[pair] = [0] * self.n_langs
-                for li, c in entries:
-                    vec[li] += occ * c
 
     def apply_merge(self, a: int, b: int, c: int):
         """Replace (a, b) with c in every word containing it.
@@ -277,6 +265,7 @@ class TrainerState:
         self._built_langs: list[int] = []
 
     def _fill_store(self, store: _WordStore, multisets: dict[str, dict[bytes, int]]):
+        """Add every word in sorted byte order, then derive the pair counts."""
         combined: dict[bytes, list[tuple[int, int]]] = {}
         for li, lang in enumerate(self.langs):
             for word, count in multisets[lang].items():
@@ -285,8 +274,33 @@ class TrainerState:
                     combined[word] = [(li, count)]
                 else:
                     entries.append((li, count))
-        for word in sorted(combined):
-            store.add_word(tuple(word), tuple(combined[word]))
+        words, counts, index = store.words, store.counts, store.index
+        index_get = index.get
+        token_totals = store.token_totals
+        for wid, word in enumerate(sorted(combined), len(words)):
+            tokens = tuple(word)
+            entries = tuple(combined[word])
+            words.append(tokens)
+            counts.append(entries)
+            for li, c in entries:
+                token_totals[li] += len(tokens) * c
+            for pair in zip(word, word[1:]):  # byte values are the initial ids
+                slot = index_get(pair)
+                if slot is None:
+                    index[pair] = {wid: 1}
+                elif wid in slot:
+                    slot[wid] += 1
+                else:
+                    slot[wid] = 1
+        pair_counts = store.pair_counts
+        if pair_counts is None:
+            return
+        n_langs = store.n_langs
+        for pair, slot in index.items():
+            vec = pair_counts[pair] = [0] * n_langs
+            for wid, occ in slot.items():
+                for li, c in counts[wid]:
+                    vec[li] += occ * c
 
     def _build_heap(self, heap: list, value_of) -> None:
         """Fill an empty heap with one entry per pair with a positive count."""
@@ -462,4 +476,5 @@ def train_classical(
         log.append(record)
         if on_step is not None:
             on_step(state, record)
+    log.token_totals = dict(zip(state.langs, state.train.token_totals))
     return state.to_model(), log

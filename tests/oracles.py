@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive and self-contained: sequential merge
 replay and a per-merge rescan for encoding, from-scratch sliding-window pair
-recounts, a bitwise UTF-8 scalar counter, and a pairwise-difference Gini.
-None of it shares code with the package paths it verifies.
+recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, and
+the one-``json.loads``-per-line corpus loader. None of it shares code with
+the package paths it verifies.
 """
 
+import json
 from collections import Counter
+from pathlib import Path
 
-from parity_bpe import pretokenize
+from parity_bpe import CorpusError, LabeledCorpus, NormUnit, pretokenize
 
 
 def replay_encode(merges, text: bytes) -> list[bytes]:
@@ -138,3 +141,81 @@ def audit_selection_windows(selections, window_size: int, quota: int):
             if occurrences > quota:
                 violations.append((start, lang, occurrences))
     return violations
+
+
+def per_line_load_labeled_corpus(
+    manifest: str | Path, limit_per_language: int | None = None
+) -> LabeledCorpus:
+    """The labeled-corpus loader as it was before its fast path: one
+    ``json.loads`` and one ``Counter.update`` per line. The package loader
+    must return the same corpus, or raise the same ``CorpusError``.
+    """
+    manifest = Path(manifest)
+    try:
+        spec = json.loads(manifest.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise CorpusError(f"manifest not found: {manifest}") from None
+    except json.JSONDecodeError as exc:
+        raise CorpusError(f"malformed manifest {manifest}: {exc}") from None
+
+    entries = spec.get("languages")
+    if not isinstance(entries, list) or not entries:
+        raise CorpusError(f"manifest {manifest} lists no languages")
+    declared: list[tuple[str, Path]] = []
+    seen = set()
+    for entry in entries:
+        lang, path = entry.get("lang"), entry.get("path")
+        if not lang or not isinstance(lang, str) or not path:
+            raise CorpusError(f"manifest {manifest}: bad language entry {entry!r}")
+        if lang in seen:
+            raise CorpusError(f"manifest {manifest}: duplicate language {lang!r}")
+        seen.add(lang)
+        declared.append((lang, manifest.parent / path))
+
+    known = {lang for lang, _ in declared}
+    per_language: dict[str, Counter] = {lang: Counter() for lang in known}
+    totals = {
+        lang: {NormUnit.BYTES: 0, NormUnit.CHARS: 0, NormUnit.WORDS: 0, NormUnit.LINES: 0}
+        for lang in known
+    }
+    n_records = {lang: 0 for lang in known}
+
+    for lang, path in declared:
+        if not path.exists():
+            raise CorpusError(f"missing corpus file for {lang!r}: {path}")
+        with open(path, "rb") as fh:
+            for lineno, raw in enumerate(fh, 1):
+                raw = raw.strip()
+                if not raw:
+                    continue
+                try:
+                    record = json.loads(raw)
+                    text, rec_lang = record["text"], record["lang"]
+                except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+                    raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from None
+                if not isinstance(text, str) or not isinstance(rec_lang, str):
+                    raise CorpusError(f"{path}:{lineno}: text and lang must be strings")
+                if rec_lang not in known:
+                    raise CorpusError(
+                        f"{path}:{lineno}: unknown language {rec_lang!r} not in manifest"
+                    )
+                if limit_per_language is not None and n_records[rec_lang] >= limit_per_language:
+                    continue
+                n_records[rec_lang] += 1
+                try:
+                    data = text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    raise CorpusError(f"{path}:{lineno}: invalid text ({exc})") from None
+                words = pretokenize(data)
+                per_language[rec_lang].update(words)
+                t = totals[rec_lang]
+                t[NormUnit.BYTES] += len(data)
+                t[NormUnit.CHARS] += len(text)  # valid UTF-8, so one char per code point
+                t[NormUnit.WORDS] += len(words)
+                t[NormUnit.LINES] += 1
+
+    for lang in known:
+        if not per_language[lang]:
+            raise CorpusError(f"empty language partition: {lang!r}")
+
+    return LabeledCorpus(tuple(sorted(known)), per_language, totals)

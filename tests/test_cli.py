@@ -5,7 +5,14 @@ from types import SimpleNamespace
 
 import pytest
 
-from parity_bpe import MetricReport, TokenizerModel, full_report, load_parallel_dev
+from parity_bpe import (
+    MetricReport,
+    NormUnit,
+    TokenizerModel,
+    compute_cr,
+    full_report,
+    load_parallel_dev,
+)
 from parity_bpe.cli import main
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
@@ -122,6 +129,39 @@ class TestTrain:
         )
         assert code == 1
         assert f"--classical takes no {flag}" in capsys.readouterr().err
+
+    def test_no_dev_rejects_dev(self, tmp_path, capsys):
+        # the corpus does not exist: the flag is rejected before it is loaded
+        code = run(
+            ["train", "--parity", "--no-dev", "--dev", "nowhere", "--merges", "5",
+             "--corpus", tmp_path / "absent.json", "--model-out", tmp_path / "m.bpe"]
+        )
+        assert code == 1
+        assert "--no-dev takes no --dev" in capsys.readouterr().err
+        assert not (tmp_path / "m.bpe").exists()
+
+    @pytest.mark.parametrize(
+        "mode, reference",
+        [
+            pytest.param(["--classical"], "corpus", id="classical"),
+            pytest.param(["--parity", "--no-dev"], "corpus", id="no-dev"),
+            pytest.param(["--parity", "--unit", "words"], "dev", id="parity"),
+            pytest.param(["--parity", "--hybrid-split", "0.5", "--unit", "chars"], "dev",
+                         id="hybrid"),
+        ],
+    )
+    def test_summary_cr_matches_reencode(self, tmp_path, synth_dir, mode, reference, request):
+        model_out = tmp_path / "m.bpe"
+        dev_flags = ["--dev", synth_dir / "dev"] if reference == "dev" else []
+        assert run(
+            ["train", *mode, *dev_flags, "--merges", "40",
+             "--corpus", synth_dir / "manifest.json", "--model-out", model_out]
+        ) == 0
+        meta = json.loads((tmp_path / "m.bpe.meta.json").read_text())
+        unit = NormUnit(meta["summary"]["cr_unit"])
+        model = TokenizerModel.load(model_out)
+        table = compute_cr(request.getfixturevalue(reference), model, unit)
+        assert meta["summary"]["per_language_cr"] == table.snapshot()
 
     @pytest.mark.parametrize(
         "record",

@@ -1,8 +1,10 @@
 import json
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import (
@@ -15,7 +17,7 @@ from parity_bpe import (
     unit_length,
 )
 
-from .oracles import utf8_scalar_count
+from .oracles import per_line_load_labeled_corpus, utf8_scalar_count
 
 
 def write_manifest(tmp_path, records_by_lang):
@@ -143,6 +145,152 @@ class TestLoadLabeledCorpus:
             # reconstruction-completeness: multiset bytes equal raw text bytes
             recounted = sum(len(w) * c for w, c in corpus.per_language[lang].items())
             assert recounted == declared
+
+
+# -- the loader against the per-line oracle ------------------------------------
+def load_both(directory: Path, files: dict[str, bytes], limit=None):
+    """Write one file per language and load it with both loaders.
+
+    Returns (fast, per-line), each a corpus or the CorpusError message.
+    """
+    for lang, data in files.items():
+        (directory / f"{lang}.jsonl").write_bytes(data)
+    manifest = directory / "manifest.json"
+    manifest.write_text(
+        json.dumps({"languages": [{"lang": lang, "path": f"{lang}.jsonl"} for lang in files]})
+    )
+    results = []
+    for load in (load_labeled_corpus, per_line_load_labeled_corpus):
+        try:
+            results.append(load(manifest, limit))
+        except CorpusError as exc:
+            results.append(str(exc))
+    return results
+
+
+def assert_same_load(directory: Path, files: dict[str, bytes], limit=None):
+    fast, per_line = load_both(directory, files, limit)
+    if isinstance(per_line, str) or isinstance(fast, str):
+        assert fast == per_line
+        return per_line
+    assert fast.languages == per_line.languages
+    assert fast.per_language == per_line.per_language
+    assert fast.unit_totals == per_line.unit_totals
+    for lang in fast.languages:  # the same first-seen order, too
+        assert list(fast.per_language[lang]) == list(per_line.per_language[lang])
+    return fast
+
+
+def rec(text, lang="aa") -> bytes:
+    return json.dumps({"text": text, "lang": lang}).encode()
+
+
+# the two-object line is rejected; a batch parse of the joined lines would
+# pair its second object with the split one below and accept the file
+TWO_OBJECTS_AND_A_SPLIT_ONE = (
+    rec("one") + b", " + rec("two") + b"\n" + b'{"text": "three",\n' + b'"lang": "aa"}\n'
+)
+
+FIXED_FILES = {
+    "two-objects-then-split": (TWO_OBJECTS_AND_A_SPLIT_ONE, None),
+    "utf8-bom-line": (rec("a b") + b"\n\xef\xbb\xbf" + rec("bom c") + b"\n", None),
+    "vt-ff-padding": (b"\x0b" + rec("a") + b"\x0c \n\x0c\x0b\n" + rec("b c") + b"\n", None),
+    "nbsp-padding": (rec("a") + b"\n\xc2\xa0" + rec("b") + b"\n", None),
+    "nbsp-inside-text": (json.dumps({"text": "a\xa0b c", "lang": "aa"}, ensure_ascii=False)
+                         .encode() + b"\n", None),
+    "crlf-and-blank-lines": (b"\r\n" + rec("a b") + b"\r\n\r\n  \r\n" + rec(" c") + b"\r\n", None),
+    "raw-ff-byte": (rec("a") + b"\n" + b'{"text": "b \xff", "lang": "aa"}\n', None),
+    "lone-surrogate-escape": (rec("a") + b"\n" + b'{"text": "b \\ud800", "lang": "aa"}\n', None),
+    "encoded-surrogate": (rec("a") + b"\n" + b'{"text": "\xed\xa0\x80", "lang": "aa"}\n', None),
+    "non-object-record": (rec("a") + b'\n["text", "lang"]\n', None),
+    "string-record": (rec("a") + b'\n"text"\n', None),
+    "unknown-language": (rec("a") + b"\n" + rec("b", "zz") + b"\n", None),
+    "limit-per-language": (b"".join(rec(f"w{i} x") + b"\n" for i in range(5)), 2),
+    "limit-across-files": (rec("a") + b"\n" + rec("b1", "bb") + b"\n", 1),
+    "limit-skips-bad-text": (rec("a") + b'\n{"text": "\\ud800", "lang": "aa"}\n', 1),
+    "separator-between-records": (rec("a") + "\x1c".encode() + rec("b") + b"\n", None),
+    "unicode-line-separators": (
+        json.dumps({"text": "a\u2028b\x85c\rd", "lang": "aa"}, ensure_ascii=False).encode()
+        + b"\n", None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_FILES))
+def test_loader_matches_per_line_oracle(tmp_path, name):
+    data, limit = FIXED_FILES[name]
+    assert_same_load(tmp_path, {"aa": data, "bb": rec("bb text", "bb") + b"\n"}, limit)
+
+
+def test_split_object_file_is_rejected_at_its_first_line(tmp_path):
+    got = assert_same_load(tmp_path, {"aa": TWO_OBJECTS_AND_A_SPLIT_ONE})
+    assert "aa.jsonl:1: malformed record" in got
+
+
+def test_bom_line_loads(tmp_path):
+    corpus = assert_same_load(tmp_path, {"aa": FIXED_FILES["utf8-bom-line"][0]})
+    assert corpus.per_language["aa"] == Counter({b"a": 1, b" b": 1, b"bom": 1, b" c": 1})
+
+
+# ASCII whitespace, which both loaders strip, and characters that
+# str.strip() or str.splitlines() would treat as whitespace or line breaks
+PADDING = st.sampled_from(
+    ["", " ", "\t", "\r", "\x0b", "\x0c", "\xa0", "\ufeff", "\x85", "\x1c", "\u2028"]
+)
+VALID_RECORD = st.builds(
+    lambda text, lang, ascii: json.dumps({"text": text, "lang": lang}, ensure_ascii=ascii),
+    st.text(max_size=12),
+    st.sampled_from(["aa", "bb"]),
+    st.booleans(),
+)
+ODD_RECORD = st.sampled_from([
+    '{"text": "a", "lang": "aa"}, {"text": "b", "lang": "aa"}',
+    '{"text": "c",',
+    '"lang": "aa"}',
+    '{"text": "d", "lang": "zz"}',
+    '{"text": 1, "lang": "aa"}',
+    '{"lang": "bb"}',
+    '["text", "lang"]',
+    '"aa"',
+    "7",
+    '{"text": "\\ud800", "lang": "aa"}',
+    "{}",
+    "not json",
+    "",
+])
+LINE = st.one_of(
+    st.tuples(PADDING, VALID_RECORD, PADDING).map(lambda t: "".join(t).encode()),
+    st.tuples(PADDING, ODD_RECORD, PADDING).map(lambda t: "".join(t).encode()),
+    st.sampled_from([b"\xff", b"\xef\xbb\xbf" + rec("bom"), b"\x00" + rec("nul"), b"\xed\xa0\x80"]),
+)
+FILE = st.builds(
+    lambda lines, newline, last: newline.join(lines) + (newline if last else b""),
+    st.lists(LINE, max_size=8),
+    st.sampled_from([b"\n", b"\r\n"]),
+    st.booleans(),
+)
+ASCII_PADDING = st.sampled_from(["", " ", "\t", "\r", "\x0b", "\x0c"])
+# Valid lines only, so that many files load; the byte-order mark sends a
+# file down the per-line path, which must load it all the same.
+CLEAN_FILE = st.builds(
+    lambda lines, newline: newline.join(lines),
+    st.lists(
+        st.one_of(
+            st.tuples(ASCII_PADDING, VALID_RECORD, ASCII_PADDING).map(lambda t: "".join(t).encode()),
+            st.sampled_from([b"\xef\xbb\xbf" + rec("bom"), b"\xef\xbb\xbf" + rec("bom", "bb")]),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([b"\n", b"\r\n"]),
+)
+ANY_FILE = st.one_of(CLEAN_FILE, CLEAN_FILE, FILE)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ANY_FILE, ANY_FILE, st.one_of(st.none(), st.integers(0, 3)))
+def test_loader_matches_per_line_oracle_on_random_files(aa, bb, limit):
+    with tempfile.TemporaryDirectory() as directory:
+        assert_same_load(Path(directory), {"aa": aa, "bb": bb}, limit)
 
 
 class TestFromMultisets:
