@@ -44,19 +44,15 @@ from .parity import (
     ParityConfig,
     SelectionWindow,
     compute_cr,
-    select_language,
     train_no_dev,
     train_parity,
 )
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tokenizer import TokenizerModel, load_model, save_model
+from .tokenizer import TokenizerModel
 from .trainer import (
     TrainerState,
     TrainLog,
     TrainStep,
-    apply_merge,
-    init_state,
-    select_merge,
     train_classical,
 )
 
@@ -93,20 +89,14 @@ __all__ = [
     "ParityConfig",
     "SelectionWindow",
     "compute_cr",
-    "select_language",
     "train_no_dev",
     "train_parity",
     "SyntheticSpec",
     "generate_synthetic",
     "TokenizerModel",
-    "load_model",
-    "save_model",
     "TrainerState",
     "TrainLog",
     "TrainStep",
-    "apply_merge",
-    "init_state",
-    "select_merge",
     "train_classical",
     "__version__",
 ]

@@ -17,15 +17,7 @@ from pathlib import Path
 from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
 from .metrics import RENYI_ALPHA_DEFAULT, full_report, load_gold_tsv
-from .parity import (
-    DEV_SOURCE_PARALLEL,
-    DEV_SOURCE_TRAINING,
-    CRTable,
-    ParityConfig,
-    reference_unit_totals,
-    train_no_dev,
-    train_parity,
-)
+from .parity import CRTable, ParityConfig, reference_unit_totals, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel, escape_token, unescape_token
 from .trainer import train_classical
@@ -209,6 +201,8 @@ def cmd_train(args) -> int:
     window = 100 if args.window is None else args.window
     alpha = 2.0 if args.alpha is None else args.alpha
     hybrid_split = 0.0 if args.hybrid_split is None else args.hybrid_split
+    if not 0.0 <= hybrid_split <= 1.0:  # also false for nan
+        raise ConfigError(f"hybrid split must be in [0, 1], got {hybrid_split}")
     unit = args.unit
     if args.classical or args.no_dev:
         # both measure compression on the training corpus, which is in bytes
@@ -237,29 +231,20 @@ def cmd_train(args) -> int:
     if args.classical:
         model, log = train_classical(corpus, merges)
         reference = corpus
-    elif args.no_dev:
-        config = ParityConfig(
-            total_merges=merges,
-            global_merges=int(merges * hybrid_split),
-            window_size=window,
-            alpha=alpha,
-            unit=NormUnit.BYTES,
-            dev_source=DEV_SOURCE_TRAINING,
-        )
-        model, log = train_no_dev(corpus, config)
-        reference = corpus
     else:
-        dev_dir = _require(args, "dev")
-        reference = load_parallel_dev(dev_dir, list(corpus.languages))
         config = ParityConfig(
             total_merges=merges,
             global_merges=int(merges * hybrid_split),
             window_size=window,
             alpha=alpha,
             unit=NormUnit(unit),
-            dev_source=DEV_SOURCE_PARALLEL,
         )
-        model, log = train_parity(corpus, reference, config)
+        if args.no_dev:
+            model, log = train_no_dev(corpus, config)
+            reference = corpus
+        else:
+            reference = load_parallel_dev(_require(args, "dev"), list(corpus.languages))
+            model, log = train_parity(corpus, reference, config)
     # The trainer's final token totals are what encoding the reference
     # corpus with the model would give, so it is not encoded again.
     summary_table = CRTable(
@@ -472,9 +457,15 @@ def cmd_synth(args) -> int:
     else:
         codes = [c for c in args.langs.split(",") if c]
         if args.proportions:
-            proportions = [float(x) for x in args.proportions.split(",")]
+            try:
+                proportions = [float(x) for x in args.proportions.split(",")]
+            except ValueError:
+                raise ConfigError(
+                    f"--proportions takes comma-separated numbers, got {args.proportions!r}"
+                ) from None
         else:
-            proportions = [1.0 / len(codes)] * len(codes)
+            # no codes give no proportions, which SyntheticSpec.validate rejects
+            proportions = [1.0 / len(codes) for _ in codes]
         spec = SyntheticSpec.default(
             codes,
             proportions,

@@ -134,7 +134,7 @@ def avg_token_rank(
 
 def renyi_entropy(dist: UnigramDistribution | Sequence[float], alpha: float) -> float:
     """Order-``alpha`` Renyi entropy in bits (Shannon at alpha=1, min-entropy at inf)."""
-    if alpha <= 0:
+    if not alpha > 0:  # also rejects nan
         raise DataError(f"Renyi order must be > 0, got {alpha}")
     probs = dist.probabilities() if isinstance(dist, UnigramDistribution) else list(dist)
     probs = [p for p in probs if p > 0]
@@ -199,7 +199,11 @@ def load_gold_tsv(path: str | Path) -> list[GoldSegmentation]:
     """Parse ``word<TAB>seg|ment|ed`` lines into gold segmentations."""
     path = Path(path)
     entries = []
-    with open(path, "rb") as fh:
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise DataError(f"cannot read gold file {path}: {exc.strerror or exc}") from None
+    with fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.rstrip(b"\r\n")
             if not line:

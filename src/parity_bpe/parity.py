@@ -17,10 +17,7 @@ from itertools import chain
 from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, unit_length
 from .errors import ConfigError, CorpusError, DataError
 from .tokenizer import TokenizerModel
-from .trainer import MIN_PAIR_COUNT, TrainerState, TrainLog, TrainStep
-
-DEV_SOURCE_PARALLEL = "parallel_dev"
-DEV_SOURCE_TRAINING = "training_as_dev"
+from .trainer import TrainerState, TrainLog, TrainStep
 
 
 @dataclass
@@ -28,9 +25,9 @@ class ParityConfig:
     """Knobs for min-max training.
 
     ``global_merges`` is the hybrid prelude length (0 for pure parity
-    training); ``window_size`` 0 disables moving-window balancing. With
-    ``training_as_dev`` the training corpus itself provides compression
-    rates, measured in bytes.
+    training); ``window_size`` 0 disables moving-window balancing.
+    ``train_no_dev`` measures compression rates on the training corpus,
+    so it requires the bytes ``unit``.
     """
 
     total_merges: int
@@ -38,15 +35,6 @@ class ParityConfig:
     window_size: int = 100
     alpha: float = 2.0
     unit: NormUnit = NormUnit.LINES
-    dev_source: str = DEV_SOURCE_PARALLEL
-    min_count: int = MIN_PAIR_COUNT
-
-    @classmethod
-    def with_split(cls, total_merges: int, split: float = 0.5, **kwargs) -> "ParityConfig":
-        """Hybrid config: the first ``split`` fraction of merges is global."""
-        if not 0.0 <= split <= 1.0:
-            raise ConfigError(f"hybrid split must be in [0, 1], got {split}")
-        return cls(total_merges, global_merges=int(total_merges * split), **kwargs)
 
     def validate(self) -> None:
         if self.total_merges < 0:
@@ -61,12 +49,6 @@ class ParityConfig:
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha_fraction <= 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha!r}")
-        if self.dev_source not in (DEV_SOURCE_PARALLEL, DEV_SOURCE_TRAINING):
-            raise ConfigError(f"unknown dev source {self.dev_source!r}")
-        if self.dev_source == DEV_SOURCE_TRAINING and NormUnit(self.unit) is not NormUnit.BYTES:
-            raise ConfigError("training_as_dev requires the bytes normalization unit")
-        if self.min_count < 1:
-            raise ConfigError(f"min count must be >= 1, got {self.min_count}")
 
     @property
     def alpha_fraction(self) -> Fraction:
@@ -166,37 +148,21 @@ def compute_cr(
     return CRTable(unit, tuple(dev.languages), reference_unit_totals(dev, unit), token_totals)
 
 
-def _ordered_candidates(
+def rank_languages(
     crs: dict[str, float], window: SelectionWindow, quota: Fraction | None
-) -> tuple[list[str], list[str]]:
-    """Languages by ascending (CR, code), split into within-quota and excluded.
+) -> list[tuple[str, bool]]:
+    """Languages in selection order, each with its fallback flag.
 
-    A language is excluded when selecting it would push its occupancy of the
-    moving window (current selection included) above the quota.
+    Languages within the window quota come first, then the excluded ones
+    (fallback True), each group by ascending (CR, code). A language is
+    excluded when selecting it would push its occupancy of the moving window
+    (current selection included) above the quota. The trainer takes the
+    first language that still has a pair to merge.
     """
-    order = sorted(crs, key=lambda lang: (crs[lang], lang))
-    if quota is None:
-        return order, []
-    allowed = [lang for lang in order if window.count(lang) + 1 <= quota]
-    blocked = [lang for lang in order if window.count(lang) + 1 > quota]
-    return allowed, blocked
-
-
-def select_language(
-    table: CRTable | dict[str, float], window: SelectionWindow, config: ParityConfig
-) -> tuple[str, bool]:
-    """Worst-compressed language after window filtering.
-
-    Returns (language, fallback); fallback is True when every language was
-    excluded by the window and the unfiltered argmin was used instead.
-    """
-    crs = table.snapshot() if isinstance(table, CRTable) else dict(table)
-    if not crs:
-        raise DataError("no languages to select from")
-    allowed, blocked = _ordered_candidates(crs, window, config.quota(len(crs)))
-    if allowed:
-        return allowed[0], False
-    return blocked[0], True
+    ranked = sorted(
+        (quota is not None and window.count(lang) + 1 > quota, crs[lang], lang) for lang in crs
+    )
+    return [(lang, fallback) for fallback, _, lang in ranked]
 
 
 def _run_minmax(
@@ -208,15 +174,13 @@ def _run_minmax(
 ) -> tuple[TokenizerModel, TrainLog]:
     """Shared hybrid/parity loop over a live token-total vector."""
     langs = state.langs
-    n_langs = len(langs)
-    for li, lang in enumerate(langs):
-        if unit_totals[li] <= 0:
-            raise DataError(f"zero {NormUnit(config.unit).value} total for language {lang!r}")
-        if token_totals[li] <= 0:
-            raise DataError(f"zero token total for language {lang!r}")
+    # CRTable rejects a zero unit or token total, which the loop divides by.
+    CRTable(
+        config.unit, tuple(langs), dict(zip(langs, unit_totals)), dict(zip(langs, token_totals))
+    )
 
     window = SelectionWindow(config.window_size)
-    quota = config.quota(n_langs)
+    quota = config.quota(len(langs))
     log = TrainLog()
 
     for k in range(1, config.total_merges + 1):
@@ -228,29 +192,26 @@ def _run_minmax(
             sel = state.select_global()
             if sel is None:
                 log.stopped_early = True
-                log.stop_reason = f"no pair with count >= {config.min_count} after {k - 1} merges"
+                log.stop_reason = f"no pair with count >= {state.min_count} after {k - 1} merges"
                 break
             mode = "global"
         else:
             snapshot = {
                 lang: unit_totals[li] / token_totals[li] for li, lang in enumerate(langs)
             }
-            allowed, blocked = _ordered_candidates(snapshot, window, quota)
             sel = None
-            for lang in allowed + blocked:
-                sel = state.select_for_lang(lang)
+            for chosen, fallback in rank_languages(snapshot, window, quota):
+                sel = state.select_for_lang(chosen)
                 if sel is not None:
-                    chosen = lang
                     break
-                skipped.append(lang)
+                skipped.append(chosen)
             if sel is None:
                 log.stopped_early = True
                 log.stop_reason = (
-                    f"no language has a pair with count >= {config.min_count} "
+                    f"no language has a pair with count >= {state.min_count} "
                     f"after {k - 1} merges"
                 )
                 break
-            fallback = chosen not in allowed
             window.push(chosen)
             mode = "parity"
 
@@ -285,8 +246,6 @@ def train_parity(
 ) -> tuple[TokenizerModel, TrainLog]:
     """Min-max training with compression rates measured on a parallel dev set."""
     config.validate()
-    if config.dev_source != DEV_SOURCE_PARALLEL:
-        raise ConfigError("train_parity requires dev_source='parallel_dev'; use train_no_dev")
     missing = [lang for lang in train.languages if lang not in dev.languages]
     if missing:
         raise CorpusError(f"dev corpus missing languages: {missing}")
@@ -296,7 +255,7 @@ def train_parity(
         for lang in train.languages
     }
     unit_totals = reference_unit_totals(dev, config.unit)
-    state = TrainerState(train, dev_words=dev_words, min_count=config.min_count)
+    state = TrainerState(train, dev_words=dev_words)
     return _run_minmax(
         state, config, [unit_totals[lang] for lang in state.langs], state.dev.token_totals, on_step
     )
@@ -307,8 +266,8 @@ def train_no_dev(
 ) -> tuple[TokenizerModel, TrainLog]:
     """Min-max training with byte-unit compression rates on the training corpus."""
     config.validate()
-    if config.dev_source != DEV_SOURCE_TRAINING:
-        raise ConfigError("train_no_dev requires dev_source='training_as_dev'")
-    state = TrainerState(train, min_count=config.min_count)
+    if NormUnit(config.unit) is not NormUnit.BYTES:
+        raise ConfigError("train_no_dev requires the bytes normalization unit")
+    state = TrainerState(train)
     unit_totals = [train.unit_totals[lang][NormUnit.BYTES] for lang in state.langs]
     return _run_minmax(state, config, unit_totals, state.train.token_totals, on_step)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from itertools import islice, product
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 # Pool of ASCII characters carved into disjoint per-language alphabets.
 _ALPHABET_POOL = (
@@ -70,7 +70,7 @@ class SyntheticSpec:
             raise ConfigError("synthetic spec lists no languages")
         if len(self.proportions) != len(self.languages):
             raise ConfigError("one proportion required per language")
-        if any(p <= 0 for p in self.proportions):
+        if not all(p > 0 for p in self.proportions):  # also rejects nan
             raise ConfigError("proportions must be positive")
         if abs(sum(self.proportions) - 1.0) > 1e-9:
             raise ConfigError(f"proportions must sum to 1 (got {sum(self.proportions)!r})")
@@ -99,7 +99,14 @@ class SyntheticSpec:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticSpec":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        try:
+            data = json.loads(Path(path).read_text(encoding="utf-8"))
+        except OSError as exc:
+            raise DataError(f"cannot read synthetic spec {path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # bad UTF-8 or bad JSON
+            raise DataError(f"malformed synthetic spec {path}: {exc}") from None
+        if not isinstance(data, dict) or "proportions" not in data:
+            raise ConfigError(f"synthetic spec {path} must be a JSON object with 'proportions'")
         langs = data.get("languages", [])
         if langs and isinstance(langs[0], str):
             spec = cls.default(

@@ -180,10 +180,3 @@ class TokenizerModel:
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
 
-
-def save_model(model: TokenizerModel, path: str | Path) -> None:
-    model.save(path)
-
-
-def load_model(path: str | Path) -> TokenizerModel:
-    return TokenizerModel.load(path)

@@ -216,11 +216,7 @@ class MergeInfo:
 
     left: bytes
     right: bytes
-    result: bytes
-    new_id: int
-    canonical_id: int
     train_repl: list[int]
-    dev_repl: list[int] | None
 
 
 class TrainerState:
@@ -330,12 +326,11 @@ class TrainerState:
                 if dvec[li] and vec[li] > 0:
                     heapq.heappush(heap, (-vec[li], lb, rb, a, b))
 
-    def _select(self, heap, value_of, consume: bool):
+    def _select(self, heap, value_of):
         """Pop until the top entry matches its live count; that is the argmax."""
         pc = self.train.pair_counts
         while heap:
-            entry = heapq.heappop(heap)
-            negc, _, _, a, b = entry
+            negc, _, _, a, b = heapq.heappop(heap)
             vec = pc.get((a, b))
             if vec is None:
                 continue
@@ -344,26 +339,24 @@ class TrainerState:
                 continue
             if current < self.min_count:
                 return None
-            if not consume:
-                heapq.heappush(heap, entry)
             return (a, b), current
         return None
 
-    def select_global(self, consume: bool = True):
+    def select_global(self):
         """Best pair by summed count across languages, or None if exhausted."""
         if not self._global_built:
             self._build_heap(self.global_heap, sum)
             self._global_built = True
-        return self._select(self.global_heap, sum, consume)
+        return self._select(self.global_heap, sum)
 
-    def select_for_lang(self, lang: str, consume: bool = True):
+    def select_for_lang(self, lang: str):
         """Best pair within one language's shard, or None if exhausted."""
         li = self.lang_index[lang]
         value_of = itemgetter(li)
         if li not in self._built_langs:
             self._build_heap(self.lang_heaps[li], value_of)
             self._built_langs.append(li)
-        return self._select(self.lang_heaps[li], value_of, consume)
+        return self._select(self.lang_heaps[li], value_of)
 
     def apply(self, pair: tuple[int, int]) -> MergeInfo:
         """Record the merge and replace its occurrences in all stores."""
@@ -374,26 +367,15 @@ class TrainerState:
             raise InternalError(f"pair merged twice: {escape_token(left)!r}+{escape_token(right)!r}")
         self._merged_pairs.add(byte_pair)
         result = left + right
-        new_id = len(self.vocab)
+        canonical = self.first_id.setdefault(result, len(self.vocab))
         self.vocab.append(result)
-        canonical = self.first_id.setdefault(result, new_id)
         self.merges.append(byte_pair)
 
         train_repl, changed = self.train.apply_merge(a, b, canonical)
         self._push_changes(changed)
-
-        dev_repl = None
         if self.dev is not None:
-            dev_repl, _ = self.dev.apply_merge(a, b, canonical)
-        return MergeInfo(left, right, result, new_id, canonical, train_repl, dev_repl)
-
-    def resolve_pair(self, left: bytes, right: bytes) -> tuple[int, int] | None:
-        """Canonical id pair for two byte spans, or None if either is unknown."""
-        a = self.first_id.get(left)
-        b = self.first_id.get(right)
-        if a is None or b is None:
-            return None
-        return a, b
+            self.dev.apply_merge(a, b, canonical)
+        return MergeInfo(left, right, train_repl)
 
     def global_pair_counts(self) -> dict[tuple[bytes, bytes], int]:
         """Summed pair counts keyed by byte spans (test/inspection view)."""
@@ -419,32 +401,6 @@ class TrainerState:
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))
-
-
-def init_state(corpus: LabeledCorpus) -> TrainerState:
-    """Tokenize the corpus into singleton bytes and build pair counts."""
-    return TrainerState(corpus)
-
-
-def select_merge(state: TrainerState):
-    """Max-count pair under the global objective without consuming it.
-
-    Returns ((left bytes, right bytes), count) or None when no pair meets
-    the minimum count.
-    """
-    sel = state.select_global(consume=False)
-    if sel is None:
-        return None
-    (a, b), count = sel
-    return (state.vocab[a], state.vocab[b]), count
-
-
-def apply_merge(state: TrainerState, pair: tuple[bytes, bytes]) -> MergeInfo | None:
-    """Apply a merge given as byte spans; returns None if the pair is absent."""
-    ids = state.resolve_pair(*pair)
-    if ids is None or ids not in state.train.index:
-        return None
-    return state.apply(ids)
 
 
 def train_classical(

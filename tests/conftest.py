@@ -47,7 +47,7 @@ def parity_run(corpus, dev):
 
 @pytest.fixture(scope="session")
 def hybrid_run(corpus, dev):
-    config = ParityConfig.with_split(MERGE_BUDGET, 0.5, window_size=0)
+    config = ParityConfig(MERGE_BUDGET, global_merges=MERGE_BUDGET // 2, window_size=0)
     return train_parity(corpus, dev, config)
 
 

@@ -17,6 +17,26 @@ from parity_bpe.cli import main
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
 NON_BYTE_UNITS = ("lines", "chars", "words")
+_PARITY_TRAIN = ["train", "--parity", "--merges", "30", "--corpus", "{synth}/manifest.json",
+                 "--dev", "{synth}/dev", "--model-out", "{tmp}/m.bpe"]
+_EVAL = ["eval", "--model", "{model}", "--dev", "{synth}/dev", "--out", "{tmp}/r.json"]
+_SYNTH = ["synth", "--out", "{tmp}/corpus", "--train-bytes", "3000"]
+# argv that each once ended in an uncaught exception or a bad exit 0
+BAD_INPUT_ARGV = {
+    "hybrid-split-nan": _PARITY_TRAIN + ["--hybrid-split", "nan"],
+    "hybrid-split-inf": _PARITY_TRAIN + ["--hybrid-split", "inf"],
+    "gold-missing": _EVAL + ["--gold", "{tmp}/nowhere.tsv"],
+    "gold-directory": _EVAL + ["--gold", "{synth}/dev"],
+    "eval-renyi-nan": _EVAL + ["--renyi-alpha", "nan"],
+    "compare-renyi-nan": ["compare", "{model}", "{model}", "--dev", "{synth}/dev",
+                          "--renyi-alpha", "nan"],
+    "synth-config-missing": _SYNTH + ["--config", "{tmp}/nowhere.json"],
+    "synth-config-not-json": _SYNTH + ["--config", "{tmp}/not.json"],
+    "synth-config-no-proportions": _SYNTH + ["--config", "{tmp}/no_proportions.json"],
+    "synth-proportions-not-numbers": _SYNTH + ["--proportions", "abc,1"],
+    "synth-proportions-nan": _SYNTH + ["--langs", "aa,bb", "--proportions", "nan,1"],
+    "synth-no-langs": _SYNTH + ["--langs", ""],
+}
 
 
 @pytest.fixture()
@@ -192,6 +212,17 @@ class TestTrain:
         )
         assert code == 1
         assert "alpha must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split", ["nan", "inf", "-inf", "1.5", "-0.5"])
+    def test_bad_hybrid_split_is_usage_error(self, tmp_path, split, capsys):
+        # The corpus does not exist: the split is rejected before it is read.
+        code = run(
+            ["train", "--parity", f"--hybrid-split={split}", "--merges", "5",
+             "--corpus", tmp_path / "nope.json", "--dev", tmp_path,
+             "--model-out", tmp_path / "m.bpe"]
+        )
+        assert code == 1
+        assert "hybrid split must be in [0, 1]" in capsys.readouterr().err
 
     def test_missing_mode_is_usage_error(self, synth_dir, capsys):
         code = run(["train", "--merges", "10", "--corpus", synth_dir / "manifest.json"])
@@ -450,3 +481,14 @@ class TestUsage:
 
     def test_unknown_flag(self, capsys):
         assert main(["train", "--frobnicate"]) == 1
+
+    @pytest.mark.parametrize("argv", list(BAD_INPUT_ARGV.values()), ids=list(BAD_INPUT_ARGV))
+    def test_bad_input_exits_without_traceback(
+        self, argv, tmp_path, synth_dir, example_model, capsys
+    ):
+        (tmp_path / "not.json").write_text("{not json")
+        (tmp_path / "no_proportions.json").write_text(json.dumps({"languages": ["pp", "qq"]}))
+        paths = {"tmp": tmp_path, "synth": synth_dir, "model": example_model}
+        code = run([arg.format(**paths) for arg in argv])
+        assert code in (1, 2)
+        assert "Traceback" not in capsys.readouterr().err

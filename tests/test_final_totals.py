@@ -79,7 +79,6 @@ def test_no_dev(corpus, merges, global_merges):
         global_merges=global_merges,
         window_size=10,
         unit=NormUnit.BYTES,
-        dev_source="training_as_dev",
     )
     model, log = train_no_dev(corpus, config)
     assert len(log) == merges
@@ -87,9 +86,7 @@ def test_no_dev(corpus, merges, global_merges):
 
 
 def test_no_dev_stopped_early():
-    config = ParityConfig(
-        total_merges=50, window_size=0, unit=NormUnit.BYTES, dev_source="training_as_dev"
-    )
+    config = ParityConfig(total_merges=50, window_size=0, unit=NormUnit.BYTES)
     model, log = train_no_dev(STOPPING, config)
     assert log.stopped_early and 0 < len(log) < 50
     assert_totals_match(log, STOPPING, model, NormUnit.BYTES)

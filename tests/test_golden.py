@@ -44,7 +44,6 @@ def no_dev_run(corpus):
         total_merges=MERGE_BUDGET,
         window_size=20,
         unit=NormUnit.BYTES,
-        dev_source="training_as_dev",
     )
     return train_no_dev(corpus, config)
 

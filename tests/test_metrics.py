@@ -167,6 +167,8 @@ class TestRenyiEntropy:
             renyi_entropy([0.5, 0.5], 0)
         with pytest.raises(DataError):
             renyi_entropy([0.5, 0.5], -1)
+        with pytest.raises(DataError):
+            renyi_entropy([0.5, 0.5], math.nan)
 
     def test_non_increasing_in_alpha(self):
         rng = random.Random(8)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parity_bpe import ModelFormatError, TokenizerModel, load_model, save_model
+from parity_bpe import ModelFormatError, TokenizerModel
 from parity_bpe.tokenizer import escape_token, unescape_token
 
 from .oracles import replay_encode
@@ -139,8 +139,8 @@ class TestSerialization:
     def test_roundtrip_observational(self, tmp_path, classical_run):
         model, _ = classical_run
         path = tmp_path / "model.bpe"
-        save_model(model, path)
-        loaded = load_model(path)
+        model.save(path)
+        loaded = TokenizerModel.load(path)
         assert loaded.merges == model.merges
         rng = random.Random(13)
         for _ in range(200):
@@ -150,37 +150,37 @@ class TestSerialization:
     def test_empty_model_roundtrips(self, tmp_path):
         path = tmp_path / "empty.bpe"
         TokenizerModel([]).save(path)
-        assert load_model(path).merges == ()
+        assert TokenizerModel.load(path).merges == ()
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "bad.bpe"
         path.write_text("parity-bpe v9\nmerges:\n")
         with pytest.raises(ModelFormatError, match="version"):
-            load_model(path)
+            TokenizerModel.load(path)
 
     def test_missing_merges_section(self, tmp_path):
         path = tmp_path / "bad.bpe"
         path.write_text("parity-bpe v1\n")
         with pytest.raises(ModelFormatError, match="merges"):
-            load_model(path)
+            TokenizerModel.load(path)
 
     def test_malformed_merge_line(self, tmp_path):
         path = tmp_path / "bad.bpe"
         path.write_text("parity-bpe v1\nmerges:\nonly-one-field\n")
         with pytest.raises(ModelFormatError, match="malformed merge line"):
-            load_model(path)
+            TokenizerModel.load(path)
 
     def test_non_producible_operand(self, tmp_path):
         path = tmp_path / "bad.bpe"
         path.write_text("parity-bpe v1\nmerges:\nzz\ty\n")
         with pytest.raises(ModelFormatError, match="not producible"):
-            load_model(path)
+            TokenizerModel.load(path)
 
     def test_duplicate_pair_rejected(self, tmp_path):
         path = tmp_path / "bad.bpe"
         path.write_text("parity-bpe v1\nmerges:\na\tb\na\tb\n")
         with pytest.raises(ModelFormatError, match="duplicate"):
-            load_model(path)
+            TokenizerModel.load(path)
 
     def test_file_is_diffable_text(self, tmp_path):
         model = TokenizerModel([(b" ", b"a"), (b"\xc3", b"\xa9")])

@@ -6,10 +6,8 @@ from parity_bpe import (
     ConfigError,
     CorpusError,
     LabeledCorpus,
+    TrainerState,
     TrainLog,
-    apply_merge,
-    init_state,
-    select_merge,
     train_classical,
 )
 
@@ -24,6 +22,15 @@ def state_pair_counts(state):
     return state.global_pair_counts()
 
 
+def best_pair(state):
+    """Global selection with its id pair mapped to byte spans."""
+    sel = state.select_global()
+    if sel is None:
+        return None
+    (a, b), count = sel
+    return (state.vocab[a], state.vocab[b]), count
+
+
 def recount_from_state(state):
     words = [
         (tokens, sum(counts.values())) for tokens, counts in state.tokenized_words()
@@ -33,11 +40,11 @@ def recount_from_state(state):
 
 class TestInitState:
     def test_simple_counts(self):
-        state = init_state(corpus_of({b"ab": 2}))
+        state = TrainerState(corpus_of({b"ab": 2}))
         assert state_pair_counts(state) == {(b"a", b"b"): 2}
 
     def test_overlapping_adjacency_counted_per_position(self):
-        state = init_state(corpus_of({b"aaa": 1}))
+        state = TrainerState(corpus_of({b"aaa": 1}))
         assert state_pair_counts(state) == {(b"a", b"a"): 2}
         assert state_pair_counts(state) == dict(recount_from_state(state))
 
@@ -46,55 +53,46 @@ class TestInitState:
             LabeledCorpus.from_multisets({})
 
     def test_token_totals(self):
-        state = init_state(corpus_of({b"ab": 2, b"c": 3}))
+        state = TrainerState(corpus_of({b"ab": 2, b"c": 3}))
         assert state.train.token_totals == [2 * 2 + 3]
 
 
 class TestSelectMerge:
     def test_argmax(self):
-        state = init_state(corpus_of({b"ab": 4, b"ba": 2}))
-        assert select_merge(state) == ((b"a", b"b"), 4)
+        state = TrainerState(corpus_of({b"ab": 4, b"ba": 2}))
+        assert best_pair(state) == ((b"a", b"b"), 4)
 
     def test_tie_break_lexicographic(self):
-        state = init_state(corpus_of({b"ab": 3, b"ac": 3}))
-        assert select_merge(state) == ((b"a", b"b"), 3)
+        state = TrainerState(corpus_of({b"ab": 3, b"ac": 3}))
+        assert best_pair(state) == ((b"a", b"b"), 3)
 
     def test_no_eligible_pair(self):
-        state = init_state(corpus_of({b"ab": 1}))
-        assert select_merge(state) is None
-
-    def test_selection_does_not_consume(self):
-        state = init_state(corpus_of({b"ab": 4}))
-        assert select_merge(state) == select_merge(state)
+        state = TrainerState(corpus_of({b"ab": 1}))
+        assert best_pair(state) is None
 
     def test_matches_bruteforce_on_repeated_text(self):
-        state = init_state(corpus_of({b"abab": 2, b"ab": 1}))
+        state = TrainerState(corpus_of({b"abab": 2, b"ab": 1}))
         counts = recount_from_state(state)
         best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert select_merge(state) == best
+        assert best_pair(state) == best
 
 
 class TestApplyMerge:
     def test_basic_replacement(self):
-        state = init_state(corpus_of({b"abab": 1}))
+        state = TrainerState(corpus_of({b"abab": 1}))
         before = state.train.token_totals[0]
-        info = apply_merge(state, (b"a", b"b"))
+        info = state.apply((ord("a"), ord("b")))  # ids 0-255 are the bytes
         assert info.train_repl == [2]
         assert state.train.token_totals[0] == before - 2
         (tokens, _), = list(state.tokenized_words())
         assert tokens == (b"ab", b"ab")
 
     def test_self_overlap_leftmost_first(self):
-        state = init_state(corpus_of({b"aaa": 1}))
-        info = apply_merge(state, (b"a", b"a"))
+        state = TrainerState(corpus_of({b"aaa": 1}))
+        info = state.apply((ord("a"), ord("a")))
         assert info.train_repl == [1]  # two adjacencies, one replacement
         (tokens, _), = list(state.tokenized_words())
         assert tokens == (b"aa", b"a")
-
-    def test_absent_pair_is_noop(self):
-        state = init_state(corpus_of({b"ab": 2}))
-        assert apply_merge(state, (b"x", b"y")) is None
-        assert state_pair_counts(state) == {(b"a", b"b"): 2}
 
     def test_incremental_counts_match_recount_after_random_merges(self):
         rng = random.Random(5)
@@ -103,7 +101,7 @@ class TestApplyMerge:
             length = rng.randint(1, 8)
             word = bytes(rng.choice(b"abcd") for _ in range(length))
             words[word] = words.get(word, 0) + rng.randint(1, 5)
-        state = init_state(corpus_of(words))
+        state = TrainerState(corpus_of(words))
         for step in range(50):
             sel = state.select_global()
             if sel is None:
@@ -156,7 +154,7 @@ class TestTrainClassical:
 
     def test_token_total_telescoping(self):
         words = {b"abcabc": 3, b"abab": 2, b"cc": 5}
-        state = init_state(corpus_of(words))
+        state = TrainerState(corpus_of(words))
         total = state.train.token_totals[0]
         for _ in range(6):
             sel = state.select_global()
@@ -179,7 +177,7 @@ class TestTrainClassical:
         corpus = LabeledCorpus.from_multisets(
             {"aa": {b"xy": 2}, "bb": {b"xy": 3, b"zw": 4}}
         )
-        state = init_state(corpus)
+        state = TrainerState(corpus)
         assert state_pair_counts(state)[(b"x", b"y")] == 5
         model, log = train_classical(corpus, 1)
         assert log[0].left == b"x" and log[0].count == 5

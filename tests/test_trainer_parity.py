@@ -15,12 +15,14 @@ from parity_bpe import (
     ParityConfig,
     SelectionWindow,
     TokenizerModel,
+    TrainLog,
     compute_cr,
-    select_language,
     train_classical,
     train_no_dev,
     train_parity,
 )
+from parity_bpe.cli import main
+from parity_bpe.parity import rank_languages
 
 from .oracles import audit_selection_windows
 
@@ -36,9 +38,16 @@ class TestParityConfig:
         assert config.alpha == 2.0
         assert config.unit is NormUnit.LINES
 
-    def test_with_split_half(self):
-        config = ParityConfig.with_split(500, 0.5)
-        assert config.global_merges == 250
+    def test_with_split_half(self, tmp_path, synth_dir):
+        model_out = tmp_path / "hybrid.bpe"
+        code = main(
+            ["train", "--parity", "--hybrid-split", "0.5", "--merges", "500",
+             "--corpus", str(synth_dir / "manifest.json"), "--dev", str(synth_dir / "dev"),
+             "--model-out", str(model_out)]
+        )
+        assert code == 0
+        log = TrainLog.from_jsonl(str(model_out) + ".log.jsonl")
+        assert sum(step.mode == "global" for step in log) == 250
 
     def test_invalid_configs(self):
         with pytest.raises(ConfigError):
@@ -48,9 +57,10 @@ class TestParityConfig:
         with pytest.raises(ConfigError):
             ParityConfig(total_merges=10, alpha=0).validate()
         with pytest.raises(ConfigError):
-            ParityConfig(
-                total_merges=10, dev_source="training_as_dev", unit=NormUnit.LINES
-            ).validate()
+            train_no_dev(
+                LabeledCorpus.from_multisets({"aa": {b"abab": 2}}),
+                ParityConfig(total_merges=10, unit=NormUnit.LINES),
+            )
 
     def test_quota_exact_rational(self):
         config = ParityConfig(total_merges=10, window_size=6, alpha=2)
@@ -112,19 +122,19 @@ class TestSelectLanguage:
 
     def test_argmin(self):
         window = SelectionWindow(6)
-        lang, fallback = select_language(
-            {"en": 3.0, "de": 2.5, "sw": 1.8}, window, self.CONFIG
-        )
+        lang, fallback = rank_languages(
+            {"en": 3.0, "de": 2.5, "sw": 1.8}, window, self.CONFIG.quota(3)
+        )[0]
         assert (lang, fallback) == ("sw", False)
 
     def test_over_quota_excluded(self):
         window = SelectionWindow(6)
         for _ in range(4):
             window.push("sw")
-        lang, fallback = select_language(
-            {"en": 3.0, "de": 2.5, "sw": 1.8}, window, self.CONFIG
-        )
-        assert (lang, fallback) == ("de", False)
+        ranked = rank_languages({"en": 3.0, "de": 2.5, "sw": 1.8}, window, self.CONFIG.quota(3))
+        assert ranked[0] == ("de", False)
+        # the excluded language stays a candidate, after every allowed one
+        assert ranked == [("de", False), ("en", False), ("sw", True)]
 
     def test_all_excluded_falls_back_to_argmin(self):
         config = ParityConfig(total_merges=10, window_size=2, alpha=0.5)
@@ -132,13 +142,13 @@ class TestSelectLanguage:
         window.push("en")
         window.push("de")
         # quota = 0.5*2/2 = 0.5; count+1 > quota for every language
-        lang, fallback = select_language({"en": 3.0, "de": 2.5}, window, config)
+        lang, fallback = rank_languages({"en": 3.0, "de": 2.5}, window, config.quota(2))[0]
         assert (lang, fallback) == ("de", True)
 
     def test_tie_breaks_on_language_code(self):
         window = SelectionWindow(0)
         config = ParityConfig(total_merges=10, window_size=0)
-        lang, _ = select_language({"bb": 1.0, "aa": 1.0}, window, config)
+        lang, _ = rank_languages({"bb": 1.0, "aa": 1.0}, window, config.quota(2))[0]
         assert lang == "aa"
 
 
@@ -254,7 +264,7 @@ class TestTrainNoDev:
             {"solo": {b"abab": 4, b"abc": 3, b"cab": 2}}
         )
         config = ParityConfig(
-            total_merges=6, window_size=0, unit=NormUnit.BYTES, dev_source="training_as_dev"
+            total_merges=6, window_size=0, unit=NormUnit.BYTES
         )
         nodev_model, nodev_log = train_no_dev(corpus, config)
         classical_model, _ = train_classical(corpus, 6)
@@ -267,14 +277,14 @@ class TestTrainNoDev:
         bb = {w.translate(bytes.maketrans(b"abc", b"nop")): c for w, c in aa.items()}
         corpus = LabeledCorpus.from_multisets({"aa": aa, "bb": bb})
         config = ParityConfig(
-            total_merges=6, window_size=0, unit=NormUnit.BYTES, dev_source="training_as_dev"
+            total_merges=6, window_size=0, unit=NormUnit.BYTES
         )
         _, log = train_no_dev(corpus, config)
         assert [s.lang for s in log] == ["aa", "bb", "aa", "bb", "aa", "bb"]
 
     def test_cr_table_matches_bytes_recompute(self, corpus):
         config = ParityConfig(
-            total_merges=60, window_size=0, unit=NormUnit.BYTES, dev_source="training_as_dev"
+            total_merges=60, window_size=0, unit=NormUnit.BYTES
         )
         model, log = train_no_dev(corpus, config)
         table = compute_cr(corpus, model, NormUnit.BYTES)
