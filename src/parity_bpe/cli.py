@@ -1,6 +1,9 @@
 """Command-line surface: train, encode, decode, eval, compare, synth.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error, 3 internal error.
+Exit codes: 0 success, 1 usage/config error, 2 data error (bad input data, or
+a path that cannot be read or written), 3 internal error. An output file is
+replaced only once it is completely written; a train meta implies the model
+and log of the same run.
 All outputs embed provenance (config hash plus input digests) sufficient to
 re-run the command.
 """
@@ -8,9 +11,12 @@ re-run the command.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import hashlib
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -37,24 +43,47 @@ def _digest_config(config: dict) -> str:
     ).hexdigest()[:16]
 
 
-def _read_lines(path: str | None) -> list[bytes]:
-    if path in (None, "-"):
-        data = sys.stdin.buffer.read()
-    else:
-        try:
-            data = Path(path).read_bytes()
-        except OSError as exc:
-            raise DataError(f"cannot read input {path}: {exc.strerror or exc}") from None
-    records = data.split(b"\n")
-    if records and records[-1] == b"":
-        records.pop()
-    return records
+@contextlib.contextmanager
+def _replaced(path: str | Path):
+    """Yield a temp path beside ``path`` that replaces it when the block completes.
+
+    On any exception, ``KeyboardInterrupt`` included, the temp file is
+    removed and ``path`` keeps its old content. A symlink is written through
+    to its target. An existing path that is not a regular file (a device
+    such as ``/dev/null``, a FIFO) is yielded as it is and written in place.
+    """
+    target = os.path.realpath(path)
+    try:
+        st = os.stat(target)
+    except FileNotFoundError:
+        st = None
+    if st is not None and not stat.S_ISREG(st.st_mode):
+        yield target
+        return
+    tmp = f"{target}.{os.urandom(4).hex()}.tmp"
+    try:
+        # 0o666 under the umask: the mode a plain open(path, "w") gives
+        os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
+    try:
+        if st is not None:
+            os.chmod(tmp, stat.S_IMODE(st.st_mode))  # as open(path, "w") keeps it
+        yield tmp
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _open_out(path: str | None):
+@contextlib.contextmanager
+def _output(path: str | Path | None, mode: str, **kwargs):
+    """``path`` opened for writing through :func:`_replaced`; None or "-" is stdout."""
     if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+        yield sys.stdout.buffer if "b" in mode else sys.stdout
+        return
+    with _replaced(path) as tmp, open(tmp, mode, **kwargs) as fh:
+        yield fh
 
 
 class _Parser(argparse.ArgumentParser):
@@ -256,8 +285,7 @@ def cmd_train(args) -> int:
 
     model_out = Path(args.model_out)
     log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")
-    model.save(model_out)
-    log.to_jsonl(log_out)
+    meta_out = Path(str(model_out) + ".meta.json")
 
     input_digests = {"manifest": _digest_file(manifest)}
     for entry in json.loads(manifest.read_text(encoding="utf-8"))["languages"]:
@@ -279,9 +307,20 @@ def cmd_train(args) -> int:
         "inputs": input_digests,
         "summary": summary,
     }
-    Path(str(model_out) + ".meta.json").write_text(
-        json.dumps(meta, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    # All three are written to temp files first. Unwinding the with statement
+    # renames the model, then the log, then the meta; the meta of an earlier
+    # run is removed before the first rename, so a meta on disk always sits
+    # beside the model and log of its own run.
+    with (
+        _output(meta_out, "w", encoding="utf-8") as meta_fh,
+        _replaced(log_out) as log_tmp,
+        _replaced(model_out) as model_tmp,
+    ):
+        model.save(model_tmp)
+        log.to_jsonl(log_tmp)
+        meta_fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+        if os.path.isfile(meta_out):  # a symlink stays; its target goes
+            os.unlink(os.path.realpath(meta_out))
 
     print(f"model: {model_out} ({len(log)} merges)")
     print(f"log:   {log_out}")
@@ -293,47 +332,45 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _input(path: str | None):
+    """``path`` opened for binary reading, one line at a time; None or "-" is stdin."""
+    if path in (None, "-"):
+        return contextlib.nullcontext(sys.stdin.buffer)
+    return open(path, "rb")
+
+
 def cmd_encode(args) -> int:
     model = TokenizerModel.load(args.model)
-    records = _read_lines(args.input)  # before the output is truncated
-    out, close = _open_out(args.output)
-    try:
-        for record in records:
+    with (
+        _input(args.input) as lines,
+        _output(args.output, "w", encoding="utf-8", newline="\n") as out,
+    ):
+        for line in lines:
+            record = line.rstrip(b"\n")
             if args.format == "ids":
                 out.write(" ".join(str(i) for i in model.encode_ids(record)) + "\n")
             else:
                 out.write(" ".join(escape_token(t) for t in model.encode(record)) + "\n")
-    finally:
-        if close:
-            out.close()
     return 0
 
 
 def cmd_decode(args) -> int:
     model = TokenizerModel.load(args.model)
-    decoded = []  # every record is decoded before the output is truncated
-    for record in _read_lines(args.input):
-        fields = record.split()
-        if args.format == "ids":
-            try:
-                ids = [int(f) for f in fields]
-            except ValueError as exc:
-                raise DataError(f"bad token id in input: {exc}") from None
-            decoded.append(model.decode_ids(ids))
-        else:
-            try:
-                texts = [f.decode("ascii") for f in fields]
-            except UnicodeDecodeError:
-                raise DataError("non-ASCII byte in token input") from None
-            tokens = [unescape_token(t) for t in texts]
-            decoded.append(model.decode(tokens))
-    out = sys.stdout.buffer if args.output in (None, "-") else open(args.output, "wb")
-    try:
-        for data in decoded:
-            out.write(data + b"\n")
-    finally:
-        if out is not sys.stdout.buffer:
-            out.close()
+    with _input(args.input) as lines, _output(args.output, "wb") as out:
+        for line in lines:
+            fields = line.split()  # the trailing b"\n" is whitespace too
+            if args.format == "ids":
+                try:
+                    ids = [int(f) for f in fields]
+                except ValueError as exc:
+                    raise DataError(f"bad token id in input: {exc}") from None
+                out.write(model.decode_ids(ids) + b"\n")
+            else:
+                try:
+                    texts = [f.decode("ascii") for f in fields]
+                except UnicodeDecodeError:
+                    raise DataError("non-ASCII byte in token input") from None
+                out.write(model.decode([unescape_token(t) for t in texts]) + b"\n")
     return 0
 
 
@@ -363,7 +400,7 @@ def _report_for(model_path: Path, dev, args):
 
 
 def _write_csv(path: str, header: list, rows: list) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -374,11 +411,8 @@ def cmd_eval(args) -> int:
     dev_dir = Path(_require(args, "dev"))
     dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
     report = _report_for(model_path, dev, args)
-    text = report.to_json() + "\n"
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    with _output(args.out, "w", encoding="utf-8") as out:
+        out.write(report.to_json() + "\n")
     if args.csv:
         langs = sorted(report.per_language)
         metrics = sorted(report.per_language[langs[0]])
@@ -500,7 +534,7 @@ def main(argv=None) -> int:
                 overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise DataError(f"config file not found: {config_path}") from None
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # bad UTF-8 or bad JSON
                 raise DataError(f"malformed config {config_path}: {exc}") from None
             if not isinstance(overrides, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")
@@ -528,6 +562,9 @@ def main(argv=None) -> int:
         return 3
     except BrokenPipeError:
         return 0
+    except OSError as exc:  # an unreadable input or unwritable output path
+        print(f"data error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

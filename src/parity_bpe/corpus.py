@@ -151,8 +151,10 @@ def load_labeled_corpus(
         spec = json.loads(manifest.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CorpusError(f"manifest not found: {manifest}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad UTF-8 or bad JSON
         raise CorpusError(f"malformed manifest {manifest}: {exc}") from None
+    if not isinstance(spec, dict):
+        raise CorpusError(f"manifest {manifest} must be a JSON object")
 
     entries = spec.get("languages")
     if not isinstance(entries, list) or not entries:
@@ -160,8 +162,10 @@ def load_labeled_corpus(
     declared: list[tuple[str, Path]] = []
     seen = set()
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise CorpusError(f"manifest {manifest}: bad language entry {entry!r}")
         lang, path = entry.get("lang"), entry.get("path")
-        if not lang or not isinstance(lang, str) or not path:
+        if not lang or not isinstance(lang, str) or not path or not isinstance(path, str):
             raise CorpusError(f"manifest {manifest}: bad language entry {entry!r}")
         if lang in seen:
             raise CorpusError(f"manifest {manifest}: duplicate language {lang!r}")

@@ -66,6 +66,14 @@ class SyntheticSpec:
         return cls(languages=langs, proportions=list(proportions), dev_lines=dev_lines, **kwargs)
 
     def validate(self) -> None:
+        numbers = (self.total_train_bytes, self.zipf_exponent, *self.proportions)
+        if not all(isinstance(v, int) for v in (self.dev_lines, self.vocab_size)) or not all(
+            isinstance(v, (int, float)) for v in numbers
+        ):
+            raise ConfigError(
+                "dev_lines and vocab_size must be integers; total_train_bytes, "
+                "zipf_exponent and proportions must be numbers"
+            )
         if not self.languages:
             raise ConfigError("synthetic spec lists no languages")
         if len(self.proportions) != len(self.languages):
@@ -93,8 +101,11 @@ class SyntheticSpec:
                     )
         if self.dev_lines < 0 or self.vocab_size < 2 or self.total_train_bytes <= 0:
             raise ConfigError("dev_lines, vocab_size, and total_train_bytes must be positive")
-        lo, hi = self.words_per_line
-        if not (1 <= lo <= hi):
+        pair = self.words_per_line
+        if not (
+            isinstance(pair, (tuple, list)) and len(pair) == 2
+            and all(isinstance(v, int) for v in pair) and 1 <= pair[0] <= pair[1]
+        ):
             raise ConfigError("words_per_line must be a (low, high) pair with 1 <= low <= high")
 
     @classmethod
@@ -107,24 +118,27 @@ class SyntheticSpec:
             raise DataError(f"malformed synthetic spec {path}: {exc}") from None
         if not isinstance(data, dict) or "proportions" not in data:
             raise ConfigError(f"synthetic spec {path} must be a JSON object with 'proportions'")
-        langs = data.get("languages", [])
-        if langs and isinstance(langs[0], str):
-            spec = cls.default(
-                langs,
-                data["proportions"],
-                dev_lines=data.get("dev_lines", 100),
-            )
+        langs, proportions = data.get("languages", []), data["proportions"]
+        if not isinstance(langs, list) or not isinstance(proportions, list):
+            raise ConfigError(f"synthetic spec {path}: languages and proportions must be lists")
+        if all(isinstance(l, str) for l in langs):
+            spec = cls.default(langs, proportions)
+        elif all(
+            isinstance(l, dict) and isinstance(l.get("code"), str)
+            and isinstance(l.get("alphabet"), str)
+            for l in langs
+        ):
+            spec = cls([SyntheticLanguage(l["code"], l["alphabet"]) for l in langs], proportions)
         else:
-            spec = cls(
-                languages=[SyntheticLanguage(l["code"], l["alphabet"]) for l in langs],
-                proportions=data["proportions"],
-                dev_lines=data.get("dev_lines", 100),
+            raise ConfigError(
+                f"synthetic spec {path}: a language is a code or an object with string "
+                "'code' and 'alphabet'"
             )
-        for key in ("total_train_bytes", "vocab_size", "zipf_exponent"):
+        for key in ("dev_lines", "total_train_bytes", "vocab_size", "zipf_exponent"):
             if key in data:
                 setattr(spec, key, data[key])
         if "words_per_line" in data:
-            spec.words_per_line = tuple(data["words_per_line"])
+            spec.words_per_line = data["words_per_line"]
         return spec
 
 

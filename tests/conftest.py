@@ -25,6 +25,16 @@ def synth_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def small_synth_dir(tmp_path_factory):
+    """A ~3 KB corpus, for tests that run many CLI commands."""
+    out = tmp_path_factory.mktemp("small_synth")
+    spec = SyntheticSpec.default(["aa", "bb", "cc"], [0.5, 0.3, 0.2], dev_lines=20,
+                                 total_train_bytes=3000)
+    generate_synthetic(spec, seed=SEED, out_dir=out)
+    return out
+
+
+@pytest.fixture(scope="session")
 def corpus(synth_dir):
     return load_labeled_corpus(synth_dir / "manifest.json")
 

@@ -1,6 +1,9 @@
 import io
 import json
+import os
 import random
+import stat
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -9,10 +12,12 @@ from parity_bpe import (
     MetricReport,
     NormUnit,
     TokenizerModel,
+    TrainLog,
     compute_cr,
     full_report,
     load_parallel_dev,
 )
+from parity_bpe import cli
 from parity_bpe.cli import main
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
@@ -21,6 +26,21 @@ _PARITY_TRAIN = ["train", "--parity", "--merges", "30", "--corpus", "{synth}/man
                  "--dev", "{synth}/dev", "--model-out", "{tmp}/m.bpe"]
 _EVAL = ["eval", "--model", "{model}", "--dev", "{synth}/dev", "--out", "{tmp}/r.json"]
 _SYNTH = ["synth", "--out", "{tmp}/corpus", "--train-bytes", "3000"]
+_CLASSICAL_TRAIN = ["train", "--classical", "--merges", "5", "--corpus", "{synth}/manifest.json",
+                    "--model-out", "{tmp}/m.bpe"]
+# files the argv below name, written into {tmp}
+BAD_INPUT_FILES = {
+    "not.json": "{not json",
+    "no_proportions.json": json.dumps({"languages": ["pp", "qq"]}),
+    "spec_no_alphabet.json": json.dumps({"proportions": [1], "languages": [{"code": "a"}]}),
+    "spec_proportions_string.json": json.dumps({"proportions": "ab", "languages": ["aa", "bb"]}),
+    "spec_vocab_string.json": json.dumps(
+        {"proportions": [1], "languages": ["aa"], "vocab_size": "x"}
+    ),
+    "manifest_list.json": "[1]",
+    "manifest_entry_string.json": json.dumps({"languages": ["aa"]}),
+    "tokens.txt": "ba b\n",
+}
 # argv that each once ended in an uncaught exception or a bad exit 0
 BAD_INPUT_ARGV = {
     "hybrid-split-nan": _PARITY_TRAIN + ["--hybrid-split", "nan"],
@@ -36,6 +56,24 @@ BAD_INPUT_ARGV = {
     "synth-proportions-not-numbers": _SYNTH + ["--proportions", "abc,1"],
     "synth-proportions-nan": _SYNTH + ["--langs", "aa,bb", "--proportions", "nan,1"],
     "synth-no-langs": _SYNTH + ["--langs", ""],
+    "synth-out-existing-file": ["synth", "--out", "{model}", "--train-bytes", "3000"],
+    "synth-config-language-without-alphabet": _SYNTH + ["--config", "{tmp}/spec_no_alphabet.json"],
+    "synth-config-proportions-not-list":
+        _SYNTH + ["--config", "{tmp}/spec_proportions_string.json"],
+    "synth-config-vocab-size-not-number": _SYNTH + ["--config", "{tmp}/spec_vocab_string.json"],
+    "encode-model-directory": ["encode", "--model", "{tmp}", "--input", "{synth}/dev/aa.txt"],
+    "train-corpus-directory": _CLASSICAL_TRAIN + ["--corpus", "{tmp}"],
+    "train-corpus-manifest-not-object": _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_list.json"],
+    "train-corpus-language-not-object":
+        _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_entry_string.json"],
+    "train-model-out-directory": _CLASSICAL_TRAIN + ["--model-out", "{tmp}"],
+    "train-log-out-missing-directory": _CLASSICAL_TRAIN + ["--log-out", "{tmp}/missing/l.jsonl"],
+    "encode-output-missing-directory": ["encode", "--model", "{model}", "--input",
+                                        "{synth}/dev/aa.txt", "--output", "{tmp}/missing/x"],
+    "decode-output-missing-directory": ["decode", "--model", "{model}", "--input",
+                                        "{tmp}/tokens.txt", "--output", "{tmp}/missing/x"],
+    "eval-out-missing-directory": _EVAL + ["--out", "{tmp}/missing/r.json"],
+    "eval-csv-missing-directory": _EVAL + ["--csv", "{tmp}/missing/r.csv"],
 }
 
 
@@ -335,6 +373,196 @@ class TestEncodeDecode:
         assert "non-ASCII" in capsys.readouterr().err
 
 
+TRAIN_OUTPUTS = ("m.bpe", "m.bpe.log.jsonl", "m.bpe.meta.json")
+
+
+def _train_into(synth, out_dir, merges):
+    return run(["train", "--parity", "--merges", merges, "--corpus", synth / "manifest.json",
+                "--dev", synth / "dev", "--model-out", out_dir / "m.bpe"])
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def _interrupt_partial_write(text):
+    """A writer for ``path`` that writes part of ``text`` and is then interrupted."""
+    def write(self, path):
+        Path(path).write_text(text[: len(text) // 2])
+        raise KeyboardInterrupt
+
+    return write
+
+
+class _InterruptedFile:
+    """An open file whose third write raises ``KeyboardInterrupt``."""
+
+    def __init__(self, fh):
+        self.fh, self.writes = fh, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes == 3:
+            raise KeyboardInterrupt
+        return self.fh.write(data)
+
+
+class TestOutputs:
+    """Each output file is replaced only once the command that writes it completes."""
+
+    @pytest.mark.parametrize(
+        "where",
+        ["model", "log", "meta", "rename-model", "rename-log", "rename-meta"],
+    )
+    def test_interrupted_train_leaves_a_consistent_run(
+        self, tmp_path, small_synth_dir, monkeypatch, where
+    ):
+        new_dir, run_dir = tmp_path / "new", tmp_path / "run"
+        new_dir.mkdir()
+        run_dir.mkdir()
+        assert _train_into(small_synth_dir, new_dir, 8) == 0
+        assert _train_into(small_synth_dir, run_dir, 4) == 0
+        new, old = _files(new_dir), _files(run_dir)
+        assert sorted(old) == sorted(TRAIN_OUTPUTS)
+        assert all(old[name] != new[name] for name in TRAIN_OUTPUTS)
+
+        if where == "model":
+            monkeypatch.setattr(TokenizerModel, "save", _interrupt_partial_write(
+                new["m.bpe"].decode()))
+        elif where == "log":
+            monkeypatch.setattr(TrainLog, "to_jsonl", _interrupt_partial_write(
+                new["m.bpe.log.jsonl"].decode()))
+        elif where == "meta":
+            dumps = json.dumps
+
+            def interrupted_dumps(obj, **kwargs):
+                if "indent" in kwargs:  # only the meta is indented
+                    raise KeyboardInterrupt
+                return dumps(obj, **kwargs)
+
+            monkeypatch.setattr(json, "dumps", interrupted_dumps)
+        else:
+            name = TRAIN_OUTPUTS[["rename-model", "rename-log", "rename-meta"].index(where)]
+            replace = os.replace
+
+            def interrupted_replace(src, dst):
+                if os.path.basename(dst) == name:
+                    raise KeyboardInterrupt
+                replace(src, dst)
+
+            monkeypatch.setattr(os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            _train_into(small_synth_dir, run_dir, 8)
+        monkeypatch.undo()
+
+        now = _files(run_dir)
+        assert not [name for name in now if name.endswith(".tmp")]
+        for name, data in now.items():
+            assert data in (old[name], new[name]), name
+        if where in ("model", "log", "meta"):  # before any rename: the earlier run stays whole
+            assert now == old
+        else:  # at a rename: the earlier meta is gone, so no meta sits beside another run
+            assert "m.bpe.meta.json" not in now
+
+    def test_unwritable_log_writes_nothing(self, tmp_path, small_synth_dir, capsys):
+        code = run(["train", "--classical", "--merges", "5",
+                    "--corpus", small_synth_dir / "manifest.json",
+                    "--model-out", tmp_path / "m.bpe", "--log-out", tmp_path / "no" / "l.jsonl"])
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, source",
+        [("encode", b"babab\nbb\n" * 5), ("decode", b"256 257\n98 98\n" * 5)],
+        ids=["encode", "decode"],
+    )
+    def test_interrupted_stream_keeps_old_output(
+        self, example_model, tmp_path, monkeypatch, command, source
+    ):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_bytes(source)
+        out.write_bytes(b"old\n")
+
+        def interrupting_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            return _InterruptedFile(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(cli, "open", interrupting_open, raising=False)
+        with pytest.raises(KeyboardInterrupt):
+            run([command, "--model", example_model, "--format", "ids",
+                 "--input", src, "--output", out])
+        assert out.read_bytes() == b"old\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["example.bpe", "in.txt", "out.txt"]
+
+    @pytest.mark.parametrize(
+        "source, tokens, ids",
+        [
+            pytest.param(b"babab", b"ba bab\n", b"256 257\n", id="no-trailing-newline"),
+            pytest.param(b"babab\r\nab\r\n", b"ba bab \\x0d\na b \\x0d\n",
+                         b"256 257 13\n97 98 13\n", id="crlf"),
+            pytest.param(b"\nbab\n\n\nb\n", b"\nbab\n\n\nb\n", b"\n257\n\n\n98\n",
+                         id="blank-lines"),
+            pytest.param(b"", b"", b"", id="empty"),
+            pytest.param(b"\n", b"\n", b"\n", id="lone-newline"),
+        ],
+    )
+    def test_edge_input_bytes(self, example_model, tmp_path, source, tokens, ids):
+        src = tmp_path / "in.txt"
+        src.write_bytes(source)
+        # every record gets a "\n", so the round trip adds one a last line lacks
+        restored = source + b"\n" if source and not source.endswith(b"\n") else source
+        for fmt, expected in (("tokens", tokens), ("ids", ids)):
+            enc, dec = tmp_path / f"enc.{fmt}", tmp_path / f"dec.{fmt}"
+            assert run(["encode", "--model", example_model, "--format", fmt,
+                        "--input", src, "--output", enc]) == 0
+            assert enc.read_bytes() == expected
+            assert run(["decode", "--model", example_model, "--format", fmt,
+                        "--input", enc, "--output", dec]) == 0
+            assert dec.read_bytes() == restored
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_device_is_written_in_place(self, example_model, tmp_path, command):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"ba b\n")
+        assert run([command, "--model", example_model, "--input", src,
+                    "--output", "/dev/null"]) == 0
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["example.bpe", "in.txt"]
+
+    def test_file_mode(self, example_model, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"babab\n")
+        with open(tmp_path / "plain", "w"):
+            pass
+        new, kept = tmp_path / "new.txt", tmp_path / "kept.txt"
+        kept.write_bytes(b"old\n")
+        kept.chmod(0o640)
+        for out in (new, kept):
+            assert run(["encode", "--model", example_model, "--input", src, "--output", out]) == 0
+            assert out.read_bytes() == b"ba bab\n"
+        assert stat.S_IMODE(new.stat().st_mode) == stat.S_IMODE((tmp_path / "plain").stat().st_mode)
+        assert stat.S_IMODE(kept.stat().st_mode) == 0o640
+
+    def test_symlink_is_written_through(self, example_model, tmp_path):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"babab\n")
+        (tmp_path / "real").mkdir()
+        target, link = tmp_path / "real" / "out.txt", tmp_path / "link.txt"
+        target.write_bytes(b"old\n")
+        link.symlink_to(target)
+        assert run(["encode", "--model", example_model, "--input", src, "--output", link]) == 0
+        assert link.is_symlink()
+        assert target.read_bytes() == b"ba bab\n"
+        assert sorted(p.name for p in target.parent.iterdir()) == ["out.txt"]
+
+
 class TestEval:
     def test_identity_report(self, tmp_path, synth_dir, capsys):
         model_path = tmp_path / "identity.bpe"
@@ -486,8 +714,8 @@ class TestUsage:
     def test_bad_input_exits_without_traceback(
         self, argv, tmp_path, synth_dir, example_model, capsys
     ):
-        (tmp_path / "not.json").write_text("{not json")
-        (tmp_path / "no_proportions.json").write_text(json.dumps({"languages": ["pp", "qq"]}))
+        for name, content in BAD_INPUT_FILES.items():
+            (tmp_path / name).write_text(content)
         paths = {"tmp": tmp_path, "synth": synth_dir, "model": example_model}
         code = run([arg.format(**paths) for arg in argv])
         assert code in (1, 2)

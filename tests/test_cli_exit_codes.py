@@ -1,0 +1,175 @@
+"""Property: whatever argv, paths and stdin the CLI gets, it exits 0, 1 or 2
+without a traceback, and every model file it leaves loads and re-saves
+byte-identical.
+
+Runs in-process through ``main()`` and starts no process.
+"""
+
+import contextlib
+import io
+import os
+import sys
+import tempfile
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from parity_bpe import TokenizerModel
+from parity_bpe.cli import main
+from parity_bpe.errors import DataError
+
+
+def _paths(*valid: str, devnull: bool = True):
+    """An existing file, a directory, a missing directory, "-" (stdin or
+    stdout, or a file named "-"), ``/dev/null`` and the ``valid`` paths."""
+    kinds = ["{file}", "{dir}", "{missing}/x", "-"] + (["/dev/null"] if devnull else [])
+    if not valid:
+        return st.sampled_from(kinds)
+    return st.one_of(st.sampled_from(valid), st.sampled_from(kinds))  # valid half the time
+
+
+_MERGES = st.integers(-1, 10).map(str)
+_FORMAT = st.sampled_from(["tokens", "ids"])
+_RENYI = st.sampled_from(["2.5", "0", "nan", "inf"])
+_LANGS = st.sampled_from(["aa", "aa,zz", "", "aa,bb,cc"])
+# the modes that need no --dev most often
+_TRAIN_MODES = st.sampled_from(
+    [["--classical"], ["--parity", "--no-dev"]] * 3
+    + [[], ["--parity"], ["--classical", "--parity"]]
+)
+# Flag -> strategy of its value. A model written to /dev/null would put its
+# log and meta beside it in /dev, so --model-out draws no /dev/null.
+COMMANDS = {
+    "train": {
+        "--corpus": _paths("{corpus}/manifest.json"),
+        "--merges": _MERGES,
+        "--dev": _paths("{corpus}/dev"),
+        "--unit": st.sampled_from(["bytes", "chars", "words", "lines"]),
+        "--window": st.sampled_from(["0", "3", "-1"]),
+        "--alpha": st.sampled_from(["2", "0", "nan"]),
+        "--hybrid-split": st.sampled_from(["0", "0.5", "1", "2"]),
+        "--limit-per-language": st.sampled_from(["1", "0", "-1"]),
+        "--model-out": _paths(devnull=False),
+        "--log-out": _paths(),
+        "--config": _paths(),
+    },
+    "encode": {
+        "--model": _paths("{model}"),
+        "--input": _paths("{corpus}/dev/aa.txt"),
+        "--output": _paths(),
+        "--format": _FORMAT,
+    },
+    "decode": {
+        "--model": _paths("{model}"),
+        "--input": _paths("{encoded}"),
+        "--output": _paths(),
+        "--format": _FORMAT,
+    },
+    "eval": {
+        "--model": _paths("{model}"),
+        "--dev": _paths("{corpus}/dev"),
+        "--langs": _LANGS,
+        "--out": _paths(),
+        "--csv": _paths(),
+        "--gold": _paths(),
+        "--renyi-alpha": _RENYI,
+        "--config": _paths(),
+    },
+    "compare": {
+        "--dev": _paths("{corpus}/dev"),
+        "--langs": _LANGS,
+        "--csv": _paths(),
+        "--renyi-alpha": _RENYI,
+    },
+    "synth": {
+        "--out": _paths(),
+        "--langs": _LANGS,
+        "--proportions": st.sampled_from(["1", "0.5,0.5", "0.2,0.3,0.5", "x"]),
+        "--dev-lines": st.sampled_from(["0", "3", "-1"]),
+        "--vocab-size": st.sampled_from(["1", "20"]),
+        "--seed": st.sampled_from(["0", "1"]),
+        "--config": _paths(),
+    },
+}
+
+
+# the flags a run needs; drawn nine times in ten, the others one time in four
+_NEEDED = {"train": {"--corpus", "--merges"}, "encode": {"--model"}, "decode": {"--model"},
+           "eval": {"--model", "--dev"}, "compare": {"--dev"}, "synth": {"--out"}}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    flags = COMMANDS[command]
+    argv = [command]
+    if command == "train":
+        argv += draw(_TRAIN_MODES)
+    if command == "compare":
+        argv += draw(st.lists(_paths("{model}"), min_size=1, max_size=3))
+    if command == "synth":  # the default 600 KB corpus is too slow to draw often
+        argv += ["--train-bytes", draw(st.sampled_from(["3000", "0"]))]
+    for flag in draw(st.permutations(sorted(flags))):
+        if draw(st.integers(0, 9)) if flag in _NEEDED[command] else not draw(st.integers(0, 3)):
+            argv += [flag, draw(flags[flag])]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def fixtures(small_synth_dir, tmp_path_factory):
+    """A trained model and a token file that decodes with it."""
+    out = tmp_path_factory.mktemp("exit_codes")
+    model = out / "m.bpe"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["train", "--classical", "--merges", "10", "--model-out", str(model),
+                     "--corpus", str(small_synth_dir / "manifest.json")]) == 0
+    encoded = out / "aa.tokens"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["encode", "--model", str(model), "--output", str(encoded),
+                     "--input", str(small_synth_dir / "dev" / "aa.txt")]) == 0
+    return {"corpus": small_synth_dir, "model": model, "encoded": encoded}
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(argv=_argv(), stdin=st.binary(max_size=200))
+def test_exit_code_and_no_traceback(fixtures, argv, stdin):
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        (root / "afile").write_bytes(b"babab\n")
+        (root / "adir").mkdir()
+        paths = {**fixtures, "file": root / "afile", "dir": root / "adir",
+                 "missing": root / "missing"}
+        argv = [arg.format(**paths) for arg in argv]
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+        stderr = io.StringIO()
+        cwd = os.getcwd()
+        os.chdir(root)  # "-" as a file name lands here
+        try:
+            with (
+                mock.patch.object(sys, "stdin", SimpleNamespace(buffer=io.BytesIO(stdin))),
+                contextlib.redirect_stdout(stdout),
+                contextlib.redirect_stderr(stderr),
+            ):
+                code = main(argv)
+        finally:
+            os.chdir(cwd)
+        assert code in (0, 1, 2), (argv, stderr.getvalue())
+        assert "Traceback" not in stderr.getvalue()
+
+        for path in [p for p in root.rglob("*") if p.is_file()]:
+            try:
+                model = TokenizerModel.load(path)
+            except DataError:
+                continue
+            resaved = root / "resaved.bpe"
+            model.save(resaved)
+            assert resaved.read_bytes() == path.read_bytes(), path
