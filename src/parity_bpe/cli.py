@@ -211,6 +211,8 @@ def cmd_train(args) -> int:
     merges = _require(args, "merges")
     if not (args.classical or args.parity or args.no_dev):
         raise ConfigError("choose a mode: --classical or --parity [--no-dev]")
+    if args.classical and args.parity:  # a config can set both
+        raise ConfigError("choose one mode: --classical or --parity")
     if args.classical and args.no_dev:
         raise ConfigError("--no-dev only applies to --parity")
     if args.classical:
@@ -517,8 +519,38 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
-    return {a.dest for a in parser._actions if a.dest != "help"}
+def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    return {a.dest: a for a in parser._actions if a.dest != "help"}
+
+
+def _check_config_value(action: argparse.Action, value) -> None:
+    """Reject a ``--config`` value that no command line could give ``action``.
+
+    A string is converted by argparse as a command-line value is, so it must
+    be one an argv could hold and, for a flag with choices, one of them. A
+    switch takes true or false, an int flag an int and a float flag a number.
+    Null means "not given", so it fits only a flag whose default is None.
+    """
+    if value is None:
+        ok = action.default is None
+    elif action.nargs == 0:  # a switch such as --classical
+        ok = isinstance(value, bool)
+    elif isinstance(value, str):
+        try:
+            os.fsencode(value)
+            ok = "\0" not in value and (not action.choices or value in action.choices)
+        except UnicodeEncodeError:
+            ok = False
+    elif action.type is int:
+        ok = type(value) is int
+    elif action.type is float:
+        ok = type(value) in (int, float)
+    else:
+        ok = False
+    if not ok:
+        raise ConfigError(
+            f"config: invalid value for {action.option_strings[0]}: {json.dumps(value)}"
+        )
 
 
 def main(argv=None) -> int:
@@ -527,8 +559,9 @@ def main(argv=None) -> int:
     try:
         command = next((a for a in argv if not a.startswith("-")), None)
         config_path = _extract_config_path(argv)
-        # synth interprets --config itself as a SyntheticSpec document
-        if config_path and command in parser.subcommands and command != "synth":
+        # train and eval take flag defaults from --config; synth reads a
+        # SyntheticSpec from it, and the other commands have no --config
+        if config_path and command in ("train", "eval"):
             subparser = parser.subcommands[command]
             try:
                 overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))
@@ -539,9 +572,12 @@ def main(argv=None) -> int:
             if not isinstance(overrides, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")
             overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-            unknown = set(overrides) - _known_dests(subparser)
+            actions = _config_actions(subparser)
+            unknown = set(overrides) - set(actions)
             if unknown:
                 raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+            for dest, value in overrides.items():
+                _check_config_value(actions[dest], value)
             subparser.set_defaults(**overrides)
         args = parser.parse_args(argv)
         if not getattr(args, "func", None):

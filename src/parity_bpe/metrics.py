@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NormUnit, ParallelDevCorpus, char_count, unit_length
+from .corpus import NormUnit, ParallelDevCorpus, char_count, pretokenize, unit_length
 from .errors import DataError
 from .tokenizer import TokenizerModel
 
@@ -144,7 +144,12 @@ def renyi_entropy(dist: UnigramDistribution | Sequence[float], alpha: float) -> 
         return -math.log2(max(probs))
     if alpha == 1:
         return -sum(p * math.log2(p) for p in probs)
-    return math.log2(sum(p**alpha for p in probs)) / (1.0 - alpha)
+    power_sum = sum(p**alpha for p in probs)
+    if power_sum == 0.0:  # every p**alpha underflowed: factor out the largest p
+        top = max(probs)
+        scaled_sum = sum((p / top) ** alpha for p in probs)
+        return alpha / (1.0 - alpha) * math.log2(top) + math.log2(scaled_sum) / (1.0 - alpha)
+    return math.log2(power_sum) / (1.0 - alpha)
 
 
 def gini(costs: Sequence[float]) -> float:
@@ -255,25 +260,35 @@ class MetricReport:
         return cls.from_dict(json.loads(text))
 
 
-def _doc_metrics(model: TokenizerModel, docs: Sequence[bytes], renyi_alpha: float) -> dict:
-    dist = UnigramDistribution.from_texts(model, docs)
-    cr_bytes = compression_rate(model, docs, NormUnit.BYTES)
-    cr_chars = compression_rate(model, docs, NormUnit.CHARS)
-    cr_lines = compression_rate(model, docs, NormUnit.LINES)
-    return {
-        "cr_bytes_mean_of_ratios": cr_bytes.mean_of_ratios,
-        "cr_bytes_ratio_of_sums": cr_bytes.ratio_of_sums,
-        "cr_chars_mean_of_ratios": cr_chars.mean_of_ratios,
-        "cr_chars_ratio_of_sums": cr_chars.ratio_of_sums,
-        "cr_lines_mean_of_ratios": cr_lines.mean_of_ratios,
-        "cr_lines_ratio_of_sums": cr_lines.ratio_of_sums,
-        "fertility": fertility(model, docs),
-        "type_token_ratio": len(dist.freq) / dist.total,
-        "vocab_utilization": len(dist.freq) / model.vocab_size,
-        "avg_token_rank": avg_token_rank(model, docs, dist=dist),
-        "renyi_entropy": renyi_entropy(dist, renyi_alpha),
-        "tokens_per_line": dist.total / len(docs),
-    }
+def _mean_of_ratios(units: Sequence[int], tokens: Sequence[int]) -> float:
+    # Summed one document at a time, as compression_rate sums them.
+    ratio_sum = 0.0
+    for u, t in zip(units, tokens):
+        ratio_sum += u / t
+    return ratio_sum / len(tokens)
+
+
+def _rows_metrics(
+    model: TokenizerModel, counts: Counter, rows: list[tuple], renyi_alpha: float
+) -> dict:
+    """The report metrics of some documents from the counts of their token
+    ids and one ``(tokens, bytes, chars, lines, words)`` row per document.
+    Each value equals what the single-metric function gives."""
+    tokens, *unit_columns, words = zip(*rows)
+    token_sum = sum(tokens)
+    vocab = model.id_to_bytes
+    dist = UnigramDistribution({vocab[i]: c for i, c in counts.items()}, token_sum)
+    stats = {}
+    for unit, units in zip(("bytes", "chars", "lines"), unit_columns):
+        stats[f"cr_{unit}_mean_of_ratios"] = _mean_of_ratios(units, tokens)
+        stats[f"cr_{unit}_ratio_of_sums"] = sum(units) / token_sum
+    stats["fertility"] = token_sum / sum(words)
+    stats["type_token_ratio"] = len(dist.freq) / dist.total
+    stats["vocab_utilization"] = len(dist.freq) / model.vocab_size
+    stats["avg_token_rank"] = avg_token_rank(model, [], dist=dist)
+    stats["renyi_entropy"] = renyi_entropy(dist, renyi_alpha)
+    stats["tokens_per_line"] = dist.total / len(rows)
+    return stats
 
 
 def full_report(
@@ -285,24 +300,45 @@ def full_report(
 ) -> MetricReport:
     """All intrinsic metrics per language and pooled over the parallel corpus.
 
+    Each line is tokenized once. The pooled metrics are built from the
+    per-language counts and rows in language order, which is the order
+    of the pooled lines, so every value is the one the single-metric
+    functions give on the pooled lines.
+
     The fairness Gini uses tokens per aligned line as the per-language cost,
     which normalizes by content rather than script.
     """
     if dev.n_lines == 0:
         raise DataError("empty dev corpus")
     per_language = {}
-    costs = {}
+    fallback_languages = []
+    pooled_counts: Counter = Counter()
+    pooled_rows: list[tuple] = []
     for lang in dev.languages:
-        docs = dev.lines[lang]
-        stats = _doc_metrics(model, docs, renyi_alpha)
-        per_language[lang] = stats
-        costs[lang] = stats["tokens_per_line"]
+        counts: Counter = Counter()
+        rows = []
+        fell_back = False
+        for doc in dev.lines[lang]:
+            ids = model.encode_ids(doc)
+            counts.update(ids)
+            chars, fallback = char_count(doc)
+            fell_back = fell_back or fallback
+            # the unit_length of each unit, from the one char_count
+            rows.append((len(ids), len(doc), chars, len(doc.splitlines()), len(pretokenize(doc))))
+        if not counts:
+            raise DataError("empty token stream: cannot build a unigram distribution")
+        if any(row[0] == 0 for row in rows):
+            raise DataError("zero-token document in corpus")
+        per_language[lang] = _rows_metrics(model, counts, rows, renyi_alpha)
+        if fell_back:
+            fallback_languages.append(lang)
+        pooled_counts.update(counts)
+        pooled_rows += rows
 
-    pooled: list[bytes] = []
-    for lang in dev.languages:
-        pooled.extend(dev.lines[lang])
-    global_metrics = _doc_metrics(model, pooled, renyi_alpha)
-    global_metrics["gini_tokens_per_line"] = gini([costs[lang] for lang in dev.languages])
+    global_metrics = _rows_metrics(model, pooled_counts, pooled_rows, renyi_alpha)
+    global_metrics["gini_tokens_per_line"] = gini(
+        [per_language[lang]["tokens_per_line"] for lang in dev.languages]
+    )
     if gold is not None:
         scores = morph_boundary_scores(model, gold)
         global_metrics["morph_boundary_precision"] = scores.precision
@@ -316,11 +352,7 @@ def full_report(
         "gini_cost": "tokens_per_line",
         "vocab_size": model.vocab_size,
         "n_merges": len(model.merges),
-        "char_fallback_languages": [
-            lang
-            for lang in dev.languages
-            if any(char_count(line)[1] for line in dev.lines[lang])
-        ],
+        "char_fallback_languages": fallback_languages,
     }
     if provenance:
         meta.update(provenance)

@@ -9,6 +9,7 @@ applied to every language's shard and to the reference-corpus token totals.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
@@ -43,8 +44,8 @@ class ParityConfig:
             raise ConfigError(
                 f"global merges must be in [0, {self.total_merges}], got {self.global_merges}"
             )
-        if self.window_size < 0:
-            raise ConfigError(f"window size must be >= 0, got {self.window_size}")
+        if not 0 <= self.window_size <= sys.maxsize:  # the window is a bounded deque
+            raise ConfigError(f"window size must be in [0, {sys.maxsize}], got {self.window_size}")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
         if self.alpha_fraction <= 0:

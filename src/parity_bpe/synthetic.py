@@ -9,6 +9,7 @@ same "content" expressed in every language's inventory.
 from __future__ import annotations
 
 import json
+import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -107,6 +108,18 @@ class SyntheticSpec:
             and all(isinstance(v, int) for v in pair) and 1 <= pair[0] <= pair[1]
         ):
             raise ConfigError("words_per_line must be a (low, high) pair with 1 <= low <= high")
+        exponent = self.zipf_exponent
+        try:  # json.loads reads NaN and Infinity; a huge exponent overflows a weight
+            ok = math.isfinite(exponent) and math.isfinite(
+                _zipf_cumweights(self.vocab_size, exponent)[-1]
+            )
+        except (OverflowError, ZeroDivisionError):
+            ok = False
+        if not ok:
+            raise ConfigError(
+                f"zipf_exponent must be finite and give {self.vocab_size} finite Zipf "
+                f"weights, got {exponent!r}"
+            )
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticSpec":

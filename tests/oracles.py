@@ -4,14 +4,36 @@ Everything here is deliberately naive and self-contained: sequential merge
 replay and a per-merge rescan for encoding, from-scratch sliding-window pair
 recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, and
 the one-``json.loads``-per-line corpus loader. None of it shares code with
-the package paths it verifies.
+the package paths it verifies, except ``ten_pass_full_report``: the report
+built from the single-metric functions, one tokenization pass per metric,
+which the one-pass ``full_report`` must match exactly.
 """
 
 import json
 from collections import Counter
 from pathlib import Path
+from typing import Sequence
 
-from parity_bpe import CorpusError, LabeledCorpus, NormUnit, pretokenize
+from parity_bpe import (
+    CorpusError,
+    DataError,
+    GoldSegmentation,
+    LabeledCorpus,
+    MetricReport,
+    NormUnit,
+    ParallelDevCorpus,
+    TokenizerModel,
+    UnigramDistribution,
+    avg_token_rank,
+    compression_rate,
+    fertility,
+    gini,
+    morph_boundary_scores,
+    pretokenize,
+    renyi_entropy,
+)
+from parity_bpe.corpus import char_count
+from parity_bpe.metrics import RENYI_ALPHA_DEFAULT
 
 
 def replay_encode(merges, text: bytes) -> list[bytes]:
@@ -219,3 +241,75 @@ def per_line_load_labeled_corpus(
             raise CorpusError(f"empty language partition: {lang!r}")
 
     return LabeledCorpus(tuple(sorted(known)), per_language, totals)
+
+
+def _doc_metrics(model: TokenizerModel, docs: Sequence[bytes], renyi_alpha: float) -> dict:
+    dist = UnigramDistribution.from_texts(model, docs)
+    cr_bytes = compression_rate(model, docs, NormUnit.BYTES)
+    cr_chars = compression_rate(model, docs, NormUnit.CHARS)
+    cr_lines = compression_rate(model, docs, NormUnit.LINES)
+    return {
+        "cr_bytes_mean_of_ratios": cr_bytes.mean_of_ratios,
+        "cr_bytes_ratio_of_sums": cr_bytes.ratio_of_sums,
+        "cr_chars_mean_of_ratios": cr_chars.mean_of_ratios,
+        "cr_chars_ratio_of_sums": cr_chars.ratio_of_sums,
+        "cr_lines_mean_of_ratios": cr_lines.mean_of_ratios,
+        "cr_lines_ratio_of_sums": cr_lines.ratio_of_sums,
+        "fertility": fertility(model, docs),
+        "type_token_ratio": len(dist.freq) / dist.total,
+        "vocab_utilization": len(dist.freq) / model.vocab_size,
+        "avg_token_rank": avg_token_rank(model, docs, dist=dist),
+        "renyi_entropy": renyi_entropy(dist, renyi_alpha),
+        "tokens_per_line": dist.total / len(docs),
+    }
+
+
+def ten_pass_full_report(
+    model: TokenizerModel,
+    dev: ParallelDevCorpus,
+    renyi_alpha: float = RENYI_ALPHA_DEFAULT,
+    gold: Sequence[GoldSegmentation] | None = None,
+    provenance: dict | None = None,
+) -> MetricReport:
+    """All intrinsic metrics per language and pooled over the parallel corpus.
+
+    The fairness Gini uses tokens per aligned line as the per-language cost,
+    which normalizes by content rather than script.
+    """
+    if dev.n_lines == 0:
+        raise DataError("empty dev corpus")
+    per_language = {}
+    costs = {}
+    for lang in dev.languages:
+        docs = dev.lines[lang]
+        stats = _doc_metrics(model, docs, renyi_alpha)
+        per_language[lang] = stats
+        costs[lang] = stats["tokens_per_line"]
+
+    pooled: list[bytes] = []
+    for lang in dev.languages:
+        pooled.extend(dev.lines[lang])
+    global_metrics = _doc_metrics(model, pooled, renyi_alpha)
+    global_metrics["gini_tokens_per_line"] = gini([costs[lang] for lang in dev.languages])
+    if gold is not None:
+        scores = morph_boundary_scores(model, gold)
+        global_metrics["morph_boundary_precision"] = scores.precision
+        global_metrics["morph_boundary_recall"] = scores.recall
+        global_metrics["morph_boundary_f1"] = scores.f1
+
+    meta = {
+        "languages": list(dev.languages),
+        "n_lines": dev.n_lines,
+        "renyi_alpha": renyi_alpha,
+        "gini_cost": "tokens_per_line",
+        "vocab_size": model.vocab_size,
+        "n_merges": len(model.merges),
+        "char_fallback_languages": [
+            lang
+            for lang in dev.languages
+            if any(char_count(line)[1] for line in dev.lines[lang])
+        ],
+    }
+    if provenance:
+        meta.update(provenance)
+    return MetricReport(global_metrics, per_language, meta)

@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import random
 import stat
@@ -40,6 +41,20 @@ BAD_INPUT_FILES = {
     "manifest_list.json": "[1]",
     "manifest_entry_string.json": json.dumps({"languages": ["aa"]}),
     "tokens.txt": "ba b\n",
+    "config_merges_list.json": json.dumps({"merges": [3], "classical": True}),
+    "config_unit_not_a_choice.json": json.dumps({"unit": "furlongs", "parity": True}),
+    "config_renyi_list.json": json.dumps({"renyi_alpha": [2]}),
+    "config_switch_string.json": json.dumps({"classical": "false"}),
+    "config_both_modes.json": json.dumps({"classical": True, "parity": True}),
+    "spec_words_per_line_zero.json": json.dumps(
+        {"proportions": [1], "languages": ["aa"], "words_per_line": [0, 3]}
+    ),
+    **{
+        f"spec_zipf_{name}.json": json.dumps(
+            {"proportions": [1], "languages": ["aa"], "zipf_exponent": value}
+        )
+        for name, value in [("nan", math.nan), ("inf", math.inf), ("1e6", 1e6), ("-1e6", -1e6)]
+    },
 }
 # argv that each once ended in an uncaught exception or a bad exit 0
 BAD_INPUT_ARGV = {
@@ -74,6 +89,21 @@ BAD_INPUT_ARGV = {
                                         "{tmp}/tokens.txt", "--output", "{tmp}/missing/x"],
     "eval-out-missing-directory": _EVAL + ["--out", "{tmp}/missing/r.json"],
     "eval-csv-missing-directory": _EVAL + ["--csv", "{tmp}/missing/r.csv"],
+    "train-config-merges-list": _CLASSICAL_TRAIN + ["--config", "{tmp}/config_merges_list.json"],
+    "train-config-unit-not-a-choice": ["train", "--merges", "3", "--corpus", "{synth}/manifest.json",
+                                       "--dev", "{synth}/dev", "--model-out", "{tmp}/m.bpe",
+                                       "--config", "{tmp}/config_unit_not_a_choice.json"],
+    "eval-config-renyi-list": _EVAL + ["--config", "{tmp}/config_renyi_list.json"],
+    "train-config-switch-string": _CLASSICAL_TRAIN[:1] + _CLASSICAL_TRAIN[2:]
+    + ["--config", "{tmp}/config_switch_string.json"],
+    "train-config-both-modes": _CLASSICAL_TRAIN[:1] + _CLASSICAL_TRAIN[2:]
+    + ["--config", "{tmp}/config_both_modes.json"],
+    "train-window-overflow": _PARITY_TRAIN + ["--window", str(10**30)],
+    "synth-config-words-per-line-zero": _SYNTH + ["--config", "{tmp}/spec_words_per_line_zero.json"],
+    **{
+        f"synth-config-zipf-{name}": _SYNTH + ["--config", f"{{tmp}}/spec_zipf_{name}.json"]
+        for name in ("nan", "inf", "1e6", "-1e6")
+    },
 }
 
 
@@ -288,6 +318,21 @@ class TestTrain:
         assert run(["train", "--config", config, "--merges", "5",
                     "--model-out", tmp_path / "override.bpe"]) == 0
         assert len(TokenizerModel.load(tmp_path / "override.bpe").merges) == 5
+
+    def test_config_values_resolve_as_flags(self, tmp_path, synth_dir):
+        common = ["train", "--parity", "--corpus", synth_dir / "manifest.json",
+                  "--dev", synth_dir / "dev"]
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(
+            {"merges": 20, "window": 3, "alpha": 1.5, "hybrid-split": "0.5", "unit": "lines"}
+        ))
+        assert run(common + ["--config", config, "--model-out", tmp_path / "a.bpe"]) == 0
+        assert run(common + ["--merges", "20", "--window", "3", "--alpha", "1.5",
+                             "--hybrid-split", "0.5", "--unit", "lines",
+                             "--model-out", tmp_path / "b.bpe"]) == 0
+        metas = [json.loads((tmp_path / f"{name}.bpe.meta.json").read_text()) for name in "ab"]
+        assert metas[0]["config"] == metas[1]["config"]
+        assert metas[0]["config_hash"] == metas[1]["config_hash"]
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.json"

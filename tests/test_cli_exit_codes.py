@@ -1,12 +1,14 @@
-"""Property: whatever argv, paths and stdin the CLI gets, it exits 0, 1 or 2
-without a traceback, and every model file it leaves loads and re-saves
-byte-identical.
+"""Property: whatever argv, ``--config`` JSON, paths and stdin the CLI gets,
+it exits 0, 1 or 2 without a traceback, and every model file it leaves loads
+and re-saves byte-identical.
 
 Runs in-process through ``main()`` and starts no process.
 """
 
 import contextlib
 import io
+import json
+import math
 import os
 import sys
 import tempfile
@@ -97,6 +99,22 @@ COMMANDS = {
 }
 
 
+# A --config value: a flag's own argv value, or any JSON value. Strings hold
+# no "/", so a path they name stays in the run's directory, and no braces,
+# which argv.format would read.
+_JSON_SCALARS = st.one_of(
+    st.text(st.characters(exclude_characters="/{}", exclude_categories=()), max_size=6),
+    st.integers(),
+    st.floats(),
+    st.just(math.nan),
+    st.booleans(),
+    st.none(),
+)
+_JSON_VALUES = st.one_of(_JSON_SCALARS, st.lists(_JSON_SCALARS, max_size=3))
+# Switches the modes above draw into argv, which a config may also set.
+_SWITCHES = {"train": ["--classical", "--parity", "--no-dev"], "eval": []}
+
+
 # the flags a run needs; drawn nine times in ten, the others one time in four
 _NEEDED = {"train": {"--corpus", "--merges"}, "encode": {"--model"}, "decode": {"--model"},
            "eval": {"--model", "--dev"}, "compare": {"--dev"}, "synth": {"--out"}}
@@ -113,10 +131,23 @@ def _argv(draw):
         argv += draw(st.lists(_paths("{model}"), min_size=1, max_size=3))
     if command == "synth":  # the default 600 KB corpus is too slow to draw often
         argv += ["--train-bytes", draw(st.sampled_from(["3000", "0"]))]
+    # With a --config file, each drawn flag goes into argv or into the file
+    # (a dashed or underscored key), with its argv value or any JSON value.
+    with_config = command in _SWITCHES and draw(st.booleans())
+    config = {}
     for flag in draw(st.permutations(sorted(flags))):
         if draw(st.integers(0, 9)) if flag in _NEEDED[command] else not draw(st.integers(0, 3)):
-            argv += [flag, draw(flags[flag])]
-    return argv
+            if with_config and draw(st.booleans()):
+                key = flag[2:] if draw(st.booleans()) else flag[2:].replace("-", "_")
+                config[key] = draw(st.one_of(flags[flag], _JSON_VALUES))
+            else:
+                argv += [flag, draw(flags[flag])]
+    if with_config:
+        for switch in _SWITCHES[command]:
+            if not draw(st.integers(0, 3)):
+                config[switch[2:].replace("-", "_")] = draw(st.one_of(st.booleans(), _JSON_VALUES))
+        argv[1:1] = ["--config", "{config}"]  # first, so main() reads this one
+    return argv, config
 
 
 @pytest.fixture(scope="module")
@@ -140,15 +171,21 @@ def fixtures(small_synth_dir, tmp_path_factory):
     derandomize=True,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
-@given(argv=_argv(), stdin=st.binary(max_size=200))
-def test_exit_code_and_no_traceback(fixtures, argv, stdin):
+@given(argv_config=_argv(), stdin=st.binary(max_size=200))
+def test_exit_code_and_no_traceback(fixtures, argv_config, stdin):
+    argv, config = argv_config
     with tempfile.TemporaryDirectory() as root:
         root = Path(root)
         (root / "afile").write_bytes(b"babab\n")
         (root / "adir").mkdir()
         paths = {**fixtures, "file": root / "afile", "dir": root / "adir",
-                 "missing": root / "missing"}
+                 "missing": root / "missing", "config": root / "config.json"}
         argv = [arg.format(**paths) for arg in argv]
+        config = {
+            key: value.format(**paths) if isinstance(value, str) else value
+            for key, value in config.items()
+        }
+        paths["config"].write_text(json.dumps(config), encoding="utf-8")
         stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
         stderr = io.StringIO()
         cwd = os.getcwd()

@@ -26,9 +26,24 @@ from parity_bpe import (
     vocab_utilization,
 )
 
-from .oracles import pairwise_gini
+from .oracles import pairwise_gini, ten_pass_full_report
 
 IDENTITY = TokenizerModel([])
+# Merges over the pieces of _REPORT_LINE, including a two-byte UTF-8 char.
+MERGED = TokenizerModel(
+    [(b"a", b"b"), (b"ab", b"a"), (b" ", b"ab"), (b"\xc3", b"\xa9"), (b"c", b"a"), (b"ca", b"f")]
+)
+# Pieces shared by every language: spaces, tabs, a CR and a LF inside a
+# line, a two-byte char, and bytes that are not UTF-8 (the chars fallback).
+_REPORT_LINE = st.lists(
+    st.sampled_from(
+        [b"ab", b"aba", b"c", b"caf\xc3\xa9", b" ", b"  ", b"\t", b"\r", b"\n", b"\xff", b"\x80",
+         b"\xc3"]
+    ),
+    min_size=1,
+    max_size=8,
+).map(b"".join)
+_GOLD = [GoldSegmentation(b"aba", frozenset({2})), GoldSegmentation(b"caf\xc3\xa9", frozenset({3}))]
 
 
 def dev_of(lines_by_lang):
@@ -170,6 +185,11 @@ class TestRenyiEntropy:
         with pytest.raises(DataError):
             renyi_entropy([0.5, 0.5], math.nan)
 
+    @pytest.mark.parametrize("alpha", [1e4, 1e308])
+    def test_large_alpha_tends_to_min_entropy(self, alpha):
+        # every p**alpha underflows to 0.0 here
+        assert renyi_entropy([0.5, 0.25, 0.25], alpha) == pytest.approx(1.0, abs=1e-3)
+
     def test_non_increasing_in_alpha(self):
         rng = random.Random(8)
         alphas = [0.5, 1, 1.5, 2, 2.5, 4, 8, math.inf]
@@ -309,3 +329,55 @@ class TestFullReport:
         for stats in report.per_language.values():
             assert 0.0 < stats["vocab_utilization"] <= 1.0
             assert stats["tokens_per_line"] > 0
+
+    @given(
+        lines_by_lang=st.integers(1, 4).flatmap(
+            lambda n_langs: st.integers(1, 5).flatmap(
+                lambda n_lines: st.lists(
+                    st.lists(_REPORT_LINE, min_size=n_lines, max_size=n_lines),
+                    min_size=n_langs,
+                    max_size=n_langs,
+                )
+            )
+        ),
+        model=st.sampled_from([IDENTITY, MERGED]),
+        renyi_alpha=st.sampled_from([1, 2.5, math.inf]),
+        gold=st.sampled_from([None, _GOLD]),
+    )
+    def test_matches_ten_pass_oracle(self, lines_by_lang, model, renyi_alpha, gold):
+        dev = dev_of({f"l{i}": lines for i, lines in enumerate(lines_by_lang)})
+        report = full_report(model, dev, renyi_alpha, gold, {"model": "m.bpe"})
+        expected = ten_pass_full_report(model, dev, renyi_alpha, gold, {"model": "m.bpe"})
+        assert report.to_json() == expected.to_json()
+
+    def test_matches_ten_pass_oracle_on_synthetic_dev(self, classical_run, parity_run, dev):
+        for model in (classical_run[0], parity_run[0]):
+            assert full_report(model, dev).to_json() == ten_pass_full_report(model, dev).to_json()
+
+    @pytest.mark.parametrize(
+        "lines_by_lang, renyi_alpha",
+        [
+            ({"aa": [b""]}, 2.5),
+            ({"aa": [b"", b""], "bb": [b"x", b""]}, 2.5),
+            ({"aa": [b"x", b""], "bb": [b"", b""]}, 2.5),
+            ({"aa": [b"x", b"y"], "bb": [b"", b"y"]}, 2.5),
+            ({"aa": [b"x", b"y"], "bb": [b"", b"y"]}, math.nan),
+            ({"aa": [b"x", b""], "bb": [b"x", b"y"]}, math.nan),
+        ],
+    )
+    def test_empty_document_error_matches_oracle(self, lines_by_lang, renyi_alpha):
+        dev = dev_of(lines_by_lang)
+        with pytest.raises(DataError) as expected:
+            ten_pass_full_report(MERGED, dev, renyi_alpha)
+        with pytest.raises(DataError) as raised:
+            full_report(MERGED, dev, renyi_alpha)
+        assert str(raised.value) == str(expected.value)
+
+    def test_tokenizes_each_line_once(self, classical_run, dev, monkeypatch):
+        model = TokenizerModel(classical_run[0].merges)
+        encode_ids = model.encode_ids
+        seen = []
+        monkeypatch.setattr(model, "encode_ids", lambda doc: seen.append(doc) or encode_ids(doc))
+        monkeypatch.setattr(model, "token_count", None)  # a call would fail
+        full_report(model, dev)
+        assert seen == [line for lang in dev.languages for line in dev.lines[lang]]
