@@ -20,12 +20,12 @@ import stat
 import sys
 from pathlib import Path
 
-from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev
+from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev, pretokenize
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
 from .metrics import RENYI_ALPHA_DEFAULT, full_report, load_gold_tsv
 from .parity import CRTable, ParityConfig, reference_unit_totals, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
-from .tokenizer import TokenizerModel, escape_token, unescape_token
+from .tokenizer import TokenizerModel, unescape_token
 from .trainer import train_classical
 
 
@@ -342,17 +342,15 @@ def _input(path: str | None):
 
 
 def cmd_encode(args) -> int:
-    model = TokenizerModel.load(args.model)
+    # Every pre-token yields at least one token and an empty line yields no
+    # pre-token, so joining the pre-tokens' texts gives the line's tokens.
+    texts = TokenizerModel.load(args.model).text_cache(args.format).__getitem__
     with (
         _input(args.input) as lines,
         _output(args.output, "w", encoding="utf-8", newline="\n") as out,
     ):
         for line in lines:
-            record = line.rstrip(b"\n")
-            if args.format == "ids":
-                out.write(" ".join(str(i) for i in model.encode_ids(record)) + "\n")
-            else:
-                out.write(" ".join(escape_token(t) for t in model.encode(record)) + "\n")
+            out.write(" ".join(map(texts, pretokenize(line.rstrip(b"\n")))) + "\n")
     return 0
 
 
@@ -378,7 +376,7 @@ def cmd_decode(args) -> int:
 
 def _dev_languages(dev_dir: Path, langs_flag: str | None) -> list[str]:
     if langs_flag:
-        return sorted(langs_flag.split(","))
+        return sorted(set(langs_flag.split(",")))
     langs = sorted(p.stem for p in dev_dir.glob("*.txt"))
     if not langs:
         raise DataError(f"no <lang>.txt files in {dev_dir}")

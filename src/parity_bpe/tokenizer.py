@@ -9,6 +9,7 @@ arbitrary byte input.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 from . import _kernels
@@ -16,6 +17,10 @@ from .corpus import pretokenize
 from .errors import ModelFormatError
 
 MODEL_HEADER = "parity-bpe v1"
+# Entries a pre-token cache holds before it starts over: above the distinct
+# pre-tokens of a few MB of text, so only an unbounded stream of new words
+# (random bytes, say) ever clears it, and memory stays bounded on any input.
+WORD_CACHE_LIMIT = 1 << 17
 
 _PRINTABLE = frozenset(range(0x21, 0x7F)) - {0x5C}  # visible ASCII minus backslash
 
@@ -47,6 +52,30 @@ def unescape_token(text: str) -> bytes:
             out.append(code)
             i += 1
     return bytes(out)
+
+
+def _kernel_encode(table: dict, word: bytes) -> list[int]:
+    return _kernels.encode_ids(list(word), table)
+
+
+class _WordCache(dict):
+    """Pre-token -> ``compute(pre-token)``, computed on first lookup.
+
+    A miss on a cache that already holds :data:`WORD_CACHE_LIMIT` entries
+    clears it first, so it never holds more than that.
+    """
+
+    __slots__ = ("_compute",)
+
+    def __init__(self, compute):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, word: bytes):
+        if len(self) >= WORD_CACHE_LIMIT:
+            self.clear()
+        value = self[word] = self._compute(word)
+        return value
 
 
 class TokenizerModel:
@@ -89,25 +118,20 @@ class TokenizerModel:
         self.vocabulary: frozenset[bytes] = frozenset(vocab)
         self._first_id = first_id
         self._table = table
-        self._word_cache: dict[bytes, list[int]] = {}
+        # a partial, not a bound method: no reference cycle through the model
+        self._word_cache = _WordCache(partial(_kernel_encode, table))
 
     @property
     def vocab_size(self) -> int:
         """Number of distinct byte spans in the vocabulary."""
         return len(self.vocabulary)
 
-    def _encode_word(self, word: bytes) -> list[int]:
-        cached = self._word_cache.get(word)
-        if cached is None:
-            cached = _kernels.encode_ids(list(word), self._table)
-            self._word_cache[word] = cached
-        return cached
-
     def encode_ids(self, text: bytes) -> list[int]:
         """Tokenize ``text`` into canonical token ids."""
         out: list[int] = []
+        cache = self._word_cache
         for word in pretokenize(text):
-            out.extend(self._encode_word(word))
+            out.extend(cache[word])
         return out
 
     def encode(self, text: bytes) -> list[bytes]:
@@ -117,7 +141,27 @@ class TokenizerModel:
 
     def token_count(self, text: bytes) -> int:
         """Length of ``encode(text)`` without building the token list."""
-        return sum(len(self._encode_word(word)) for word in pretokenize(text))
+        cache = self._word_cache
+        return sum(len(cache[word]) for word in pretokenize(text))
+
+    def text_cache(self, fmt: str) -> _WordCache:
+        """A new cache from pre-token to its tokens as ``encode`` output text.
+
+        ``fmt`` is ``"ids"`` (decimal ids) or ``"tokens"`` (escaped spans);
+        a value is the pre-token's tokens joined by single spaces. It is
+        filled straight from the kernel, not from the id cache, so a word
+        is held once, as text.
+        """
+        if fmt == "ids":
+            id_text = [str(i) for i in range(len(self.id_to_bytes))]
+        else:
+            id_text = [escape_token(span) for span in self.id_to_bytes]
+        table = self._table
+
+        def render(word: bytes) -> str:
+            return " ".join(map(id_text.__getitem__, _kernel_encode(table, word)))
+
+        return _WordCache(render)
 
     def decode(self, tokens) -> bytes:
         """Concatenate token byte spans; every token must be in the vocabulary."""

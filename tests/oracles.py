@@ -6,7 +6,9 @@ recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, and
 the one-``json.loads``-per-line corpus loader. None of it shares code with
 the package paths it verifies, except ``ten_pass_full_report``: the report
 built from the single-metric functions, one tokenization pass per metric,
-which the one-pass ``full_report`` must match exactly.
+which the one-pass ``full_report`` must match exactly; and the two per-line
+``encode`` formatters, which format a whole line's ``encode_ids`` and
+``encode`` output, as the CLI did before it rendered each pre-token once.
 """
 
 import json
@@ -34,6 +36,7 @@ from parity_bpe import (
 )
 from parity_bpe.corpus import char_count
 from parity_bpe.metrics import RENYI_ALPHA_DEFAULT
+from parity_bpe.tokenizer import escape_token
 
 
 def replay_encode(merges, text: bytes) -> list[bytes]:
@@ -313,3 +316,13 @@ def ten_pass_full_report(
     if provenance:
         meta.update(provenance)
     return MetricReport(global_metrics, per_language, meta)
+
+
+def ids_line(model: TokenizerModel, record: bytes) -> str:
+    """One line of ``encode --format ids`` output, formatted from the whole line."""
+    return " ".join(str(i) for i in model.encode_ids(record))
+
+
+def tokens_line(model: TokenizerModel, record: bytes) -> str:
+    """One line of ``encode --format tokens`` output, formatted from the whole line."""
+    return " ".join(escape_token(t) for t in model.encode(record))

@@ -8,6 +8,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from parity_bpe import (
     MetricReport,
@@ -18,8 +20,10 @@ from parity_bpe import (
     full_report,
     load_parallel_dev,
 )
-from parity_bpe import cli
+from parity_bpe import cli, tokenizer
 from parity_bpe.cli import main
+
+from .oracles import ids_line, tokens_line
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
 NON_BYTE_UNITS = ("lines", "chars", "words")
@@ -418,6 +422,53 @@ class TestEncodeDecode:
         assert "non-ASCII" in capsys.readouterr().err
 
 
+# Pieces of encode input: whitespace that pretokenize glues to the next word
+# (CR, VT and FF included), invalid UTF-8, and a long whitespace-free run.
+_ENCODE_PIECES = [b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b"\xff", b"\xc3", b"\xe2\x82",
+                  "\u00e9".encode(), b"x" * 300]
+
+
+@st.composite
+def _encode_input(draw, words):
+    """A stream of lines; ``words`` repeat, so the same pre-tokens recur."""
+    piece = st.one_of(st.sampled_from(words), st.sampled_from(_ENCODE_PIECES),
+                      st.binary(max_size=6).map(lambda b: b.replace(b"\n", b"")))
+    lines = draw(st.lists(st.lists(piece, max_size=12).map(b"".join), max_size=8))
+    return b"\n".join(lines) + (b"\n" if draw(st.booleans()) else b"")
+
+
+class TestEncodeOutput:
+    """The CLI renders each pre-token once; its output must be what formatting
+    each whole line gives, whenever its pre-token cache clears."""
+
+    @pytest.mark.parametrize("limit", [1, 3])
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_per_line_formatters(self, classical_run, dev, tmp_path, limit, data):
+        model, _ = classical_run
+        model_path, src = tmp_path / "m.bpe", tmp_path / "in.txt"
+        model.save(model_path)
+        words = sorted({w for lang in dev.languages for line in dev.lines[lang][:5]
+                        for w in line.split()})
+        source = data.draw(_encode_input(words))
+        src.write_bytes(source)
+        records = [line.rstrip(b"\n") for line in io.BytesIO(source)]
+        oracle = TokenizerModel(model.merges)
+        restored = source + b"\n" if source and not source.endswith(b"\n") else source
+        for fmt, formatter in (("ids", ids_line), ("tokens", tokens_line)):
+            expected = "".join(formatter(oracle, record) + "\n" for record in records)
+            enc, dec = tmp_path / f"enc.{fmt}", tmp_path / f"dec.{fmt}"
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tokenizer, "WORD_CACHE_LIMIT", limit)
+                assert run(["encode", "--model", model_path, "--format", fmt,
+                            "--input", src, "--output", enc]) == 0
+            assert enc.read_bytes() == expected.encode("utf-8")
+            assert run(["decode", "--model", model_path, "--format", fmt,
+                        "--input", enc, "--output", dec]) == 0
+            assert dec.read_bytes() == restored
+
+
 TRAIN_OUTPUTS = ("m.bpe", "m.bpe.log.jsonl", "m.bpe.meta.json")
 
 
@@ -652,6 +703,18 @@ class TestEval:
         assert report.global_metrics["morph_boundary_recall"] == 1.0
 
 
+    @pytest.mark.parametrize("given, meant", [("aa,aa", "aa"), ("bb,aa,bb", "aa,bb")])
+    def test_duplicate_langs_count_once(self, tmp_path, synth_dir, classical_run, given, meant):
+        model_path = tmp_path / "m.bpe"
+        classical_run[0].save(model_path)
+        for langs, name in ((given, "given"), (meant, "meant")):
+            assert run(["eval", "--model", model_path, "--dev", synth_dir / "dev",
+                        "--langs", langs, "--out", tmp_path / f"{name}.json"]) == 0
+        assert (tmp_path / "given.json").read_bytes() == (tmp_path / "meant.json").read_bytes()
+        report = MetricReport.from_json((tmp_path / "given.json").read_text())
+        assert report.provenance["languages"] == meant.split(",")
+
+
 class TestCompare:
     def test_parity_shows_lower_gini(self, tmp_path, synth_dir, classical_run, parity_run, capsys):
         cpath = tmp_path / "a_classical.bpe"
@@ -714,6 +777,16 @@ class TestCompare:
         TokenizerModel([(b"a", b"b")]).save(p2)
         assert run(["compare", p1, p2, "--dev", synth_dir / "dev"]) == 0
         assert "vocabulary sizes differ" in capsys.readouterr().err
+
+    def test_duplicate_langs_count_once(self, tmp_path, synth_dir, classical_run, capsys):
+        p1, p2 = tmp_path / "m1.bpe", tmp_path / "m2.bpe"
+        classical_run[0].save(p1)
+        TokenizerModel([]).save(p2)
+        outputs = []
+        for langs in ("bb,aa,bb", "aa,bb"):
+            assert run(["compare", p1, p2, "--dev", synth_dir / "dev", "--langs", langs]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_needs_two_models(self, tmp_path, synth_dir):
         p1 = tmp_path / "m1.bpe"

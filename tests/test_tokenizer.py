@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parity_bpe import ModelFormatError, TokenizerModel
+from parity_bpe import ModelFormatError, TokenizerModel, pretokenize, tokenizer
 from parity_bpe.tokenizer import escape_token, unescape_token
 
 from .oracles import replay_encode
@@ -74,6 +74,31 @@ class TestEncodeDecode:
         ids = model.encode_ids(b"abc")
         assert model.decode_ids(ids) == b"abc"
         assert ids == [256 + 1]  # canonical id of the first "abc"
+
+
+class TestWordCache:
+    @pytest.mark.parametrize("limit", [1, 2, 5])
+    def test_caches_start_over_at_the_limit(self, classical_run, monkeypatch, limit):
+        monkeypatch.setattr(tokenizer, "WORD_CACHE_LIMIT", limit)
+        merges = classical_run[0].merges
+        model = TokenizerModel(merges)
+        texts = model.text_cache("ids")
+        rng = random.Random(11)
+        seen = 0
+        for n in range(60):
+            # three unique pre-tokens per line: a space, a serial number, random non-space bytes
+            line = b"".join(
+                b" %d:%d:" % (n, k) + bytes(b for b in rng.randbytes(20) if not chr(b).isspace())
+                for k in range(3)
+            )
+            words = pretokenize(line)
+            assert model.encode_ids(line) == TokenizerModel(merges).encode_ids(line)
+            for word in words:
+                assert texts[word] == " ".join(map(str, TokenizerModel(merges).encode_ids(word)))
+                seen += 1
+                # a miss on a full cache clears it, then stores the new word
+                assert len(texts) == (seen - 1) % limit + 1
+            assert len(model._word_cache) == (seen - 1) % limit + 1
 
 
 class TestMonotoneCompression:
