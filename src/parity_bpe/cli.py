@@ -18,6 +18,7 @@ import json
 import os
 import stat
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev, pretokenize
@@ -234,6 +235,8 @@ def cmd_train(args) -> int:
     hybrid_split = 0.0 if args.hybrid_split is None else args.hybrid_split
     if not 0.0 <= hybrid_split <= 1.0:  # also false for nan
         raise ConfigError(f"hybrid split must be in [0, 1], got {hybrid_split}")
+    if args.limit_per_language is not None and args.limit_per_language < 1:
+        raise ConfigError(f"--limit-per-language must be >= 1, got {args.limit_per_language}")
     unit = args.unit
     if args.classical or args.no_dev:
         # both measure compression on the training corpus, which is in bytes
@@ -265,7 +268,7 @@ def cmd_train(args) -> int:
     else:
         config = ParityConfig(
             total_merges=merges,
-            global_merges=int(merges * hybrid_split),
+            global_merges=int(Fraction(str(hybrid_split)) * merges),
             window_size=window,
             alpha=alpha,
             unit=NormUnit(unit),
@@ -440,7 +443,6 @@ def cmd_compare(args) -> int:
     dev_dir = Path(args.dev)
     dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
     model_paths = sorted((Path(p) for p in args.models), key=lambda p: p.name)
-    args.gold = None
     reports = {p: _report_for(p, dev, args) for p in model_paths}
 
     sizes = {p: reports[p].provenance["vocab_size"] for p in model_paths}
@@ -448,23 +450,17 @@ def cmd_compare(args) -> int:
         detail = ", ".join(f"{p.name}={s}" for p, s in sizes.items())
         print(f"warning: vocabulary sizes differ ({detail})", file=sys.stderr)
 
-    rows = []
-    for metric in _COMPARE_ROWS:
-        rows.append((metric, [reports[p].global_metrics[metric] for p in model_paths]))
-    for agg in ("min", "max", "spread"):
-        values = []
-        for p in model_paths:
-            crs = [
-                stats["cr_lines_ratio_of_sums"]
-                for stats in reports[p].per_language.values()
-            ]
-            if agg == "min":
-                values.append(min(crs))
-            elif agg == "max":
-                values.append(max(crs))
-            else:
-                values.append(max(crs) - min(crs))
-        rows.append((f"per_lang_cr_lines_{agg}", values))
+    rows = [
+        (metric, [reports[p].global_metrics[metric] for p in model_paths])
+        for metric in _COMPARE_ROWS
+    ]
+    crs = [
+        [stats["cr_lines_ratio_of_sums"] for stats in reports[p].per_language.values()]
+        for p in model_paths
+    ]
+    rows.append(("per_lang_cr_lines_min", [min(c) for c in crs]))
+    rows.append(("per_lang_cr_lines_max", [max(c) for c in crs]))
+    rows.append(("per_lang_cr_lines_spread", [max(c) - min(c) for c in crs]))
 
     name_width = max(len(r[0]) for r in rows)
     header = "metric".ljust(name_width) + "".join(

@@ -1,9 +1,11 @@
 """Min-max merge learning: drive each merge from the worst-compressed language.
 
-At every step the language with the lowest compression rate on the reference
-corpus is selected (optionally rate-limited by a moving window), the best
-pair inside that language's training shard is merged, and the merge is
-applied to every language's shard and to the reference-corpus token totals.
+At every parity step the language with the lowest compression rate on the
+reference corpus is selected (optionally rate-limited by a moving window),
+and the best pair inside that language's training shard is merged. This
+module supplies that choice, as a picker for ``trainer.run_merges``: the
+loop shared with classical training, which also runs the hybrid prelude's
+global steps and applies and logs every merge.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import chain
 from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, unit_length
 from .errors import ConfigError, CorpusError, DataError
 from .tokenizer import TokenizerModel
-from .trainer import TrainerState, TrainLog, TrainStep
+from .trainer import TrainerState, TrainLog, run_merges
 
 
 @dataclass
@@ -169,74 +171,32 @@ def rank_languages(
 def _run_minmax(
     state: TrainerState,
     config: ParityConfig,
-    unit_totals: list[int],
+    unit_totals: dict[str, int],
     token_totals: list[int],
     on_step,
 ) -> tuple[TokenizerModel, TrainLog]:
-    """Shared hybrid/parity loop over a live token-total vector."""
+    """Min-max training over a live reference token-total vector."""
     langs = state.langs
-    # CRTable rejects a zero unit or token total, which the loop divides by.
-    CRTable(
-        config.unit, tuple(langs), dict(zip(langs, unit_totals)), dict(zip(langs, token_totals))
-    )
-
+    # CRTable rejects a zero unit or token total, which the picker divides by.
+    CRTable(config.unit, tuple(langs), unit_totals, dict(zip(langs, token_totals)))
+    units = [unit_totals[lang] for lang in langs]
     window = SelectionWindow(config.window_size)
     quota = config.quota(len(langs))
-    log = TrainLog()
 
-    for k in range(1, config.total_merges + 1):
-        snapshot = None
-        chosen = None
-        fallback = False
+    def pick(state: TrainerState):
+        snapshot = {lang: u / t for lang, u, t in zip(langs, units, token_totals)}
         skipped: list[str] = []
-        if k <= config.global_merges:
-            sel = state.select_global()
-            if sel is None:
-                log.stopped_early = True
-                log.stop_reason = f"no pair with count >= {state.min_count} after {k - 1} merges"
-                break
-            mode = "global"
-        else:
-            snapshot = {
-                lang: unit_totals[li] / token_totals[li] for li, lang in enumerate(langs)
-            }
-            sel = None
-            for chosen, fallback in rank_languages(snapshot, window, quota):
-                sel = state.select_for_lang(chosen)
-                if sel is not None:
-                    break
-                skipped.append(chosen)
-            if sel is None:
-                log.stopped_early = True
-                log.stop_reason = (
-                    f"no language has a pair with count >= {state.min_count} "
-                    f"after {k - 1} merges"
-                )
-                break
-            window.push(chosen)
-            mode = "parity"
+        for lang, fallback in rank_languages(snapshot, window, quota):
+            sel = state.select_for_lang(lang)
+            if sel is not None:
+                window.push(lang)
+                return sel, dict(mode="parity", lang=lang, fallback=fallback,
+                                 skipped=skipped, cr_snapshot=snapshot)
+            skipped.append(lang)
+        return None, None
 
-        pair, count = sel
-        info = state.apply(pair)
-        record = TrainStep(
-            step=k,
-            left=info.left,
-            right=info.right,
-            count=count,
-            mode=mode,
-            lang=chosen,
-            fallback=fallback,
-            skipped=skipped,
-            cr_snapshot=snapshot,
-            dev_tokens={lang: token_totals[li] for li, lang in enumerate(langs)},
-            replacements={lang: info.train_repl[li] for li, lang in enumerate(langs)},
-        )
-        log.append(record)
-        if on_step is not None:
-            on_step(state, record)
-
-    log.token_totals = dict(zip(langs, token_totals))
-    return state.to_model(), log
+    return run_merges(state, token_totals, config.total_merges, config.global_merges, pick,
+                      dev_tokens=True, on_step=on_step)
 
 
 def train_parity(
@@ -257,9 +217,7 @@ def train_parity(
     }
     unit_totals = reference_unit_totals(dev, config.unit)
     state = TrainerState(train, dev_words=dev_words)
-    return _run_minmax(
-        state, config, [unit_totals[lang] for lang in state.langs], state.dev.token_totals, on_step
-    )
+    return _run_minmax(state, config, unit_totals, state.dev.token_totals, on_step)
 
 
 def train_no_dev(
@@ -270,5 +228,5 @@ def train_no_dev(
     if NormUnit(config.unit) is not NormUnit.BYTES:
         raise ConfigError("train_no_dev requires the bytes normalization unit")
     state = TrainerState(train)
-    unit_totals = [train.unit_totals[lang][NormUnit.BYTES] for lang in state.langs]
+    unit_totals = reference_unit_totals(train, NormUnit.BYTES)
     return _run_minmax(state, config, unit_totals, state.train.token_totals, on_step)

@@ -9,6 +9,11 @@ right bytes), so ties break deterministically on the lexicographically
 smallest byte spans. Each heap is built from the live counts on its first
 selection and receives updates only after that; since the key is unique per
 pair, the picks do not depend on when a heap was built.
+
+``run_merges`` is the one loop that selects, applies and logs merges, for
+every training mode: global steps first, then steps chosen by a picker.
+Classical training is all global steps; ``parity`` supplies the min-max
+picker.
 """
 
 from __future__ import annotations
@@ -88,7 +93,7 @@ class TrainLog:
 
     ``token_totals`` holds the per-language token totals of the reference
     corpus after the last merge (the training corpus for classical and
-    no-dev training, the dev corpus for parity training). The trainers set
+    no-dev training, the dev corpus for parity training). ``run_merges`` sets
     it; it is not written to the JSONL file, so a log read back has None.
     """
 
@@ -210,15 +215,6 @@ class _WordStore:
         return repl, changed
 
 
-@dataclass
-class MergeInfo:
-    """Outcome of applying one merge across the trainer state."""
-
-    left: bytes
-    right: bytes
-    train_repl: list[int]
-
-
 class TrainerState:
     """Mutable training state: vocabulary, word stores, selection heaps."""
 
@@ -226,13 +222,11 @@ class TrainerState:
         self,
         corpus: LabeledCorpus,
         dev_words: dict[str, dict[bytes, int]] | None = None,
-        min_count: int = MIN_PAIR_COUNT,
     ):
         if not corpus.languages:
             raise CorpusError("empty corpus: no languages")
         self.langs: list[str] = list(corpus.languages)
         self.lang_index = {lang: i for i, lang in enumerate(self.langs)}
-        self.min_count = min_count
         self.vocab: list[bytes] = [bytes([i]) for i in range(256)]
         self.first_id: dict[bytes, int] = {span: i for i, span in enumerate(self.vocab)}
         self.merges: list[tuple[bytes, bytes]] = []
@@ -337,7 +331,7 @@ class TrainerState:
             current = value_of(vec)
             if current != -negc:
                 continue
-            if current < self.min_count:
+            if current < MIN_PAIR_COUNT:
                 return None
             return (a, b), current
         return None
@@ -358,8 +352,11 @@ class TrainerState:
             self._built_langs.append(li)
         return self._select(self.lang_heaps[li], value_of)
 
-    def apply(self, pair: tuple[int, int]) -> MergeInfo:
-        """Record the merge and replace its occurrences in all stores."""
+    def apply(self, pair: tuple[int, int]) -> list[int]:
+        """Record the merge and replace its occurrences in all stores.
+
+        Returns the per-language replacement counts in the training store.
+        """
         a, b = pair
         left, right = self.vocab[a], self.vocab[b]
         byte_pair = (left, right)
@@ -375,7 +372,7 @@ class TrainerState:
         self._push_changes(changed)
         if self.dev is not None:
             self.dev.apply_merge(a, b, canonical)
-        return MergeInfo(left, right, train_repl)
+        return train_repl
 
     def global_pair_counts(self) -> dict[tuple[bytes, bytes], int]:
         """Summed pair counts keyed by byte spans (test/inspection view)."""
@@ -403,6 +400,55 @@ class TrainerState:
         return TokenizerModel(list(self.merges))
 
 
+def run_merges(
+    state: TrainerState,
+    reference_totals: list[int],
+    num_merges: int,
+    global_merges: int,
+    pick=None,
+    dev_tokens: bool = False,
+    on_step=None,
+) -> tuple[TokenizerModel, TrainLog]:
+    """Learn up to ``num_merges`` merges: ``global_merges`` global steps, then picked ones.
+
+    ``pick(state)`` returns ``(selection, fields)``: the ``(pair, count)`` to
+    merge, or None when no language has a pair left, and the ``TrainStep``
+    fields that explain the choice. ``reference_totals`` is the live
+    per-language token-total list the merges shrink; it becomes the log's
+    ``token_totals``, and each record's ``dev_tokens`` when ``dev_tokens``.
+    """
+    langs = state.langs
+    log = TrainLog()
+    for k in range(1, num_merges + 1):
+        if k <= global_merges:
+            sel, fields = state.select_global(), {"mode": "global"}
+            exhausted = "no pair"
+        else:
+            sel, fields = pick(state)
+            exhausted = "no language has a pair"
+        if sel is None:
+            log.stopped_early = True
+            log.stop_reason = f"{exhausted} with count >= {MIN_PAIR_COUNT} after {k - 1} merges"
+            break
+        pair, count = sel
+        repl = state.apply(pair)
+        left, right = state.merges[-1]
+        record = TrainStep(
+            k,
+            left,
+            right,
+            count,
+            dev_tokens=dict(zip(langs, reference_totals)) if dev_tokens else None,
+            replacements=dict(zip(langs, repl)),
+            **fields,
+        )
+        log.append(record)
+        if on_step is not None:
+            on_step(state, record)
+    log.token_totals = dict(zip(langs, reference_totals))
+    return state.to_model(), log
+
+
 def train_classical(
     corpus: LabeledCorpus, num_merges: int, on_step=None
 ) -> tuple[TokenizerModel, TrainLog]:
@@ -410,27 +456,4 @@ def train_classical(
     if num_merges < 0:
         raise ConfigError(f"merge budget must be >= 0, got {num_merges}")
     state = TrainerState(corpus)
-    log = TrainLog()
-    for k in range(num_merges):
-        sel = state.select_global()
-        if sel is None:
-            log.stopped_early = True
-            log.stop_reason = f"no pair with count >= {state.min_count} after {k} merges"
-            break
-        pair, count = sel
-        info = state.apply(pair)
-        record = TrainStep(
-            step=k + 1,
-            left=info.left,
-            right=info.right,
-            count=count,
-            mode="global",
-            replacements={
-                lang: info.train_repl[li] for li, lang in enumerate(state.langs)
-            },
-        )
-        log.append(record)
-        if on_step is not None:
-            on_step(state, record)
-    log.token_totals = dict(zip(state.langs, state.train.token_totals))
-    return state.to_model(), log
+    return run_merges(state, state.train.token_totals, num_merges, num_merges, on_step=on_step)

@@ -296,6 +296,30 @@ class TestTrain:
         assert code == 1
         assert "hybrid split must be in [0, 1]" in capsys.readouterr().err
 
+    # int(100 * 0.29) is 28 and int(100 * 0.57) is 56: the float product is
+    # just below the decimal one.
+    @pytest.mark.parametrize("split, global_steps", [("0.29", 29), ("0.57", 57)])
+    def test_hybrid_split_counts_exact_decimal(self, tmp_path, synth_dir, split, global_steps):
+        model_out = tmp_path / "h.bpe"
+        assert run(
+            ["train", "--parity", "--hybrid-split", split, "--merges", "100",
+             "--corpus", synth_dir / "manifest.json", "--dev", synth_dir / "dev",
+             "--model-out", model_out]
+        ) == 0
+        log = TrainLog.from_jsonl(tmp_path / "h.bpe.log.jsonl")
+        modes = [step.mode for step in log]
+        assert modes == ["global"] * global_steps + ["parity"] * (100 - global_steps)
+
+    @pytest.mark.parametrize("limit", ["0", "-3"])
+    def test_limit_below_one_is_usage_error(self, tmp_path, small_synth_dir, limit, capsys):
+        code = run(
+            ["train", "--parity", "--no-dev", f"--limit-per-language={limit}", "--merges", "5",
+             "--corpus", small_synth_dir / "manifest.json", "--model-out", tmp_path / "m.bpe"]
+        )
+        assert code == 1
+        assert f"--limit-per-language must be >= 1, got {limit}" in capsys.readouterr().err
+        assert not (tmp_path / "m.bpe").exists()
+
     def test_missing_mode_is_usage_error(self, synth_dir, capsys):
         code = run(["train", "--merges", "10", "--corpus", synth_dir / "manifest.json"])
         assert code == 1

@@ -6,9 +6,12 @@ from parity_bpe import (
     ConfigError,
     CorpusError,
     LabeledCorpus,
+    NormUnit,
+    ParityConfig,
     TrainerState,
     TrainLog,
     train_classical,
+    train_no_dev,
 )
 
 from .oracles import greedy_steps, sliding_pair_counts
@@ -81,16 +84,15 @@ class TestApplyMerge:
     def test_basic_replacement(self):
         state = TrainerState(corpus_of({b"abab": 1}))
         before = state.train.token_totals[0]
-        info = state.apply((ord("a"), ord("b")))  # ids 0-255 are the bytes
-        assert info.train_repl == [2]
+        assert state.apply((ord("a"), ord("b"))) == [2]  # ids 0-255 are the bytes
         assert state.train.token_totals[0] == before - 2
         (tokens, _), = list(state.tokenized_words())
         assert tokens == (b"ab", b"ab")
 
     def test_self_overlap_leftmost_first(self):
         state = TrainerState(corpus_of({b"aaa": 1}))
-        info = state.apply((ord("a"), ord("a")))
-        assert info.train_repl == [1]  # two adjacencies, one replacement
+        # two adjacencies, one replacement
+        assert state.apply((ord("a"), ord("a"))) == [1]
         (tokens, _), = list(state.tokenized_words())
         assert tokens == (b"aa", b"a")
 
@@ -161,9 +163,9 @@ class TestTrainClassical:
             if sel is None:
                 break
             pair, count = sel
-            info = state.apply(pair)
-            assert info.train_repl[0] <= count
-            total -= info.train_repl[0]
+            repl = state.apply(pair)
+            assert repl[0] <= count
+            total -= repl[0]
             assert state.train.token_totals[0] == total
 
     def test_log_jsonl_roundtrip(self, tmp_path):
@@ -182,3 +184,27 @@ class TestTrainClassical:
         model, log = train_classical(corpus, 1)
         assert log[0].left == b"x" and log[0].count == 5
         assert log[0].replacements == {"aa": 2, "bb": 3}
+
+
+@pytest.mark.parametrize("case", ["synth", "stops-early"])
+def test_equals_all_global_minmax_run(case, request):
+    """Classical training is the min-max loop with every step global."""
+    if case == "synth":
+        corpus, budget = request.getfixturevalue("corpus"), 500
+    else:
+        corpus = LabeledCorpus.from_multisets({"aa": {b"abab": 2, b"cd": 4}, "bb": {b"abcd": 3}})
+        budget = 50
+    model, log = train_classical(corpus, budget)
+    config = ParityConfig(budget, global_merges=budget, window_size=0, unit=NormUnit.BYTES)
+    minmax_model, minmax_log = train_no_dev(corpus, config)
+    assert log.stopped_early == (case == "stops-early")
+    assert model.merges == minmax_model.merges
+    records = []
+    for step in minmax_log:
+        record = step.to_record()
+        del record["dev_tokens"]
+        records.append(record)
+    assert [step.to_record() for step in log] == records
+    assert log.stopped_early == minmax_log.stopped_early
+    assert log.stop_reason == minmax_log.stop_reason
+    assert log.token_totals == minmax_log.token_totals

@@ -8,10 +8,12 @@ to a recount from scratch after every merge.
 
 from collections import Counter
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import LabeledCorpus
+from parity_bpe import trainer
 from parity_bpe.trainer import TrainerState
 
 from .oracles import replace_pair
@@ -91,17 +93,19 @@ def _best(pairs: Counter):
 def test_shared_words_match_recount_after_every_merge(case):
     multisets, schedule = case
     corpus = LabeledCorpus.from_multisets(multisets)
-    state = TrainerState(corpus, dev_words=multisets, min_count=1)
+    state = TrainerState(corpus, dev_words=multisets)
     assert any(len(entries) > 1 for entries in state.train.counts)
     _check(state, multisets)
     for lang in schedule:
         pairs, _ = _recount(multisets, state.merges)
-        if lang is None:
-            expected = _best(sum(pairs.values(), Counter()))
-            sel = state.select_global()
-        else:
-            expected = _best(pairs[lang])
-            sel = state.select_for_lang(lang)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(trainer, "MIN_PAIR_COUNT", 1)
+            if lang is None:
+                expected = _best(sum(pairs.values(), Counter()))
+                sel = state.select_global()
+            else:
+                expected = _best(pairs[lang])
+                sel = state.select_for_lang(lang)
         if sel is None:
             assert expected is None
             continue
