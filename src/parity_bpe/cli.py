@@ -27,7 +27,7 @@ from .metrics import RENYI_ALPHA_DEFAULT, full_report, load_gold_tsv
 from .parity import CRTable, ParityConfig, reference_unit_totals, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel, unescape_token
-from .trainer import train_classical
+from .trainer import check_merge_budget, train_classical
 
 
 def _digest_file(path: Path) -> str:
@@ -247,6 +247,20 @@ def cmd_train(args) -> int:
     elif unit is None:
         unit = NormUnit.LINES.value
 
+    # Every usage check runs before the corpus is read.
+    if args.classical:
+        check_merge_budget(merges)
+    else:
+        config = ParityConfig(
+            total_merges=merges,
+            global_merges=int(Fraction(str(hybrid_split)) * merges),
+            window_size=window,
+            alpha=alpha,
+            unit=NormUnit(unit),
+        )
+        config.validate()
+        dev_dir = None if args.no_dev else _require(args, "dev")
+
     corpus = load_labeled_corpus(manifest, args.limit_per_language)
     resolved = {
         "command": "train",
@@ -265,20 +279,12 @@ def cmd_train(args) -> int:
     if args.classical:
         model, log = train_classical(corpus, merges)
         reference = corpus
+    elif args.no_dev:
+        model, log = train_no_dev(corpus, config)
+        reference = corpus
     else:
-        config = ParityConfig(
-            total_merges=merges,
-            global_merges=int(Fraction(str(hybrid_split)) * merges),
-            window_size=window,
-            alpha=alpha,
-            unit=NormUnit(unit),
-        )
-        if args.no_dev:
-            model, log = train_no_dev(corpus, config)
-            reference = corpus
-        else:
-            reference = load_parallel_dev(_require(args, "dev"), list(corpus.languages))
-            model, log = train_parity(corpus, reference, config)
+        reference = load_parallel_dev(dev_dir, list(corpus.languages))
+        model, log = train_parity(corpus, reference, config)
     # The trainer's final token totals are what encoding the reference
     # corpus with the model would give, so it is not encoded again.
     summary_table = CRTable(
@@ -357,23 +363,32 @@ def cmd_encode(args) -> int:
     return 0
 
 
+def _decode_checked(model: TokenizerModel, fmt: str, fields: list[bytes]) -> bytes:
+    """A line's fields parsed and checked one by one, for spellings not in ``text_spans``."""
+    if fmt == "ids":
+        try:
+            ids = [int(f) for f in fields]
+        except ValueError as exc:
+            raise DataError(f"bad token id in input: {exc}") from None
+        return model.decode_ids(ids)
+    try:
+        texts = [f.decode("ascii") for f in fields]
+    except UnicodeDecodeError:
+        raise DataError("non-ASCII byte in token input") from None
+    return model.decode([unescape_token(t) for t in texts])
+
+
 def cmd_decode(args) -> int:
     model = TokenizerModel.load(args.model)
+    span = model.text_spans(args.format).__getitem__
     with _input(args.input) as lines, _output(args.output, "wb") as out:
         for line in lines:
             fields = line.split()  # the trailing b"\n" is whitespace too
-            if args.format == "ids":
-                try:
-                    ids = [int(f) for f in fields]
-                except ValueError as exc:
-                    raise DataError(f"bad token id in input: {exc}") from None
-                out.write(model.decode_ids(ids) + b"\n")
-            else:
-                try:
-                    texts = [f.decode("ascii") for f in fields]
-                except UnicodeDecodeError:
-                    raise DataError("non-ASCII byte in token input") from None
-                out.write(model.decode([unescape_token(t) for t in texts]) + b"\n")
+            try:
+                decoded = b"".join(map(span, fields))
+            except KeyError:  # a field that encode does not write this way
+                decoded = _decode_checked(model, args.format, fields)
+            out.write(decoded + b"\n")
     return 0
 
 

@@ -20,7 +20,7 @@ from itertools import chain
 from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, unit_length
 from .errors import ConfigError, CorpusError, DataError
 from .tokenizer import TokenizerModel
-from .trainer import TrainerState, TrainLog, run_merges
+from .trainer import TrainerState, TrainLog, check_merge_budget, run_merges
 
 
 @dataclass
@@ -40,8 +40,7 @@ class ParityConfig:
     unit: NormUnit = NormUnit.LINES
 
     def validate(self) -> None:
-        if self.total_merges < 0:
-            raise ConfigError(f"merge budget must be >= 0, got {self.total_merges}")
+        check_merge_budget(self.total_merges)
         if not 0 <= self.global_merges <= self.total_merges:
             raise ConfigError(
                 f"global merges must be in [0, {self.total_merges}], got {self.global_merges}"

@@ -5,6 +5,10 @@ A model is fully determined by its ordered merge list. The vocabulary is the
 merges by ascending rank inside each pre-token and never crosses pre-token
 boundaries. Decoding is byte concatenation, so round-trips are lossless for
 arbitrary byte input.
+
+The text of a token id in either output format is defined once, by
+``TokenizerModel._id_text``: ``text_cache`` renders encode output from it and
+``text_spans`` maps it back to bytes for decode.
 """
 
 from __future__ import annotations
@@ -144,24 +148,39 @@ class TokenizerModel:
         cache = self._word_cache
         return sum(len(cache[word]) for word in pretokenize(text))
 
+    def _id_text(self, fmt: str) -> list[str]:
+        """Each id's output text: its decimal id for ``"ids"``, else its escaped span."""
+        if fmt == "ids":
+            return [str(i) for i in range(len(self.id_to_bytes))]
+        return [escape_token(span) for span in self.id_to_bytes]
+
     def text_cache(self, fmt: str) -> _WordCache:
         """A new cache from pre-token to its tokens as ``encode`` output text.
 
         ``fmt`` is ``"ids"`` (decimal ids) or ``"tokens"`` (escaped spans);
-        a value is the pre-token's tokens joined by single spaces. It is
-        filled straight from the kernel, not from the id cache, so a word
+        a value is the pre-token's tokens joined by single spaces. Each id's
+        text is the one :meth:`text_spans` maps back to its span. The cache
+        is filled straight from the kernel, not from the id cache, so a word
         is held once, as text.
         """
-        if fmt == "ids":
-            id_text = [str(i) for i in range(len(self.id_to_bytes))]
-        else:
-            id_text = [escape_token(span) for span in self.id_to_bytes]
+        id_text = self._id_text(fmt)
         table = self._table
 
         def render(word: bytes) -> str:
             return " ".join(map(id_text.__getitem__, _kernel_encode(table, word)))
 
         return _WordCache(render)
+
+    def text_spans(self, fmt: str) -> dict[bytes, bytes]:
+        """Each id's output text in ``fmt``, as ASCII bytes, mapped to its span.
+
+        This is the inverse of :meth:`text_cache`'s per-id text, so a field
+        that ``encode`` writes decodes with one lookup; each span is what
+        :meth:`decode_ids` gives for the id. Other spellings that
+        ``decode_ids`` or ``decode`` accept (``007``, ``\\x41``) are not keys.
+        """
+        return {text.encode("ascii"): self.decode_ids([i])
+                for i, text in enumerate(self._id_text(fmt))}
 
     def decode(self, tokens) -> bytes:
         """Concatenate token byte spans; every token must be in the vocabulary."""

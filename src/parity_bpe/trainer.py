@@ -449,11 +449,16 @@ def run_merges(
     return state.to_model(), log
 
 
+def check_merge_budget(num_merges: int) -> None:
+    """The one rule for a merge budget, in every training mode: at least 0."""
+    if num_merges < 0:
+        raise ConfigError(f"merge budget must be >= 0, got {num_merges}")
+
+
 def train_classical(
     corpus: LabeledCorpus, num_merges: int, on_step=None
 ) -> tuple[TokenizerModel, TrainLog]:
     """Greedy global BPE: repeatedly merge the highest-count adjacent pair."""
-    if num_merges < 0:
-        raise ConfigError(f"merge budget must be >= 0, got {num_merges}")
+    check_merge_budget(num_merges)
     state = TrainerState(corpus)
     return run_merges(state, state.train.token_totals, num_merges, num_merges, on_step=on_step)

@@ -6,9 +6,11 @@ recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, and
 the one-``json.loads``-per-line corpus loader. None of it shares code with
 the package paths it verifies, except ``ten_pass_full_report``: the report
 built from the single-metric functions, one tokenization pass per metric,
-which the one-pass ``full_report`` must match exactly; and the two per-line
+which the one-pass ``full_report`` must match exactly; the two per-line
 ``encode`` formatters, which format a whole line's ``encode_ids`` and
-``encode`` output, as the CLI did before it rendered each pre-token once.
+``encode`` output, as the CLI did before it rendered each pre-token once; and
+the per-line ``decode``, which parses and checks each field, as the CLI did
+before it looked fields up in ``text_spans``.
 """
 
 import json
@@ -36,7 +38,7 @@ from parity_bpe import (
 )
 from parity_bpe.corpus import char_count
 from parity_bpe.metrics import RENYI_ALPHA_DEFAULT
-from parity_bpe.tokenizer import escape_token
+from parity_bpe.tokenizer import escape_token, unescape_token
 
 
 def replay_encode(merges, text: bytes) -> list[bytes]:
@@ -326,3 +328,20 @@ def ids_line(model: TokenizerModel, record: bytes) -> str:
 def tokens_line(model: TokenizerModel, record: bytes) -> str:
     """One line of ``encode --format tokens`` output, formatted from the whole line."""
     return " ".join(escape_token(t) for t in model.encode(record))
+
+
+def decode_line(model: TokenizerModel, fmt: str, line: bytes) -> bytes:
+    """One line of ``decode`` output, each field parsed and checked on its own,
+    as the CLI did before it looked fields up in ``text_spans``."""
+    fields = line.split()
+    if fmt == "ids":
+        try:
+            ids = [int(f) for f in fields]
+        except ValueError as exc:
+            raise DataError(f"bad token id in input: {exc}") from None
+        return model.decode_ids(ids) + b"\n"
+    try:
+        texts = [f.decode("ascii") for f in fields]
+    except UnicodeDecodeError:
+        raise DataError("non-ASCII byte in token input") from None
+    return model.decode([unescape_token(t) for t in texts]) + b"\n"

@@ -4,6 +4,7 @@ import math
 import os
 import random
 import stat
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -12,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import (
+    DataError,
     MetricReport,
     NormUnit,
     TokenizerModel,
@@ -22,8 +24,9 @@ from parity_bpe import (
 )
 from parity_bpe import cli, tokenizer
 from parity_bpe.cli import main
+from parity_bpe.tokenizer import escape_token
 
-from .oracles import ids_line, tokens_line
+from .oracles import decode_line, ids_line, tokens_line
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
 NON_BYTE_UNITS = ("lines", "chars", "words")
@@ -320,6 +323,23 @@ class TestTrain:
         assert f"--limit-per-language must be >= 1, got {limit}" in capsys.readouterr().err
         assert not (tmp_path / "m.bpe").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--classical", "--merges", "-1"], "merge budget must be >= 0, got -1"),
+            (["--parity", "--window", "-1", "--merges", "5", "--dev", "x"],
+             "window size must be in [0, "),
+            (["--parity", "--alpha", "0", "--merges", "5", "--dev", "x"], "alpha must be > 0"),
+            (["--parity", "--merges", "5"], "--dev is required"),
+        ],
+    )
+    def test_usage_checked_before_corpus(self, tmp_path, flags, message, capsys):
+        # The corpus does not exist: each usage error is found before it is read.
+        code = run(["train", *flags, "--corpus", tmp_path / "nope.json",
+                    "--model-out", tmp_path / "m.bpe"])
+        assert code == 1
+        assert message in capsys.readouterr().err
+
     def test_missing_mode_is_usage_error(self, synth_dir, capsys):
         code = run(["train", "--merges", "10", "--corpus", synth_dir / "manifest.json"])
         assert code == 1
@@ -444,6 +464,104 @@ class TestEncodeDecode:
                     "--output", tmp_path / "out.txt"])
         assert code == 2
         assert "non-ASCII" in capsys.readouterr().err
+
+
+# ids 257 and 259 are both "abc"
+DUPLICATE_SPAN_MERGES = [(b"b", b"c"), (b"a", b"bc"), (b"a", b"b"), (b"ab", b"c")]
+# Fields that encode never writes: other spellings that decode accepts (a
+# number with leading zeros, a sign or an underscore; an escape for a
+# printable byte, upper-case hex), and fields it rejects (negative, out of
+# range and 5000-digit ids, non-digits, non-ASCII, malformed escapes).
+_ODD_FIELDS = [b"007", b"+5", b"1_0", b"-0", b"\\x41", b"\\x4A", b"\\x62\\x63", b"-1", b"260",
+               b"99999", b"9" * 5000, b"abc", b"0x10", "\u00e9".encode(), b"\xff",
+               "\u0663".encode(), b"\\x", b"\\xZZ", b"\\", b"\\y41", b"\\x4"]
+_FIELD_SEPARATORS = [b" ", b"  ", b"\t", b"\r", b"\x0b", b"\x0c", b" \t\x0c "]
+
+
+@st.composite
+def _decode_input(draw, canonical):
+    """Lines of mostly ``canonical`` fields, some odd ones, any whitespace."""
+    field = st.one_of(st.sampled_from(canonical), st.sampled_from(canonical),
+                      st.sampled_from(canonical), st.sampled_from(_ODD_FIELDS))
+    separator = st.sampled_from(_FIELD_SEPARATORS)
+    edge = st.sampled_from([b""] + _FIELD_SEPARATORS)
+    lines = []
+    for fields in draw(st.lists(st.lists(field, max_size=6), max_size=8)):
+        line = draw(edge)
+        for i, f in enumerate(fields):
+            line += (draw(separator) if i else b"") + f
+        lines.append(line + draw(edge))
+    return b"\n".join(lines) + (b"\n" if draw(st.booleans()) else b"")
+
+
+def _decode_by_lines(model, fmt, source):
+    """stdout, exit code and stderr of ``decode`` done line by line by the oracle."""
+    out = []
+    for line in io.BytesIO(source):
+        try:
+            out.append(decode_line(model, fmt, line))
+        except DataError as exc:
+            return b"".join(out), 2, f"data error: {exc}\n".encode()
+    return b"".join(out), 0, b""
+
+
+class TestDecode:
+    """``decode`` looks each field up in ``text_spans``; a line with any other
+    field goes through the checked path, so output, errors and exit codes are
+    those of decoding each line field by field."""
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_line_by_line_decode(self, classical_run, tmp_path, capsysbinary, data):
+        merges = data.draw(st.sampled_from([DUPLICATE_SPAN_MERGES, classical_run[0].merges]))
+        model = TokenizerModel(merges)
+        model_path, src = tmp_path / "m.bpe", tmp_path / "in.txt"
+        model.save(model_path)
+        canonical = {"ids": [b"%d" % i for i in range(len(model.id_to_bytes))],
+                     "tokens": [escape_token(span).encode() for span in model.id_to_bytes]}
+        for fmt in ("ids", "tokens"):
+            source = data.draw(_decode_input(canonical[fmt]))
+            src.write_bytes(source)
+            capsysbinary.readouterr()
+            code = run(["decode", "--model", model_path, "--format", fmt, "--input", src])
+            captured = capsysbinary.readouterr()
+            assert (captured.out, code, captured.err) == _decode_by_lines(model, fmt, source)
+
+    def test_canonical_fields_take_one_lookup(self, classical_run, dev, tmp_path):
+        model, _ = classical_run
+        model_path, src = tmp_path / "m.bpe", tmp_path / "in.txt"
+        model.save(model_path)
+        source = b"".join(line + b"\n" for lang in dev.languages for line in dev.lines[lang])
+        src.write_bytes(source)
+        calls = Counter()
+
+        def counted(name, fn):
+            return lambda *args: calls.update([name]) or fn(*args)
+
+        table = Counter(decode_ids=len(model.id_to_bytes))  # text_spans: one call per id
+        for fmt, odd, checked in (("ids", b"0065\n", Counter(decode_ids=1)),
+                                  ("tokens", b"\\x41\n", Counter(decode=1, unescape_token=1))):
+            enc, dec = tmp_path / f"enc.{fmt}", tmp_path / f"dec.{fmt}"
+            assert run(["encode", "--model", model_path, "--format", fmt,
+                        "--input", src, "--output", enc]) == 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(TokenizerModel, "decode_ids",
+                           counted("decode_ids", TokenizerModel.decode_ids))
+                mp.setattr(TokenizerModel, "decode", counted("decode", TokenizerModel.decode))
+                mp.setattr(cli, "unescape_token", counted("unescape_token", cli.unescape_token))
+                calls.clear()
+                assert run(["decode", "--model", model_path, "--format", fmt,
+                            "--input", enc, "--output", dec]) == 0
+                assert dec.read_bytes() == source
+                assert calls == table
+                # a spelling encode does not write takes the checked path
+                enc.write_bytes(odd)
+                calls.clear()
+                assert run(["decode", "--model", model_path, "--format", fmt,
+                            "--input", enc, "--output", dec]) == 0
+                assert dec.read_bytes() == b"A\n"
+                assert calls - table == checked
 
 
 # Pieces of encode input: whitespace that pretokenize glues to the next word

@@ -76,6 +76,20 @@ class TestEncodeDecode:
         assert ids == [256 + 1]  # canonical id of the first "abc"
 
 
+class TestTextSpans:
+    @pytest.mark.parametrize("fmt", ["ids", "tokens"])
+    def test_inverts_the_encode_text(self, fmt):
+        # two construction paths to the same bytes "abc"
+        model = TokenizerModel([(b"b", b"c"), (b"a", b"bc"), (b"a", b"b"), (b"ab", b"c")])
+        texts, spans = model.text_cache(fmt), model.text_spans(fmt)
+        for i, span in enumerate(model.id_to_bytes):
+            fields = texts[span].encode("ascii").split(b" ")
+            assert b"".join(spans[f] for f in fields) == span
+            field = b"%d" % i if fmt == "ids" else escape_token(span).encode("ascii")
+            assert spans[field] == model.id_to_bytes[i]
+        assert len(spans) == (len(model.id_to_bytes) if fmt == "ids" else model.vocab_size)
+
+
 class TestWordCache:
     @pytest.mark.parametrize("limit", [1, 2, 5])
     def test_caches_start_over_at_the_limit(self, classical_run, monkeypatch, limit):
