@@ -23,7 +23,7 @@ from pathlib import Path
 
 from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev, pretokenize
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
-from .metrics import RENYI_ALPHA_DEFAULT, full_report, load_gold_tsv
+from .metrics import RENYI_ALPHA_DEFAULT, check_renyi_order, full_report, load_gold_tsv
 from .parity import CRTable, ParityConfig, reference_unit_totals, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel, unescape_token
@@ -394,7 +394,10 @@ def cmd_decode(args) -> int:
 
 def _dev_languages(dev_dir: Path, langs_flag: str | None) -> list[str]:
     if langs_flag:
-        return sorted(set(langs_flag.split(",")))
+        langs = langs_flag.split(",")
+        if "" in langs:
+            raise ConfigError(f"--langs takes comma-separated language codes, got {langs_flag!r}")
+        return sorted(set(langs))
     langs = sorted(p.stem for p in dev_dir.glob("*.txt"))
     if not langs:
         raise DataError(f"no <lang>.txt files in {dev_dir}")
@@ -427,6 +430,7 @@ def _write_csv(path: str, header: list, rows: list) -> None:
 def cmd_eval(args) -> int:
     model_path = Path(_require(args, "model"))
     dev_dir = Path(_require(args, "dev"))
+    check_renyi_order(args.renyi_alpha, ConfigError)
     dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
     report = _report_for(model_path, dev, args)
     with _output(args.out, "w", encoding="utf-8") as out:
@@ -456,6 +460,7 @@ def cmd_compare(args) -> int:
     if len(args.models) < 2:
         raise ConfigError("compare needs at least two model files")
     dev_dir = Path(args.dev)
+    check_renyi_order(args.renyi_alpha, ConfigError)
     dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
     model_paths = sorted((Path(p) for p in args.models), key=lambda p: p.name)
     reports = {p: _report_for(p, dev, args) for p in model_paths}

@@ -132,10 +132,15 @@ def avg_token_rank(
     return weighted / dist.total
 
 
+def check_renyi_order(alpha: float, error: type[Exception] = DataError) -> None:
+    """The one rule for a Renyi order: above 0, infinity included; raises ``error``."""
+    if not alpha > 0:  # also rejects nan
+        raise error(f"Renyi order must be > 0, got {alpha}")
+
+
 def renyi_entropy(dist: UnigramDistribution | Sequence[float], alpha: float) -> float:
     """Order-``alpha`` Renyi entropy in bits (Shannon at alpha=1, min-entropy at inf)."""
-    if not alpha > 0:  # also rejects nan
-        raise DataError(f"Renyi order must be > 0, got {alpha}")
+    check_renyi_order(alpha)
     probs = dist.probabilities() if isinstance(dist, UnigramDistribution) else list(dist)
     probs = [p for p in probs if p > 0]
     if not probs:

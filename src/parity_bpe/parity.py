@@ -216,7 +216,7 @@ def train_parity(
     }
     unit_totals = reference_unit_totals(dev, config.unit)
     state = TrainerState(train, dev_words=dev_words)
-    return _run_minmax(state, config, unit_totals, state.dev.token_totals, on_step)
+    return _run_minmax(state, config, unit_totals, state.train.dev_totals, on_step)
 
 
 def train_no_dev(

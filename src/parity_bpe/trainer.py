@@ -1,14 +1,21 @@
 """Greedy merge learning over a tokenized corpus.
 
-The trainer keeps every unique pre-token as a token-id sequence together
-with sparse per-language multiplicities: one (language index, count) entry
-per language the pre-token occurs in. Adjacent-pair counts are maintained
-incrementally per language, from the pairs beside each replacement only.
+The trainer keeps every distinct pre-token of the training text and, for
+parity training, of the dev text once, as a token-id sequence in one store
+with one pair index. Each word carries sparse (language index, count)
+entries for each text, either possibly empty, and equal entry tuples are
+shared. A merge visits each word holding the pair once and updates both
+texts' token totals. Adjacent-pair counts come from the training entries
+only and are maintained incrementally per language, from the pairs beside
+each replacement only.
+
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
 smallest byte spans. Each heap is built from the live counts on its first
-selection and receives updates only after that; since the key is unique per
-pair, the picks do not depend on when a heap was built.
+selection and receives updates only after that, and it keeps only counts of
+at least ``MIN_PAIR_COUNT``, the ones selection can pick. Since the key is
+unique per pair, the picks depend neither on when a heap was built nor on
+the order in which words are visited.
 
 ``run_merges`` is the one loop that selects, applies and logs merges, for
 every training mode: global steps first, then steps chosen by a picker.
@@ -132,40 +139,47 @@ class TrainLog:
 
 
 class _WordStore:
-    """Unique token sequences with sparse per-language counts and a pair index.
+    """Each distinct training or dev pre-token once, in byte order, with one pair index.
 
-    ``counts[word_id]`` is a tuple of ``(lang_index, count)`` entries, one per
-    language the word occurs in, in language order. Most words occur in one
-    language, so the per-word loops run once per entry, not once per
-    language. ``index[pair][word_id]`` is the positional occurrence count of
-    the pair inside that word. ``pair_counts[pair]`` (when tracked) is the
-    per-language occurrence count weighted by word multiplicity, a list of
-    ``n_langs`` ints; a pair whose counts all reach zero is removed.
-    ``token_totals`` tracks the per-language total token count and shrinks by
-    one per replacement. An untracked store (the dev store) keeps only the
-    words, the index and the token totals.
+    ``counts[word_id]`` is a tuple of ``(lang_index, count)`` training
+    entries, one per language the word occurs in, in language order, and
+    ``dev_counts[word_id]`` the dev entries (``dev_counts`` is None without a
+    dev set); either may be empty, and equal tuples are one shared object.
+    Most words occur in one language, so the per-word loops run once per
+    entry, not once per language. ``index[pair][word_id]`` is the positional
+    occurrence count of the pair inside that word, for every word.
+    ``pair_counts[pair]`` is the per-language occurrence count weighted by
+    training multiplicity, a list of ``n_langs`` ints, so a dev-only word
+    adds nothing to it; a pair whose counts all reach zero is removed.
+    ``token_totals`` and ``dev_totals`` are the per-language token totals of
+    the two texts and shrink by one per replacement.
     """
 
-    def __init__(self, n_langs: int, track_pairs: bool):
+    def __init__(self, n_langs: int, with_dev: bool):
         self.n_langs = n_langs
         self.words: list[tuple[int, ...]] = []
         self.counts: list[tuple[tuple[int, int], ...]] = []
+        self.dev_counts: list[tuple[tuple[int, int], ...]] | None = [] if with_dev else None
         self.index: dict[tuple[int, int], dict[int, int]] = {}
-        self.pair_counts: dict[tuple[int, int], list[int]] | None = (
-            {} if track_pairs else None
-        )
+        self.pair_counts: dict[tuple[int, int], list[int]] = {}
         self.token_totals = [0] * n_langs
+        self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
 
     def apply_merge(self, a: int, b: int, c: int):
         """Replace (a, b) with c in every word containing it.
 
-        Returns (per-language replacement counts, per-pair count deltas). The
-        deltas are per-language lists; an untracked store returns none.
+        Returns (per-language training replacement counts, per-pair training
+        count deltas). The deltas are per-language lists. No (a, b) is left
+        afterwards, and none can form again from this merge, so the pair's
+        index slot and counts are dropped at once rather than counted down.
         """
         n_langs = self.n_langs
         repl = [0] * n_langs
+        dev_repl = [0] * n_langs
         changed: dict[tuple[int, int], list[int]] = {}
-        occ_map = self.index.get((a, b))
+        merged = (a, b)
+        occ_map = self.index.pop(merged, None)
+        self.pair_counts.pop(merged, None)
         if not occ_map:
             return repl, changed
         index = self.index
@@ -173,15 +187,17 @@ class _WordStore:
         changed_get = changed.get
         words = self.words
         counts = self.counts
-        track = self.pair_counts is not None
-        for wid in list(occ_map):
+        dev_counts = self.dev_counts
+        for wid in occ_map:
             new_tokens, n_rep, deltas = _kernels.merge_and_deltas(words[wid], a, b, c)
-            if not n_rep:
-                continue
             words[wid] = new_tokens
             entries = counts[wid]
             for li, cnt in entries:
                 repl[li] += n_rep * cnt
+            if dev_counts is not None:
+                for li, cnt in dev_counts[wid]:
+                    dev_repl[li] += n_rep * cnt
+            del deltas[merged]
             for pair, d in deltas.items():
                 slot = index_get(pair)
                 if slot is None:
@@ -196,7 +212,7 @@ class _WordStore:
                         del slot[wid]
                         if not slot:
                             del index[pair]
-                if track:
+                if entries:
                     acc = changed_get(pair)
                     if acc is None:
                         acc = changed[pair] = [0] * n_langs
@@ -204,6 +220,9 @@ class _WordStore:
                         acc[li] += d * cnt
         for li in range(n_langs):
             self.token_totals[li] -= repl[li]
+        if dev_counts is not None:
+            for li in range(n_langs):
+                self.dev_totals[li] -= dev_repl[li]
         pair_counts = self.pair_counts
         for pair, dvec in changed.items():
             vec = pair_counts.get(pair)
@@ -215,8 +234,19 @@ class _WordStore:
         return repl, changed
 
 
+def _entries_by_word(multisets: list[dict[bytes, int]], shared: dict) -> dict:
+    """Each word's ``(lang_index, count)`` entries, one shared tuple per distinct value."""
+    by_word: dict[bytes, tuple[tuple[int, int], ...]] = {}
+    get = by_word.get
+    for li, multiset in enumerate(multisets):
+        for word, count in multiset.items():
+            entries = get(word, ()) + ((li, count),)
+            by_word[word] = shared.setdefault(entries, entries)
+    return by_word
+
+
 class TrainerState:
-    """Mutable training state: vocabulary, word stores, selection heaps."""
+    """Mutable training state: vocabulary, the word store, selection heaps."""
 
     def __init__(
         self,
@@ -233,18 +263,19 @@ class TrainerState:
         self._merged_pairs: set[tuple[bytes, bytes]] = set()
 
         n_langs = len(self.langs)
-        self.train = _WordStore(n_langs, track_pairs=True)
-        self._fill_store(self.train, {l: corpus.per_language[l] for l in self.langs})
-        if not self.train.words:
+        train_sets = [corpus.per_language[l] for l in self.langs]
+        if not any(train_sets):
             raise CorpusError("empty corpus: no pre-tokens")
-
-        self.dev: _WordStore | None = None
+        dev_sets = None
         if dev_words is not None:
             missing = [l for l in self.langs if l not in dev_words]
             if missing:
                 raise CorpusError(f"dev corpus missing languages: {missing}")
-            self.dev = _WordStore(n_langs, track_pairs=False)
-            self._fill_store(self.dev, {l: dev_words[l] for l in self.langs})
+            dev_sets = [dev_words[l] for l in self.langs]
+        # The one word store, training and dev words alike; the benchmark's
+        # tracer reads its pair counts under this name.
+        self.train = _WordStore(n_langs, with_dev=dev_sets is not None)
+        self._fill_store(train_sets, dev_sets)
 
         # Each heap is built on its first selection: classical training never
         # reads a language heap, and parity training without a hybrid prelude
@@ -254,26 +285,32 @@ class TrainerState:
         self._global_built = False
         self._built_langs: list[int] = []
 
-    def _fill_store(self, store: _WordStore, multisets: dict[str, dict[bytes, int]]):
-        """Add every word in sorted byte order, then derive the pair counts."""
-        combined: dict[bytes, list[tuple[int, int]]] = {}
-        for li, lang in enumerate(self.langs):
-            for word, count in multisets[lang].items():
-                entries = combined.get(word)
-                if entries is None:
-                    combined[word] = [(li, count)]
-                else:
-                    entries.append((li, count))
-        words, counts, index = store.words, store.counts, store.index
+    def _fill_store(self, train_sets: list[dict], dev_sets: list[dict] | None) -> None:
+        """Add each training or dev word once, in sorted byte order; derive the pair counts."""
+        store = self.train
+        shared: dict = {}  # one object per distinct entry tuple
+        train = _entries_by_word(train_sets, shared)
+        dev = None
+        if dev_sets is not None:
+            dev = _entries_by_word(dev_sets, shared)
+            for word in dev:
+                train.setdefault(word, ())
+        words, counts, dev_counts, index = store.words, store.counts, store.dev_counts, store.index
         index_get = index.get
-        token_totals = store.token_totals
-        for wid, word in enumerate(sorted(combined), len(words)):
+        token_totals, dev_totals = store.token_totals, store.dev_totals
+        for wid, word in enumerate(sorted(train)):
             tokens = tuple(word)
-            entries = tuple(combined[word])
+            n = len(tokens)
+            entries = train[word]
             words.append(tokens)
             counts.append(entries)
             for li, c in entries:
-                token_totals[li] += len(tokens) * c
+                token_totals[li] += n * c
+            if dev is not None:
+                entries = dev.get(word, ())
+                dev_counts.append(entries)
+                for li, c in entries:
+                    dev_totals[li] += n * c
             for pair in zip(word, word[1:]):  # byte values are the initial ids
                 slot = index_get(pair)
                 if slot is None:
@@ -283,31 +320,35 @@ class TrainerState:
                 else:
                     slot[wid] = 1
         pair_counts = store.pair_counts
-        if pair_counts is None:
-            return
         n_langs = store.n_langs
         for pair, slot in index.items():
-            vec = pair_counts[pair] = [0] * n_langs
+            vec = None
             for wid, occ in slot.items():
-                for li, c in counts[wid]:
-                    vec[li] += occ * c
+                entries = counts[wid]
+                if entries:
+                    if vec is None:
+                        vec = pair_counts[pair] = [0] * n_langs
+                    for li, c in entries:
+                        vec[li] += occ * c
 
     def _build_heap(self, heap: list, value_of) -> None:
-        """Fill an empty heap with one entry per pair with a positive count."""
+        """Fill an empty heap with one entry per pair that selection could pick."""
         vocab = self.vocab
+        least = MIN_PAIR_COUNT
         for (a, b), vec in self.train.pair_counts.items():
             count = value_of(vec)
-            if count > 0:
+            if count >= least:
                 heap.append((-count, vocab[a], vocab[b], a, b))
         heapq.heapify(heap)
 
     def _push_changes(self, changed: dict[tuple[int, int], list[int]]) -> None:
-        """Push the new counts of changed pairs into the heaps built so far."""
+        """Push the new selectable counts of changed pairs into the heaps built so far."""
         built = [(li, self.lang_heaps[li]) for li in self._built_langs]
         if not (self._global_built or built):
             return
         pc = self.train.pair_counts
         vocab = self.vocab
+        least = MIN_PAIR_COUNT
         for pair, dvec in changed.items():
             vec = pc.get(pair)
             if vec is None:
@@ -315,9 +356,11 @@ class TrainerState:
             a, b = pair
             lb, rb = vocab[a], vocab[b]
             if self._global_built and any(dvec):
-                heapq.heappush(self.global_heap, (-sum(vec), lb, rb, a, b))
+                total = sum(vec)
+                if total >= least:
+                    heapq.heappush(self.global_heap, (-total, lb, rb, a, b))
             for li, heap in built:
-                if dvec[li] and vec[li] > 0:
+                if dvec[li] and vec[li] >= least:
                     heapq.heappush(heap, (-vec[li], lb, rb, a, b))
 
     def _select(self, heap, value_of):
@@ -353,9 +396,9 @@ class TrainerState:
         return self._select(self.lang_heaps[li], value_of)
 
     def apply(self, pair: tuple[int, int]) -> list[int]:
-        """Record the merge and replace its occurrences in all stores.
+        """Record the merge and replace its occurrences in every word.
 
-        Returns the per-language replacement counts in the training store.
+        Returns the per-language replacement counts in the training text.
         """
         a, b = pair
         left, right = self.vocab[a], self.vocab[b]
@@ -370,8 +413,6 @@ class TrainerState:
 
         train_repl, changed = self.train.apply_merge(a, b, canonical)
         self._push_changes(changed)
-        if self.dev is not None:
-            self.dev.apply_merge(a, b, canonical)
         return train_repl
 
     def global_pair_counts(self) -> dict[tuple[bytes, bytes], int]:
@@ -390,11 +431,12 @@ class TrainerState:
         }
 
     def tokenized_words(self, store: str = "train"):
-        """Yield (token byte spans, per-language counts) for inspection."""
-        ws = self.train if store == "train" else self.dev
-        for tokens, entries in zip(ws.words, ws.counts):
-            spans = tuple(self.vocab[t] for t in tokens)
-            yield spans, {self.langs[li]: c for li, c in entries if c}
+        """Yield (token byte spans, per-language counts) of the training or dev words."""
+        ws = self.train
+        for tokens, entries in zip(ws.words, ws.counts if store == "train" else ws.dev_counts):
+            if entries:
+                spans = tuple(self.vocab[t] for t in tokens)
+                yield spans, {self.langs[li]: c for li, c in entries if c}
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))

@@ -83,9 +83,12 @@ def test_criterion_4_incremental_consistency(corpus, dev):
             if record.step % 25 != 0:
                 return
             # pair counts: from-scratch positional recount over current words
-            # (each word's counts are sparse (lang_index, count) entries)
+            # (each word's counts are sparse (lang_index, count) entries; a
+            # dev-only word has none and adds to no training count)
             recount = {}
             for tokens, entries in zip(state.train.words, state.train.counts):
+                if not entries:
+                    continue
                 for i in range(len(tokens) - 1):
                     pair = (tokens[i], tokens[i + 1])
                     vec = recount.get(pair)
@@ -98,7 +101,7 @@ def test_criterion_4_incremental_consistency(corpus, dev):
             model = TokenizerModel(list(state.merges))
             for li, lang in enumerate(state.langs):
                 fresh = sum(model.token_count(line) for line in dev.lines[lang])
-                assert fresh == state.dev.token_totals[li]
+                assert fresh == state.train.dev_totals[li]
             audits.append(record.step)
 
         config = ParityConfig(total_merges=MERGE_BUDGET, window_size=0)

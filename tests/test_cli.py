@@ -127,6 +127,22 @@ def run(argv, monkeypatch=None, stdin: bytes = b""):
     return main([str(a) for a in argv])
 
 
+def _forbid_loading(monkeypatch):
+    """Make loading a model or a dev set fail the test; returns the calls seen."""
+    calls = []
+
+    def refuse(name):
+        def record(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"{name} called")
+
+        return record
+
+    monkeypatch.setattr(TokenizerModel, "load", staticmethod(refuse("TokenizerModel.load")))
+    monkeypatch.setattr(cli, "load_parallel_dev", refuse("load_parallel_dev"))
+    return calls
+
+
 class TestTrain:
     def test_classical(self, tmp_path, synth_dir, capsys):
         model_out = tmp_path / "classical.bpe"
@@ -857,6 +873,26 @@ class TestEval:
         assert report.provenance["languages"] == meant.split(",")
 
 
+    @pytest.mark.parametrize("alpha", ["nan", "0", "-1"])
+    def test_bad_renyi_order_is_usage_error(self, tmp_path, synth_dir, monkeypatch, capsys, alpha):
+        calls = _forbid_loading(monkeypatch)
+        code = run(["eval", "--model", tmp_path / "m.bpe", "--dev", synth_dir / "dev",
+                    "--renyi-alpha", alpha, "--out", tmp_path / "r.json"])
+        assert code == 1
+        assert "Renyi order must be > 0" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("langs", [",", "aa,"])
+    def test_empty_language_name_is_usage_error(self, tmp_path, synth_dir, monkeypatch, capsys,
+                                                langs):
+        calls = _forbid_loading(monkeypatch)
+        code = run(["eval", "--model", tmp_path / "m.bpe", "--dev", synth_dir / "dev",
+                    "--langs", langs, "--out", tmp_path / "r.json"])
+        assert code == 1
+        assert "--langs" in capsys.readouterr().err
+        assert calls == []
+
+
 class TestCompare:
     def test_parity_shows_lower_gini(self, tmp_path, synth_dir, classical_run, parity_run, capsys):
         cpath = tmp_path / "a_classical.bpe"
@@ -934,6 +970,25 @@ class TestCompare:
         p1 = tmp_path / "m1.bpe"
         TokenizerModel([]).save(p1)
         assert run(["compare", p1, "--dev", synth_dir / "dev"]) == 1
+
+    @pytest.mark.parametrize("alpha", ["nan", "0", "-1"])
+    def test_bad_renyi_order_is_usage_error(self, tmp_path, synth_dir, monkeypatch, capsys, alpha):
+        calls = _forbid_loading(monkeypatch)
+        code = run(["compare", tmp_path / "m1.bpe", tmp_path / "m2.bpe",
+                    "--dev", synth_dir / "dev", "--renyi-alpha", alpha])
+        assert code == 1
+        assert "Renyi order must be > 0" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("langs", [",", "aa,"])
+    def test_empty_language_name_is_usage_error(self, tmp_path, synth_dir, monkeypatch, capsys,
+                                                langs):
+        calls = _forbid_loading(monkeypatch)
+        code = run(["compare", tmp_path / "m1.bpe", tmp_path / "m2.bpe",
+                    "--dev", synth_dir / "dev", "--langs", langs])
+        assert code == 1
+        assert "--langs" in capsys.readouterr().err
+        assert calls == []
 
 
 class TestSynth:

@@ -1,9 +1,11 @@
-"""Trainer state with words shared between languages.
+"""Trainer state with words shared between languages and between texts.
 
-Each word keeps sparse ``(lang_index, count)`` entries. In the synthetic
-fixture every word occurs in one language only, so these cases build corpora
-whose words occur in two or three languages, and hold the incremental state
-to a recount from scratch after every merge.
+Each word keeps sparse ``(lang_index, count)`` entries for the training text
+and for the dev text. In the synthetic fixture every word occurs in one
+language only, so these cases build corpora whose words occur in two or
+three languages, with dev text that shares some words with the training text
+and has others of its own, and hold the incremental state to a recount from
+scratch after every merge.
 """
 
 from collections import Counter
@@ -23,11 +25,17 @@ LANGS = ("aa", "bb", "cc")
 
 @st.composite
 def shared_corpora(draw):
-    """Per-language multisets over one word list, plus a selection schedule.
+    """Training and dev multisets over overlapping word lists, a selection
+    threshold and a selection schedule.
 
-    The first word is in every language; the others in whichever languages
-    draw them. The schedule names the heap of each selection: ``None`` for
-    the global heap, or a language, so heaps are first built mid-run.
+    The first word is in every language's training text; the others in
+    whichever languages draw them, and the second is in the first
+    language's. The dev multisets are drawn on their own: from the training
+    words, with counts of their own (the first word's first count always
+    differs), and from dev-only words, one of which is made of bytes no
+    training word has. The threshold stands in for ``MIN_PAIR_COUNT``. The
+    schedule names the heap of each selection: ``None`` for the global
+    heap, or a language, so heaps are first built mid-run.
     """
     langs = LANGS[: draw(st.integers(2, 3))]
     words = draw(
@@ -41,9 +49,29 @@ def shared_corpora(draw):
     multisets = {}
     for lang in langs:
         chosen = [words[0]] + draw(st.lists(st.sampled_from(words[1:]), unique=True))
+        if lang == langs[0] and words[1] not in chosen:
+            chosen.append(words[1])
         multisets[lang] = {w: draw(st.integers(1, 4)) for w in chosen}
+    dev_only = draw(
+        st.lists(
+            st.text(alphabet="abc", min_size=1, max_size=7)
+            .map(str.encode)
+            .filter(lambda w: w not in words),
+            max_size=4,
+            unique=True,
+        )
+    )
+    foreign = draw(st.text(alphabet="de", min_size=2, max_size=5)).encode()
+    dev_multisets = {}
+    for lang in langs:
+        chosen = draw(st.lists(st.sampled_from(words + dev_only), unique=True))
+        dev_multisets[lang] = {w: draw(st.integers(1, 4)) for w in chosen}
+    first = multisets[langs[0]][words[0]]
+    dev_multisets[langs[0]][words[0]] = first + draw(st.integers(1, 3))
+    dev_multisets[langs[-1]][foreign] = draw(st.integers(1, 4))
+    threshold = draw(st.integers(1, 3))
     schedule = draw(st.lists(st.sampled_from([None, *langs]), min_size=1, max_size=10))
-    return multisets, schedule
+    return multisets, dev_multisets, threshold, schedule
 
 
 def _replay(word: bytes, merges) -> tuple[bytes, ...]:
@@ -66,18 +94,33 @@ def _recount(multisets, merges):
     return pairs, totals
 
 
-def _check(state, multisets):
+def _check_side(state, multisets, side):
+    """Each word of one text is stored once, tokenized as the merges say, with its counts."""
+    seen = []
+    for spans, counts in state.tokenized_words(side):
+        word = b"".join(spans)
+        seen.append(word)
+        assert spans == _replay(word, state.merges)
+        assert counts == {lang: m[word] for lang, m in multisets.items() if word in m}
+    assert sorted(seen) == sorted(set().union(*multisets.values()))
+
+
+def _check(state, multisets, dev_multisets):
     pairs, totals = _recount(multisets, state.merges)
+    _, dev_totals = _recount(dev_multisets, state.merges)
     for li, lang in enumerate(state.langs):
         assert state.lang_pair_counts(lang) == dict(pairs[lang])
         assert state.train.token_totals[li] == totals[lang]
-        assert state.dev.token_totals[li] == totals[lang]
+        assert state.train.dev_totals[li] == dev_totals[lang]
     # every pair with a count has its per-language list, and no other pair
     assert set(state.global_pair_counts()) == set().union(*pairs.values())
-    for spans, counts in state.tokenized_words():
-        word = b"".join(spans)
-        assert spans == _replay(word, state.merges)
-        assert counts == {lang: m[word] for lang, m in multisets.items() if word in m}
+    _check_side(state, multisets, "train")
+    _check_side(state, dev_multisets, "dev")
+    # each distinct pre-token of training and dev text is stored once, in byte order
+    stored = [b"".join(state.vocab[t] for t in tokens) for tokens in state.train.words]
+    assert stored == sorted(set().union(*multisets.values(), *dev_multisets.values()))
+    for heap in (state.global_heap, *state.lang_heaps):
+        assert all(-entry[0] >= trainer.MIN_PAIR_COUNT for entry in heap)
 
 
 def _best(pairs: Counter):
@@ -91,25 +134,28 @@ def _best(pairs: Counter):
 @settings(max_examples=200, deadline=None)
 @given(shared_corpora())
 def test_shared_words_match_recount_after_every_merge(case):
-    multisets, schedule = case
-    corpus = LabeledCorpus.from_multisets(multisets)
-    state = TrainerState(corpus, dev_words=multisets)
-    assert any(len(entries) > 1 for entries in state.train.counts)
-    _check(state, multisets)
-    for lang in schedule:
-        pairs, _ = _recount(multisets, state.merges)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(trainer, "MIN_PAIR_COUNT", 1)
+    multisets, dev_multisets, threshold, schedule = case
+    with pytest.MonkeyPatch.context() as mp:
+        # heaps read the threshold when they are filled, not only at selection
+        mp.setattr(trainer, "MIN_PAIR_COUNT", threshold)
+        corpus = LabeledCorpus.from_multisets(multisets)
+        state = TrainerState(corpus, dev_words=dev_multisets)
+        assert any(len(entries) > 1 for entries in state.train.counts)
+        _check(state, multisets, dev_multisets)
+        for lang in schedule:
+            pairs, _ = _recount(multisets, state.merges)
             if lang is None:
                 expected = _best(sum(pairs.values(), Counter()))
                 sel = state.select_global()
             else:
                 expected = _best(pairs[lang])
                 sel = state.select_for_lang(lang)
-        if sel is None:
-            assert expected is None
-            continue
-        (a, b), count = sel
-        assert (state.vocab[a], state.vocab[b], count) == expected
-        state.apply((a, b))
-        _check(state, multisets)
+            if expected is not None and expected[2] < threshold:
+                expected = None
+            if sel is None:
+                assert expected is None
+                continue
+            (a, b), count = sel
+            assert (state.vocab[a], state.vocab[b], count) == expected
+            state.apply((a, b))
+            _check(state, multisets, dev_multisets)
