@@ -87,6 +87,34 @@ def _output(path: str | Path | None, mode: str, **kwargs):
         yield fh
 
 
+def _check_distinct(outputs: list[tuple], inputs: list[tuple]) -> None:
+    """Refuse an output that names another output or an input of the same command.
+
+    ``outputs`` and ``inputs`` are ``(flag, path)`` pairs, compared by
+    ``os.path.realpath``; otherwise one file would silently end up holding
+    another's content, or a model would be replaced by a report. An input
+    of None is not given. An output of None or "-" (stdout) and an existing
+    path that is not a regular file, such as ``/dev/null``, are not checked:
+    they are written in place, not replaced.
+    """
+    named: dict[str, str] = {}
+    for flag, path in outputs:
+        if path in (None, "-"):
+            continue
+        real = os.path.realpath(path)
+        if os.path.exists(real) and not os.path.isfile(real):
+            continue
+        if real in named:
+            raise ConfigError(f"{flag} {path} names the same file as {named[real]}")
+        named[real] = f"{flag} {path}"
+    for flag, path in inputs:
+        if path is None:
+            continue
+        real = os.path.realpath(path)
+        if real in named:
+            raise ConfigError(f"{named[real]} would overwrite {flag} {path}")
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -247,6 +275,15 @@ def cmd_train(args) -> int:
     elif unit is None:
         unit = NormUnit.LINES.value
 
+    model_out = Path(args.model_out)
+    log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")
+    meta_out = Path(str(model_out) + ".meta.json")
+    # Paths, not strings: train writes a file even for "-", so none is stdout.
+    _check_distinct(
+        [("--model-out", model_out), ("--log-out", log_out), ("the meta file", meta_out)],
+        [("--corpus", manifest)],
+    )
+
     # Every usage check runs before the corpus is read.
     if args.classical:
         check_merge_budget(merges)
@@ -293,10 +330,6 @@ def cmd_train(args) -> int:
         reference_unit_totals(reference, unit),
         log.token_totals,
     )
-
-    model_out = Path(args.model_out)
-    log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")
-    meta_out = Path(str(model_out) + ".meta.json")
 
     input_digests = {"manifest": _digest_file(manifest)}
     for entry in json.loads(manifest.read_text(encoding="utf-8"))["languages"]:
@@ -351,6 +384,8 @@ def _input(path: str | None):
 
 
 def cmd_encode(args) -> int:
+    # --output may name --input: the input is read to its end before the replace.
+    _check_distinct([("--output", args.output)], [("--model", args.model)])
     # Every pre-token yields at least one token and an empty line yields no
     # pre-token, so joining the pre-tokens' texts gives the line's tokens.
     texts = TokenizerModel.load(args.model).text_cache(args.format).__getitem__
@@ -379,6 +414,7 @@ def _decode_checked(model: TokenizerModel, fmt: str, fields: list[bytes]) -> byt
 
 
 def cmd_decode(args) -> int:
+    _check_distinct([("--output", args.output)], [("--model", args.model)])
     model = TokenizerModel.load(args.model)
     span = model.text_spans(args.format).__getitem__
     with _input(args.input) as lines, _output(args.output, "wb") as out:
@@ -431,6 +467,9 @@ def cmd_eval(args) -> int:
     model_path = Path(_require(args, "model"))
     dev_dir = Path(_require(args, "dev"))
     check_renyi_order(args.renyi_alpha, ConfigError)
+    _check_distinct(
+        [("--out", args.out), ("--csv", args.csv)], [("--model", model_path), ("--gold", args.gold)]
+    )
     dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
     report = _report_for(model_path, dev, args)
     with _output(args.out, "w", encoding="utf-8") as out:
@@ -461,6 +500,7 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two model files")
     dev_dir = Path(args.dev)
     check_renyi_order(args.renyi_alpha, ConfigError)
+    _check_distinct([("--csv", args.csv)], [("model", p) for p in args.models])
     dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
     model_paths = sorted((Path(p) for p in args.models), key=lambda p: p.name)
     reports = {p: _report_for(p, dev, args) for p in model_paths}

@@ -4,10 +4,13 @@ The trainer keeps every distinct pre-token of the training text and, for
 parity training, of the dev text once, as a token-id sequence in one store
 with one pair index. Each word carries sparse (language index, count)
 entries for each text, either possibly empty, and equal entry tuples are
-shared. A merge visits each word holding the pair once and updates both
-texts' token totals. Adjacent-pair counts come from the training entries
-only and are maintained incrementally per language, from the pairs beside
-each replacement only.
+shared. The pair index lists, for each pair, the ids of the words that
+hold it; an id is added when a word gains the pair and never removed, so a
+list may also name a word that has lost the pair, or name a word twice. A
+merge visits the listed words, skips those that no longer hold the pair and
+updates both texts' token totals. Adjacent-pair counts come from the
+training entries only and are maintained incrementally per language, from
+the pairs beside each replacement only.
 
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
@@ -146,8 +149,13 @@ class _WordStore:
     ``dev_counts[word_id]`` the dev entries (``dev_counts`` is None without a
     dev set); either may be empty, and equal tuples are one shared object.
     Most words occur in one language, so the per-word loops run once per
-    entry, not once per language. ``index[pair][word_id]`` is the positional
-    occurrence count of the pair inside that word, for every word.
+    entry, not once per language. ``index[pair]`` is a list of word ids that
+    names every word holding the pair. It may also name a word that has
+    since lost the pair, or name a word twice: ids are appended when a merge
+    gives a word a pair and never removed. That is safe because a visit
+    without an ``(a, b)`` changes nothing, and after one visit a word holds
+    no ``(a, b)``, so a stale or repeated id only costs a membership test;
+    counts and totals come from the replacements alone.
     ``pair_counts[pair]`` is the per-language occurrence count weighted by
     training multiplicity, a list of ``n_langs`` ints, so a dev-only word
     adds nothing to it; a pair whose counts all reach zero is removed.
@@ -160,7 +168,7 @@ class _WordStore:
         self.words: list[tuple[int, ...]] = []
         self.counts: list[tuple[tuple[int, int], ...]] = []
         self.dev_counts: list[tuple[tuple[int, int], ...]] | None = [] if with_dev else None
-        self.index: dict[tuple[int, int], dict[int, int]] = {}
+        self.index: dict[tuple[int, int], list[int]] = {}
         self.pair_counts: dict[tuple[int, int], list[int]] = {}
         self.token_totals = [0] * n_langs
         self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
@@ -171,16 +179,17 @@ class _WordStore:
         Returns (per-language training replacement counts, per-pair training
         count deltas). The deltas are per-language lists. No (a, b) is left
         afterwards, and none can form again from this merge, so the pair's
-        index slot and counts are dropped at once rather than counted down.
+        index slot and counts are dropped at once. A listed word without
+        (a, b), stale or listed twice, replaces nothing and is skipped.
         """
         n_langs = self.n_langs
         repl = [0] * n_langs
         dev_repl = [0] * n_langs
         changed: dict[tuple[int, int], list[int]] = {}
         merged = (a, b)
-        occ_map = self.index.pop(merged, None)
+        listed = self.index.pop(merged, None)
         self.pair_counts.pop(merged, None)
-        if not occ_map:
+        if not listed:
             return repl, changed
         index = self.index
         index_get = index.get
@@ -188,8 +197,13 @@ class _WordStore:
         words = self.words
         counts = self.counts
         dev_counts = self.dev_counts
-        for wid in occ_map:
-            new_tokens, n_rep, deltas = _kernels.merge_and_deltas(words[wid], a, b, c)
+        for wid in listed:
+            tokens = words[wid]
+            if a not in tokens or b not in tokens:
+                continue
+            new_tokens, n_rep, deltas = _kernels.merge_and_deltas(tokens, a, b, c)
+            if not n_rep:
+                continue
             words[wid] = new_tokens
             entries = counts[wid]
             for li, cnt in entries:
@@ -199,19 +213,12 @@ class _WordStore:
                     dev_repl[li] += n_rep * cnt
             del deltas[merged]
             for pair, d in deltas.items():
-                slot = index_get(pair)
-                if slot is None:
-                    index[pair] = {wid: d}
-                elif d > 0:
-                    slot[wid] = slot.get(wid, 0) + d
-                else:
-                    remaining = slot[wid] + d
-                    if remaining:
-                        slot[wid] = remaining
-                    else:
-                        del slot[wid]
-                        if not slot:
-                            del index[pair]
+                if d > 0:  # the word may hold a pair it did not; list it
+                    slot = index_get(pair)
+                    if slot is None:
+                        index[pair] = [wid]
+                    elif slot[-1] != wid:
+                        slot.append(wid)
                 if entries:
                     acc = changed_get(pair)
                     if acc is None:
@@ -286,7 +293,7 @@ class TrainerState:
         self._built_langs: list[int] = []
 
     def _fill_store(self, train_sets: list[dict], dev_sets: list[dict] | None) -> None:
-        """Add each training or dev word once, in sorted byte order; derive the pair counts."""
+        """Add each training or dev word once, in sorted byte order, with its pairs."""
         store = self.train
         shared: dict = {}  # one object per distinct entry tuple
         train = _entries_by_word(train_sets, shared)
@@ -297,6 +304,9 @@ class TrainerState:
                 train.setdefault(word, ())
         words, counts, dev_counts, index = store.words, store.counts, store.dev_counts, store.index
         index_get = index.get
+        pair_counts = store.pair_counts
+        pair_counts_get = pair_counts.get
+        n_langs = store.n_langs
         token_totals, dev_totals = store.token_totals, store.dev_totals
         for wid, word in enumerate(sorted(train)):
             tokens = tuple(word)
@@ -307,29 +317,22 @@ class TrainerState:
             for li, c in entries:
                 token_totals[li] += n * c
             if dev is not None:
-                entries = dev.get(word, ())
-                dev_counts.append(entries)
-                for li, c in entries:
+                dev_entries = dev.get(word, ())
+                dev_counts.append(dev_entries)
+                for li, c in dev_entries:
                     dev_totals[li] += n * c
             for pair in zip(word, word[1:]):  # byte values are the initial ids
                 slot = index_get(pair)
                 if slot is None:
-                    index[pair] = {wid: 1}
-                elif wid in slot:
-                    slot[wid] += 1
-                else:
-                    slot[wid] = 1
-        pair_counts = store.pair_counts
-        n_langs = store.n_langs
-        for pair, slot in index.items():
-            vec = None
-            for wid, occ in slot.items():
-                entries = counts[wid]
+                    index[pair] = [wid]
+                elif slot[-1] != wid:
+                    slot.append(wid)
                 if entries:
+                    vec = pair_counts_get(pair)
                     if vec is None:
                         vec = pair_counts[pair] = [0] * n_langs
                     for li, c in entries:
-                        vec[li] += occ * c
+                        vec[li] += c
 
     def _build_heap(self, heap: list, value_of) -> None:
         """Fill an empty heap with one entry per pair that selection could pick."""

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shutil
 import stat
 from collections import Counter
 from pathlib import Path
@@ -667,6 +668,67 @@ class _InterruptedFile:
         return self.fh.write(data)
 
 
+_COLLIDING_TRAIN = ["train", "--classical", "--merges", "5", "--corpus", "{corpus}/manifest.json"]
+_COLLIDING_EVAL = ["eval", "--model", "{tmp}/model.bpe", "--dev", "{corpus}/dev"]
+# argv in which an output names another output or an input of the command,
+# with the start of the refusal; {corpus} is a copy of a small corpus, and
+# {tmp}/link.bpe a symlink to {tmp}/model.bpe
+COLLIDING_ARGV = {
+    "train-log-out-is-model-out": (
+        _COLLIDING_TRAIN + ["--model-out", "{tmp}/m.bpe", "--log-out", "{tmp}/m.bpe"],
+        "--log-out {tmp}/m.bpe names the same file as --model-out {tmp}/m.bpe",
+    ),
+    "train-log-out-is-meta": (
+        _COLLIDING_TRAIN + ["--model-out", "{tmp}/m.bpe", "--log-out", "{tmp}/m.bpe.meta.json"],
+        "the meta file {tmp}/m.bpe.meta.json names the same file as --log-out",
+    ),
+    "train-model-out-is-corpus": (
+        _COLLIDING_TRAIN + ["--model-out", "{corpus}/manifest.json"],
+        "--model-out {corpus}/manifest.json would overwrite --corpus",
+    ),
+    "eval-csv-is-out": (
+        _COLLIDING_EVAL + ["--out", "{tmp}/r.json", "--csv", "{tmp}/r.json"],
+        "--csv {tmp}/r.json names the same file as --out {tmp}/r.json",
+    ),
+    "eval-out-is-model": (
+        _COLLIDING_EVAL + ["--out", "{tmp}/model.bpe"],
+        "--out {tmp}/model.bpe would overwrite --model {tmp}/model.bpe",
+    ),
+    "eval-csv-is-model": (
+        _COLLIDING_EVAL + ["--csv", "{tmp}/model.bpe"],
+        "--csv {tmp}/model.bpe would overwrite --model",
+    ),
+    "eval-out-is-gold": (
+        _COLLIDING_EVAL + ["--gold", "{tmp}/gold.tsv", "--out", "{tmp}/gold.tsv"],
+        "--out {tmp}/gold.tsv would overwrite --gold",
+    ),
+    "encode-output-is-model": (
+        ["encode", "--model", "{tmp}/model.bpe", "--input", "{tmp}/text.txt",
+         "--output", "{tmp}/model.bpe"],
+        "--output {tmp}/model.bpe would overwrite --model",
+    ),
+    "encode-output-links-to-model": (
+        ["encode", "--model", "{tmp}/model.bpe", "--input", "{tmp}/text.txt",
+         "--output", "{tmp}/link.bpe"],
+        "--output {tmp}/link.bpe would overwrite --model {tmp}/model.bpe",
+    ),
+    "decode-output-is-model": (
+        ["decode", "--model", "{tmp}/model.bpe", "--input", "{tmp}/tokens.txt",
+         "--output", "{tmp}/model.bpe"],
+        "--output {tmp}/model.bpe would overwrite --model",
+    ),
+    "compare-csv-is-model": (
+        ["compare", "{tmp}/model.bpe", "{tmp}/other.bpe", "--dev", "{corpus}/dev",
+         "--csv", "{tmp}/other.bpe"],
+        "--csv {tmp}/other.bpe would overwrite model {tmp}/other.bpe",
+    ),
+}
+
+
+def _tree(directory):
+    return {p.relative_to(directory): p.read_bytes() for p in directory.rglob("*") if p.is_file()}
+
+
 class TestOutputs:
     """Each output file is replaced only once the command that writes it completes."""
 
@@ -815,6 +877,45 @@ class TestOutputs:
         assert link.is_symlink()
         assert target.read_bytes() == b"ba bab\n"
         assert sorted(p.name for p in target.parent.iterdir()) == ["out.txt"]
+
+
+    @pytest.mark.parametrize(
+        "argv, message", list(COLLIDING_ARGV.values()), ids=list(COLLIDING_ARGV)
+    )
+    def test_output_naming_another_file_is_usage_error(
+        self, tmp_path, small_synth_dir, capsys, argv, message
+    ):
+        shutil.copytree(small_synth_dir, tmp_path / "corpus")
+        (tmp_path / "model.bpe").write_text(EXAMPLE_MODEL)
+        (tmp_path / "other.bpe").write_text(EXAMPLE_MODEL)
+        (tmp_path / "link.bpe").symlink_to(tmp_path / "model.bpe")
+        (tmp_path / "gold.tsv").write_text("ab\ta|b\n")
+        (tmp_path / "text.txt").write_bytes(b"babab\n")
+        (tmp_path / "tokens.txt").write_bytes(b"ba b\n")
+        before = _tree(tmp_path)
+        paths = {"tmp": tmp_path, "corpus": tmp_path / "corpus"}
+        code = run([arg.format(**paths) for arg in argv])
+        assert code == 1
+        assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+        assert _tree(tmp_path) == before
+
+    def test_output_may_name_the_input(self, example_model, tmp_path):
+        text = tmp_path / "text.txt"
+        text.write_bytes(b"babab\n")
+        assert run(["encode", "--model", example_model, "--input", text, "--output", text]) == 0
+        assert text.read_bytes() == b"ba bab\n"
+        assert run(["decode", "--model", example_model, "--input", text, "--output", text]) == 0
+        assert text.read_bytes() == b"babab\n"
+
+    @pytest.mark.parametrize("out", ["-", "/dev/null"])
+    def test_stdout_and_devices_may_repeat(self, tmp_path, small_synth_dir, capsys, out):
+        model = tmp_path / "model.bpe"
+        model.write_text(EXAMPLE_MODEL)
+        assert run(["eval", "--model", model, "--dev", small_synth_dir / "dev",
+                    "--out", out, "--csv", out]) == 0
+        assert run(["compare", model, model, "--dev", small_synth_dir / "dev",
+                    "--csv", out]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.bpe"]
 
 
 class TestEval:

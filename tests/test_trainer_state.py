@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import LabeledCorpus
-from parity_bpe import trainer
+from parity_bpe import _kernels, trainer
 from parity_bpe.trainer import TrainerState
 
 from .oracles import replace_pair
@@ -121,6 +121,13 @@ def _check(state, multisets, dev_multisets):
     assert stored == sorted(set().union(*multisets.values(), *dev_multisets.values()))
     for heap in (state.global_heap, *state.lang_heaps):
         assert all(-entry[0] >= trainer.MIN_PAIR_COUNT for entry in heap)
+    # the index lists every word under each pair it holds, and names only words
+    index = state.train.index
+    for wid, tokens in enumerate(state.train.words):
+        for pair in zip(tokens, tokens[1:]):
+            assert wid in index.get(pair, ())
+    n_words = len(state.train.words)
+    assert all(0 <= wid < n_words for listed in index.values() for wid in listed)
 
 
 def _best(pairs: Counter):
@@ -159,3 +166,32 @@ def test_shared_words_match_recount_after_every_merge(case):
             assert (state.vocab[a], state.vocab[b], count) == expected
             state.apply((a, b))
             _check(state, multisets, dev_multisets)
+
+
+def test_stale_index_entries_are_skipped(monkeypatch):
+    """A word that lost a pair stays listed under it and is left as it is."""
+    multisets = {"aa": {b"cab": 3, b"ab": 2, b"dca": 2}, "bb": {b"ca": 4}}
+    dev_multisets = {"aa": {b"cab": 1, b"dca": 1}, "bb": {b"ca": 2}}
+    state = TrainerState(LabeledCorpus.from_multisets(multisets), dev_words=dev_multisets)
+    words, index = state.train.words, state.train.index
+    a, b, c, d = b"abcd"
+    cab, ca, dca = (words.index(tuple(w)) for w in (b"cab", b"ca", b"dca"))
+    state.apply((a, b))  # cab loses (c, a) and keeps c
+    state.apply((d, c))  # dca loses (c, a) and keeps a
+    ab, dc = state.first_id[b"ab"], state.first_id[b"dc"]
+    assert (words[cab], words[dca]) == ((c, ab), (dc, a))
+    assert {cab, ca, dca} <= set(index[(c, a)])
+    _check(state, multisets, dev_multisets)
+
+    visited = []
+    merge_and_deltas = _kernels.merge_and_deltas
+
+    def record(tokens, *args):
+        visited.append(tokens)
+        return merge_and_deltas(tokens, *args)
+
+    monkeypatch.setattr(_kernels, "merge_and_deltas", record)
+    assert state.apply((c, a)) == [0, 4]
+    assert visited == [(c, a)]  # neither stale word reaches the kernel
+    assert (words[cab], words[dca]) == ((c, ab), (dc, a))
+    _check(state, multisets, dev_multisets)
