@@ -1,8 +1,8 @@
 """The hot kernels of training and encoding.
 
 Pair counting is positional (overlapping adjacencies each count), merge
-replacement is leftmost-first and non-overlapping, and encoding repeatedly
-applies the lowest-ranked applicable merge to all of its occurrences.
+replacement is leftmost-first and non-overlapping (one training call per
+merge), and encoding repeatedly applies the lowest-ranked merge present.
 
 Encoding a pre-token of ``n`` ids takes O(n log n) here: a min-heap holds
 one key per adjacent pair in the table, ordered by rank and then position,
@@ -24,65 +24,93 @@ benchmark's tracer wraps them by their dotted names.
 
 from __future__ import annotations
 
+from collections import Counter
 from heapq import heapify, heappop, heappush
 
 
 def count_pairs(tokens) -> dict:
     """Positional counts of adjacent token-id pairs in one word."""
-    out: dict = {}
-    for i in range(len(tokens) - 1):
-        key = (tokens[i], tokens[i + 1])
-        out[key] = out.get(key, 0) + 1
-    return out
+    return Counter(zip(tokens, tokens[1:]))
 
 
-def merge_and_deltas(tokens, a: int, b: int, c: int):
-    """Replace leftmost non-overlapping (a, b) occurrences with c.
+def merge_and_deltas(store, listed, a: int, b: int, c: int):
+    """Replace (a, b) with c in the ``listed`` words of a trainer ``_WordStore``.
 
-    Returns ``(new_tokens, replacements, deltas)`` where ``deltas`` maps
-    adjacent pairs to the change in their positional count caused by the
-    replacement; pairs whose count does not change are left out.
-    ``new_tokens`` is the input object when nothing matched.
-
-    Only the pairs beside a replacement are counted: the old pairs touching
-    its two positions and the new pairs touching ``c``. A pair between two
-    adjacent replacements is counted once, by the left one.
+    A word without an occurrence keeps its tuple. Only the pairs beside a
+    replacement are counted, a pair between two replacements once, and a
+    word is listed under each pair it gains. Returns ``(changed, rewritten,
+    repl, dev_repl)``: the per-language training count deltas of the changed
+    pairs but (a, b), the number of words rewritten, and the per-language
+    training and dev replacements.
     """
-    n = len(tokens)
-    out = []
-    deltas: dict = {}
-    get = deltas.get
-    prev = -2  # input position of the previous replacement
-    i = 0
-    while i < n:
-        t = tokens[i]
-        if t != a or i + 1 == n or tokens[i + 1] != b:
-            out.append(t)
-            i += 1
+    n_langs = store.n_langs
+    repl, dev_repl = [0] * n_langs, [0] * n_langs
+    changed: dict = {}
+    changed_get = changed.get
+    words, counts, dev_counts, index = store.words, store.counts, store.dev_counts, store.index
+    rewritten = 0
+    for wid in listed:
+        tokens = words[wid]
+        if a not in tokens or b not in tokens:
             continue
-        out.append(c)
-        deltas[(a, b)] = get((a, b), 0) - 1
-        if i and prev != i - 2:
-            x = tokens[i - 1]
-            key = (x, a)
-            deltas[key] = get(key, 0) - 1
-            key = (x, c)
-            deltas[key] = get(key, 0) + 1
-        if i + 2 < n:
-            y = tokens[i + 2]
-            key = (b, y)
-            deltas[key] = get(key, 0) - 1
-            if y == a and i + 3 < n and tokens[i + 3] == b:
-                y = c  # the next pair is replaced too
-            key = (c, y)
-            deltas[key] = get(key, 0) + 1
-        prev = i
-        i += 2
-    if prev < 0:
-        return tokens, 0, {}
-    if c in tokens:  # only then can a new pair cancel an old one
-        deltas = {key: d for key, d in deltas.items() if d}
-    return tuple(out), n - len(out), deltas
+        n = len(tokens)
+        out = []
+        deltas: dict = {}
+        get = deltas.get
+        prev = -2  # input position of the previous replacement
+        i = 0
+        while i < n:
+            t = tokens[i]
+            if t != a or i + 1 == n or tokens[i + 1] != b:
+                out.append(t)
+                i += 1
+                continue
+            out.append(c)
+            if i and prev != i - 2:
+                x = tokens[i - 1]
+                key = (x, a)
+                deltas[key] = get(key, 0) - 1
+                key = (x, c)
+                deltas[key] = get(key, 0) + 1
+            if i + 2 < n:
+                y = tokens[i + 2]
+                key = (b, y)
+                deltas[key] = get(key, 0) - 1
+                if y == a and i + 3 < n and tokens[i + 3] == b:
+                    y = c  # the next pair is replaced too
+                key = (c, y)
+                deltas[key] = get(key, 0) + 1
+            prev = i
+            i += 2
+        if prev < 0:
+            continue
+        rewritten += 1
+        words[wid] = tuple(out)
+        n_rep = n - len(out)
+        entries = counts[wid]
+        for li, cnt in entries:
+            repl[li] += n_rep * cnt
+        if dev_counts is not None:
+            for li, cnt in dev_counts[wid]:
+                dev_repl[li] += n_rep * cnt
+        for pair, d in deltas.items():
+            if d > 0:  # the word may hold a pair it did not; list it
+                slot = index.get(pair)
+                if slot is None:
+                    index[pair] = [wid]
+                elif slot[-1] != wid:
+                    slot.append(wid)
+            elif not d:  # a new pair cancelled an old one
+                continue
+            if entries:
+                acc = changed_get(pair)
+                if acc is None:
+                    acc = changed[pair] = [0] * n_langs
+                for li, cnt in entries:
+                    acc[li] += d * cnt
+    # With a == b, as in "aaa", a replacement's neighbours count (a, b) too.
+    changed.pop((a, b), None)
+    return changed, rewritten, repl, dev_repl
 
 
 def encode_ids(ids, table: dict) -> list:

@@ -115,6 +115,11 @@ def _check_distinct(outputs: list[tuple], inputs: list[tuple]) -> None:
             raise ConfigError(f"{named[real]} would overwrite {flag} {path}")
 
 
+def _dev_files(dev_dir, langs) -> list[tuple]:
+    """The ``--dev`` files of ``langs``, as ``(flag, path)`` inputs of :func:`_check_distinct`."""
+    return [("--dev file", Path(dev_dir) / f"{lang}.txt") for lang in langs]
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigError(f"{self.prog}: {message}")
@@ -279,12 +284,11 @@ def cmd_train(args) -> int:
     log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")
     meta_out = Path(str(model_out) + ".meta.json")
     # Paths, not strings: train writes a file even for "-", so none is stdout.
-    _check_distinct(
-        [("--model-out", model_out), ("--log-out", log_out), ("the meta file", meta_out)],
-        [("--corpus", manifest)],
-    )
+    outputs = [("--model-out", model_out), ("--log-out", log_out), ("the meta file", meta_out)]
+    _check_distinct(outputs, [("--corpus", manifest)])
 
     # Every usage check runs before the corpus is read.
+    dev_dir = None
     if args.classical:
         check_merge_budget(merges)
     else:
@@ -299,6 +303,12 @@ def cmd_train(args) -> int:
         dev_dir = None if args.no_dev else _require(args, "dev")
 
     corpus = load_labeled_corpus(manifest, args.limit_per_language)
+    # The data files are known once the manifest is read; nothing is written yet.
+    entries = json.loads(manifest.read_text(encoding="utf-8"))["languages"]
+    train_files = {entry["lang"]: manifest.parent / entry["path"] for entry in entries}
+    dev_files = [] if dev_dir is None else _dev_files(dev_dir, corpus.languages)
+    train_inputs = [(f"the {lang} training file", path) for lang, path in train_files.items()]
+    _check_distinct(outputs, train_inputs + dev_files)
     resolved = {
         "command": "train",
         "corpus": str(manifest),
@@ -332,11 +342,9 @@ def cmd_train(args) -> int:
     )
 
     input_digests = {"manifest": _digest_file(manifest)}
-    for entry in json.loads(manifest.read_text(encoding="utf-8"))["languages"]:
-        input_digests[entry["lang"]] = _digest_file(manifest.parent / entry["path"])
-    if resolved["mode"] == "parity" and not resolved["no_dev"]:
-        for lang in corpus.languages:
-            input_digests[f"dev/{lang}"] = _digest_file(Path(args.dev) / f"{lang}.txt")
+    input_digests.update((lang, _digest_file(path)) for lang, path in train_files.items())
+    for lang, (_, path) in zip(corpus.languages, dev_files):
+        input_digests[f"dev/{lang}"] = _digest_file(path)
 
     summary = {
         "merges_learned": len(log),
@@ -467,10 +475,12 @@ def cmd_eval(args) -> int:
     model_path = Path(_require(args, "model"))
     dev_dir = Path(_require(args, "dev"))
     check_renyi_order(args.renyi_alpha, ConfigError)
+    langs = _dev_languages(dev_dir, args.langs)
     _check_distinct(
-        [("--out", args.out), ("--csv", args.csv)], [("--model", model_path), ("--gold", args.gold)]
+        [("--out", args.out), ("--csv", args.csv)],
+        [("--model", model_path), ("--gold", args.gold), *_dev_files(dev_dir, langs)],
     )
-    dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
+    dev = load_parallel_dev(dev_dir, langs)
     report = _report_for(model_path, dev, args)
     with _output(args.out, "w", encoding="utf-8") as out:
         out.write(report.to_json() + "\n")
@@ -500,8 +510,11 @@ def cmd_compare(args) -> int:
         raise ConfigError("compare needs at least two model files")
     dev_dir = Path(args.dev)
     check_renyi_order(args.renyi_alpha, ConfigError)
-    _check_distinct([("--csv", args.csv)], [("model", p) for p in args.models])
-    dev = load_parallel_dev(dev_dir, _dev_languages(dev_dir, args.langs))
+    langs = _dev_languages(dev_dir, args.langs)
+    _check_distinct(
+        [("--csv", args.csv)], [("model", p) for p in args.models] + _dev_files(dev_dir, langs)
+    )
+    dev = load_parallel_dev(dev_dir, langs)
     model_paths = sorted((Path(p) for p in args.models), key=lambda p: p.name)
     reports = {p: _report_for(p, dev, args) for p in model_paths}
 

@@ -7,18 +7,18 @@ entries for each text, either possibly empty, and equal entry tuples are
 shared. The pair index lists, for each pair, the ids of the words that
 hold it; an id is added when a word gains the pair and never removed, so a
 list may also name a word that has lost the pair, or name a word twice. A
-merge visits the listed words, skips those that no longer hold the pair and
-updates both texts' token totals. Adjacent-pair counts come from the
-training entries only and are maintained incrementally per language, from
-the pairs beside each replacement only.
+merge is one ``_kernels.merge_and_deltas`` call, which visits the listed
+words, skips those that no longer hold the pair and rewrites the others.
+Adjacent-pair counts come from the training entries only and are maintained
+incrementally per language, from the pairs beside each replacement only.
 
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
-smallest byte spans. Each heap is built from the live counts on its first
-selection and receives updates only after that, and it keeps only counts of
-at least ``MIN_PAIR_COUNT``, the ones selection can pick. Since the key is
-unique per pair, the picks depend neither on when a heap was built nor on
-the order in which words are visited.
+smallest byte spans. Each heap is built on its first selection and keeps
+only counts of at least ``MIN_PAIR_COUNT``, the ones selection can pick.
+After that it is pushed only counts that grew; an entry above a shrunk
+count is re-pushed at the live count when it reaches the top, as in Hugging
+Face ``tokenizers``' BPE trainer, so the picks are those of an exact heap.
 
 ``run_merges`` is the one loop that selects, applies and logs merges, for
 every training mode: global steps first, then steps chosen by a picker.
@@ -160,7 +160,8 @@ class _WordStore:
     training multiplicity, a list of ``n_langs`` ints, so a dev-only word
     adds nothing to it; a pair whose counts all reach zero is removed.
     ``token_totals`` and ``dev_totals`` are the per-language token totals of
-    the two texts and shrink by one per replacement.
+    the two texts and shrink by one per replacement. A merge's word loop is
+    one ``_kernels.merge_and_deltas`` call with the store.
     """
 
     def __init__(self, n_langs: int, with_dev: bool):
@@ -177,60 +178,17 @@ class _WordStore:
         """Replace (a, b) with c in every word containing it.
 
         Returns (per-language training replacement counts, per-pair training
-        count deltas). The deltas are per-language lists. No (a, b) is left
-        afterwards, and none can form again from this merge, so the pair's
-        index slot and counts are dropped at once. A listed word without
-        (a, b), stale or listed twice, replaces nothing and is skipped.
+        count delta lists, one int per language). No (a, b) is left afterwards,
+        and none can form again, so its index slot and counts go at once.
         """
-        n_langs = self.n_langs
-        repl = [0] * n_langs
-        dev_repl = [0] * n_langs
-        changed: dict[tuple[int, int], list[int]] = {}
-        merged = (a, b)
-        listed = self.index.pop(merged, None)
-        self.pair_counts.pop(merged, None)
-        if not listed:
-            return repl, changed
-        index = self.index
-        index_get = index.get
-        changed_get = changed.get
-        words = self.words
-        counts = self.counts
-        dev_counts = self.dev_counts
-        for wid in listed:
-            tokens = words[wid]
-            if a not in tokens or b not in tokens:
-                continue
-            new_tokens, n_rep, deltas = _kernels.merge_and_deltas(tokens, a, b, c)
-            if not n_rep:
-                continue
-            words[wid] = new_tokens
-            entries = counts[wid]
-            for li, cnt in entries:
-                repl[li] += n_rep * cnt
-            if dev_counts is not None:
-                for li, cnt in dev_counts[wid]:
-                    dev_repl[li] += n_rep * cnt
-            del deltas[merged]
-            for pair, d in deltas.items():
-                if d > 0:  # the word may hold a pair it did not; list it
-                    slot = index_get(pair)
-                    if slot is None:
-                        index[pair] = [wid]
-                    elif slot[-1] != wid:
-                        slot.append(wid)
-                if entries:
-                    acc = changed_get(pair)
-                    if acc is None:
-                        acc = changed[pair] = [0] * n_langs
-                    for li, cnt in entries:
-                        acc[li] += d * cnt
-        for li in range(n_langs):
-            self.token_totals[li] -= repl[li]
-        if dev_counts is not None:
-            for li in range(n_langs):
-                self.dev_totals[li] -= dev_repl[li]
+        listed = self.index.pop((a, b), ())
         pair_counts = self.pair_counts
+        pair_counts.pop((a, b), None)
+        changed, _, repl, dev_repl = _kernels.merge_and_deltas(self, listed, a, b, c)
+        for li in range(self.n_langs):
+            self.token_totals[li] -= repl[li]
+            if self.dev_totals is not None:
+                self.dev_totals[li] -= dev_repl[li]
         for pair, dvec in changed.items():
             vec = pair_counts.get(pair)
             new = list(dvec) if vec is None else [x + d for x, d in zip(vec, dvec)]
@@ -345,41 +303,41 @@ class TrainerState:
         heapq.heapify(heap)
 
     def _push_changes(self, changed: dict[tuple[int, int], list[int]]) -> None:
-        """Push the new selectable counts of changed pairs into the heaps built so far."""
+        """Push the selectable counts that grew into the heaps built so far."""
         built = [(li, self.lang_heaps[li]) for li in self._built_langs]
-        if not (self._global_built or built):
-            return
         pc = self.train.pair_counts
         vocab = self.vocab
         least = MIN_PAIR_COUNT
-        for pair, dvec in changed.items():
-            vec = pc.get(pair)
-            if vec is None:
-                continue
-            a, b = pair
-            lb, rb = vocab[a], vocab[b]
-            if self._global_built and any(dvec):
-                total = sum(vec)
-                if total >= least:
-                    heapq.heappush(self.global_heap, (-total, lb, rb, a, b))
-            for li, heap in built:
-                if dvec[li] and vec[li] >= least:
-                    heapq.heappush(heap, (-vec[li], lb, rb, a, b))
-
-    def _select(self, heap, value_of):
-        """Pop until the top entry matches its live count; that is the argmax."""
-        pc = self.train.pair_counts
-        while heap:
-            negc, _, _, a, b = heapq.heappop(heap)
+        for (a, b), dvec in changed.items():
             vec = pc.get((a, b))
             if vec is None:
                 continue
-            current = value_of(vec)
-            if current != -negc:
-                continue
-            if current < MIN_PAIR_COUNT:
-                return None
-            return (a, b), current
+            if self._global_built and sum(dvec) > 0:
+                total = sum(vec)
+                if total >= least:
+                    heapq.heappush(self.global_heap, (-total, vocab[a], vocab[b], a, b))
+            for li, heap in built:
+                if dvec[li] > 0 and vec[li] >= least:
+                    heapq.heappush(heap, (-vec[li], vocab[a], vocab[b], a, b))
+
+    def _select(self, heap, value_of):
+        """Pop until an entry matches its pair's live count; that is the argmax.
+
+        Every selectable pair has an entry at or above its live count: each
+        growth is pushed, a shrunk count keeps its higher entry, and a popped
+        entry above a selectable live count is re-pushed at it. So no entry
+        below its live count reaches the top, and as keys are unique per pair,
+        an entry at its live count outranks every other pair's live key.
+        """
+        pc = self.train.pair_counts
+        while heap:
+            negc, lb, rb, a, b = heapq.heappop(heap)
+            vec = pc.get((a, b))
+            current = 0 if vec is None else value_of(vec)
+            if current == -negc:
+                return (a, b), current
+            if MIN_PAIR_COUNT <= current < -negc:
+                heapq.heappush(heap, (-current, lb, rb, a, b))
         return None
 
     def select_global(self):

@@ -107,6 +107,8 @@ BAD_INPUT_ARGV = {
     "train-config-both-modes": _CLASSICAL_TRAIN[:1] + _CLASSICAL_TRAIN[2:]
     + ["--config", "{tmp}/config_both_modes.json"],
     "train-window-overflow": _PARITY_TRAIN + ["--window", str(10**30)],
+    "train-model-out-is-training-file": _CLASSICAL_TRAIN + ["--model-out", "{synth}/train/aa.jsonl"],
+    "eval-out-is-dev-file": _EVAL + ["--out", "{synth}/dev/aa.txt"],
     "synth-config-words-per-line-zero": _SYNTH + ["--config", "{tmp}/spec_words_per_line_zero.json"],
     **{
         f"synth-config-zipf-{name}": _SYNTH + ["--config", f"{{tmp}}/spec_zipf_{name}.json"]
@@ -721,6 +723,28 @@ COLLIDING_ARGV = {
         ["compare", "{tmp}/model.bpe", "{tmp}/other.bpe", "--dev", "{corpus}/dev",
          "--csv", "{tmp}/other.bpe"],
         "--csv {tmp}/other.bpe would overwrite model {tmp}/other.bpe",
+    ),
+    "train-model-out-is-training-file": (
+        _COLLIDING_TRAIN + ["--model-out", "{corpus}/train/aa.jsonl"],
+        "--model-out {corpus}/train/aa.jsonl would overwrite the aa training file",
+    ),
+    "train-log-out-is-dev-file": (
+        ["train", "--parity", "--merges", "5", "--corpus", "{corpus}/manifest.json",
+         "--dev", "{corpus}/dev", "--model-out", "{tmp}/m.bpe", "--log-out", "{corpus}/dev/bb.txt"],
+        "--log-out {corpus}/dev/bb.txt would overwrite --dev file {corpus}/dev/bb.txt",
+    ),
+    "eval-out-is-dev-file": (
+        _COLLIDING_EVAL + ["--out", "{corpus}/dev/aa.txt"],
+        "--out {corpus}/dev/aa.txt would overwrite --dev file {corpus}/dev/aa.txt",
+    ),
+    "eval-csv-is-dev-file": (
+        _COLLIDING_EVAL + ["--langs", "cc", "--csv", "{corpus}/dev/cc.txt"],
+        "--csv {corpus}/dev/cc.txt would overwrite --dev file",
+    ),
+    "compare-csv-is-dev-file": (
+        ["compare", "{tmp}/model.bpe", "{tmp}/other.bpe", "--dev", "{corpus}/dev",
+         "--csv", "{corpus}/dev/bb.txt"],
+        "--csv {corpus}/dev/bb.txt would overwrite --dev file {corpus}/dev/bb.txt",
     ),
 }
 

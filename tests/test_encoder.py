@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import TokenizerModel, _kernels, pretokenize
+from parity_bpe.trainer import _WordStore
 
 from .oracles import replace_pair, replay_encode, rescan_encode_ids, sliding_pair_counts
 
@@ -17,17 +18,33 @@ def test_overlapping_pairs_counted_positionally():
     assert _kernels.count_pairs((1, 1, 1)) == {(1, 1): 2}
 
 
+def _merge_one_word(tokens, a, b, c):
+    """The training kernel on a store of one word, counted once in one language.
+
+    Returns the word afterwards, its replacement count, its pair deltas and
+    the store's index, which starts empty, as the kernel leaves them.
+    """
+    store = _WordStore(1, with_dev=False)
+    store.words.append(tokens)
+    store.counts.append(((0, 1),))
+    changed, rewritten, repl, _ = _kernels.merge_and_deltas(store, [0], a, b, c)
+    assert rewritten == (repl[0] > 0)
+    deltas = {pair: dvec[0] for pair, dvec in changed.items()}
+    return store.words[0], repl[0], deltas, store.index
+
+
 def test_overlapping_merge_is_leftmost_nonoverlapping():
-    new, replaced, deltas = _kernels.merge_and_deltas((1, 1, 1), 1, 1, 9)
+    new, replaced, deltas, index = _merge_one_word((1, 1, 1), 1, 1, 9)
     assert new == (9, 1)
     assert replaced == 1
-    assert deltas == {(1, 1): -2, (9, 1): 1}
+    assert deltas == {(9, 1): 1}  # the merged pair's own counts are dropped
+    assert index == {(9, 1): [0]}
 
 
 def test_no_match_returns_input():
-    word = (1, 2, 3)
-    new, replaced, deltas = _kernels.merge_and_deltas(word, 7, 8, 9)
-    assert new is word and replaced == 0 and deltas == {}
+    for word in ((1, 2, 3), (7, 1, 8)):  # the second holds both ids, apart
+        new, replaced, deltas, index = _merge_one_word(word, 7, 8, 9)
+        assert new is word and replaced == 0 and deltas == {} and index == {}
 
 
 def _recount_merge(tokens, a, b, c):
@@ -60,10 +77,16 @@ def _recount_merge(tokens, a, b, c):
 @example((4, 0, 1, 4), 0, 1, 4)  # c beside the pair
 @example((0, 1, 0, 1), 0, 1, 0)  # c == a
 def test_merge_and_deltas_matches_recount(tokens, a, b, c):
-    new, replaced, deltas = _kernels.merge_and_deltas(tokens, a, b, c)
-    assert (new, replaced, deltas) == _recount_merge(tokens, a, b, c)
+    new, replaced, deltas, index = _merge_one_word(tokens, a, b, c)
+    expected_new, expected_replaced, expected = _recount_merge(tokens, a, b, c)
+    expected.pop((a, b), None)  # the store drops the merged pair's counts
+    assert (new, replaced, deltas) == (expected_new, expected_replaced, expected)
     if not replaced:
         assert new is tokens
+    # the word is listed under each pair it gained
+    gained = {pair for pair, d in expected.items() if d > 0}
+    assert set(index) - {(a, b)} == gained
+    assert all(listed == [0] for listed in index.values())
 
 
 def test_encode_applies_by_rank():

@@ -2,13 +2,19 @@
 
 The hashes were taken from a run of the trainer before its per-word counts
 became sparse and its heaps lazy; any change to what is learned, or to how
-the model and log are written, shows up here as a hash mismatch.
+the model and log are written, shows up here as a hash mismatch. A run
+under two hash seeds must also write the same model, log and meta.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import parity_bpe
 from parity_bpe import NormUnit, ParityConfig, train_no_dev
 
 from .conftest import MERGE_BUDGET
@@ -59,3 +65,22 @@ def test_model_and_log_bytes_are_pinned(name, request, tmp_path):
     log.to_jsonl(tmp_path / "log.jsonl")
     got = (_sha256(tmp_path / "model.bpe"), _sha256(tmp_path / "log.jsonl"))
     assert got == GOLDEN[name]
+
+
+def test_training_does_not_depend_on_the_hash_seed(synth_dir, tmp_path):
+    """A parity run under two ``PYTHONHASHSEED`` values writes the same bytes."""
+    src = str(Path(parity_bpe.__file__).parents[1])
+    written = []
+    for seed in ("1", "2"):
+        out = tmp_path / seed
+        out.mkdir()
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        argv = ["train", "--parity", "--window", "100", "--alpha", "2", "--merges", "300",
+                "--corpus", synth_dir / "manifest.json", "--dev", synth_dir / "dev",
+                "--model-out", out / "m.bpe"]
+        subprocess.run([sys.executable, "-m", "parity_bpe.cli", *map(str, argv)],
+                       env=env, check=True, capture_output=True)
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert sorted(written[0]) == ["m.bpe", "m.bpe.log.jsonl", "m.bpe.meta.json"]
+    assert written[0]["m.bpe.log.jsonl"].count(b"\n") == 300
+    assert written[0] == written[1]

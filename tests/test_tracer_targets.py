@@ -1,9 +1,10 @@
 """Every function the benchmark's tracer hooks exists under its dotted name,
-and the hooks that read the trainer's state still run.
+the hooks that read the trainer's state still run, and training still calls
+the hooked functions of its merge loop.
 
 A renamed or moved target would otherwise only turn its per-layer metric
-``absent`` in a traced benchmark run, and a reshaped state would only show
-as a hook error there.
+``absent`` in a traced benchmark run, a target no longer called would only
+read 0 there, and a reshaped state would only show as a hook error.
 """
 
 import pytest
@@ -33,3 +34,5 @@ def test_trainer_hooks_run(corpus, dev):
     assert tracer.stats["parity.train_parity"][0] == 1
     assert tracer.counts["trainer.heap_live"] > 0
     assert tracer.counts["trainer.heap_entries"] > 0
+    for layer in ("kernels.merge_and_deltas", "trainer.select", "trainer.apply"):
+        assert tracer.stats[layer][0] > 0, layer

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from parity_bpe import (
 )
 from parity_bpe.cli import main
 from parity_bpe.parity import rank_languages
+from parity_bpe.trainer import MIN_PAIR_COUNT, TrainerState
 
 from .oracles import audit_selection_windows
 
@@ -251,6 +253,50 @@ class TestTrainParity:
         _, log = train_parity(corpus, dev, config)
         assert log[0].lang == "aa"
         assert log[0].skipped == ["bb"]
+
+
+def _argmax(counts: dict):
+    """Brute-force selection: (left, right, count) of the highest count, then the
+    smallest byte spans, or None when no count reaches ``MIN_PAIR_COUNT``."""
+    best = min(counts.items(), key=lambda kv: (-kv[1], kv[0]), default=None)
+    if best is None or best[1] < MIN_PAIR_COUNT:
+        return None
+    (left, right), count = best
+    return left, right, count
+
+
+@pytest.mark.parametrize("global_merges", [0, 150], ids=["parity", "hybrid"])
+def test_each_pick_is_the_argmax_of_its_counts(corpus, dev, global_merges):
+    """Each merge is the brute-force argmax of its heap's counts before the merge.
+
+    A parity step picks from the chosen language's counts and a global step
+    from the summed counts; a language skipped before the choice has no
+    selectable pair. Merges chosen for one language shrink the counts of the
+    others, so a language heap holds entries above counts that went down.
+    """
+
+    def counts(state):
+        per_lang = {lang: state.lang_pair_counts(lang) for lang in state.langs}
+        return per_lang, state.global_pair_counts()
+
+    before = [counts(TrainerState(corpus))]
+    seen = Counter()
+
+    def audit(state, step):
+        per_lang, summed = before[0]
+        if step.mode == "global":
+            assert (step.left, step.right, step.count) == _argmax(summed)
+        else:
+            assert (step.left, step.right, step.count) == _argmax(per_lang[step.lang])
+            assert all(_argmax(per_lang[lang]) is None for lang in step.skipped)
+        seen[step.mode, step.lang] += 1
+        before[0] = counts(state)
+
+    config = ParityConfig(total_merges=300, global_merges=global_merges, window_size=100)
+    _, log = train_parity(corpus, dev, config, on_step=audit)
+    assert sum(seen.values()) == len(log) == 300
+    assert seen["global", None] == global_merges
+    assert len({lang for mode, lang in seen if mode == "parity"}) > 1
 
 
 class TestTrainNoDev:

@@ -183,15 +183,18 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     assert {cab, ca, dca} <= set(index[(c, a)])
     _check(state, multisets, dev_multisets)
 
-    visited = []
+    calls = []
     merge_and_deltas = _kernels.merge_and_deltas
 
-    def record(tokens, *args):
-        visited.append(tokens)
-        return merge_and_deltas(tokens, *args)
+    def record(store, listed, *args):
+        result = merge_and_deltas(store, listed, *args)
+        calls.append((sorted(listed), result[1]))
+        return result
 
     monkeypatch.setattr(_kernels, "merge_and_deltas", record)
+    stale = (words[cab], words[dca])
     assert state.apply((c, a)) == [0, 4]
-    assert visited == [(c, a)]  # neither stale word reaches the kernel
+    assert calls == [(sorted([cab, ca, dca]), 1)]  # one call; it rewrote only ca
+    assert words[cab] is stale[0] and words[dca] is stale[1]
     assert (words[cab], words[dca]) == ((c, ab), (dc, a))
     _check(state, multisets, dev_multisets)
