@@ -38,7 +38,9 @@ def merge_and_deltas(store, listed, a: int, b: int, c: int):
 
     A word without an occurrence keeps its tuple. Only the pairs beside a
     replacement are counted, a pair between two replacements once, and a
-    word is listed under each pair it gains. Returns ``(changed, rewritten,
+    word is listed under each pair it gains: an empty index slot becomes the
+    bare id, a bare id of another word becomes a list of both, and a list
+    gains the id unless it ends with it. Returns ``(changed, rewritten,
     repl, dev_repl)``: the per-language training count deltas of the changed
     pairs but (a, b), the number of words rewritten, and the per-language
     training and dev replacements.
@@ -97,7 +99,10 @@ def merge_and_deltas(store, listed, a: int, b: int, c: int):
             if d > 0:  # the word may hold a pair it did not; list it
                 slot = index.get(pair)
                 if slot is None:
-                    index[pair] = [wid]
+                    index[pair] = wid
+                elif type(slot) is int:
+                    if slot != wid:
+                        index[pair] = [slot, wid]
                 elif slot[-1] != wid:
                     slot.append(wid)
             elif not d:  # a new pair cancelled an old one

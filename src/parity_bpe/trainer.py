@@ -5,12 +5,14 @@ parity training, of the dev text once, as a token-id sequence in one store
 with one pair index. Each word carries sparse (language index, count)
 entries for each text, either possibly empty, and equal entry tuples are
 shared. The pair index lists, for each pair, the ids of the words that
-hold it; an id is added when a word gains the pair and never removed, so a
-list may also name a word that has lost the pair, or name a word twice. A
-merge is one ``_kernels.merge_and_deltas`` call, which visits the listed
-words, skips those that no longer hold the pair and rewrites the others.
-Adjacent-pair counts come from the training entries only and are maintained
-incrementally per language, from the pairs beside each replacement only.
+hold it: a bare id while one word is listed, a list of ids once two are. An
+id is added when a word gains the pair and never removed, so a slot may
+also name a word that has lost the pair, or name a word twice. A merge is
+one ``_kernels.merge_and_deltas`` call, which visits the listed words, skips
+those that no longer hold the pair and rewrites the others. Adjacent-pair
+counts come from the training entries only and are maintained incrementally
+per language, from the pairs beside each replacement only; a pair's counts
+are a tuple that a merge replaces, never mutates.
 
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
@@ -31,7 +33,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import add, itemgetter
 from pathlib import Path
 
 from . import _kernels
@@ -149,16 +151,21 @@ class _WordStore:
     ``dev_counts[word_id]`` the dev entries (``dev_counts`` is None without a
     dev set); either may be empty, and equal tuples are one shared object.
     Most words occur in one language, so the per-word loops run once per
-    entry, not once per language. ``index[pair]`` is a list of word ids that
-    names every word holding the pair. It may also name a word that has
-    since lost the pair, or name a word twice: ids are appended when a merge
-    gives a word a pair and never removed. That is safe because a visit
-    without an ``(a, b)`` changes nothing, and after one visit a word holds
-    no ``(a, b)``, so a stale or repeated id only costs a membership test;
-    counts and totals come from the replacements alone.
-    ``pair_counts[pair]`` is the per-language occurrence count weighted by
-    training multiplicity, a list of ``n_langs`` ints, so a dev-only word
-    adds nothing to it; a pair whose counts all reach zero is removed.
+    entry, not once per language. ``index[pair]`` names every word holding
+    the pair: a bare word id while it names one word, since most pairs occur
+    in one word, and a list of ids once it names two. It may also name a
+    word that has since lost the pair, or name a word twice: ids are
+    appended when a merge gives a word a pair and never removed. That is
+    safe because a visit without an ``(a, b)`` changes nothing, and after
+    one visit a word holds no ``(a, b)``, so a stale or repeated id only
+    costs a membership test; counts and totals come from the replacements
+    alone. ``pair_counts[pair]`` is the per-language occurrence count
+    weighted by training multiplicity, a tuple of ``n_langs`` ints, so a
+    dev-only word adds nothing to it. A merge replaces a changed pair's
+    tuple and never mutates one, and a pair whose counts all reach zero is
+    removed. The cyclic garbage collector never tracks a bare id, and stops
+    tracking a tuple of ints at its first collection, so neither table gives
+    a full collection objects to walk.
     ``token_totals`` and ``dev_totals`` are the per-language token totals of
     the two texts and shrink by one per replacement. A merge's word loop is
     one ``_kernels.merge_and_deltas`` call with the store.
@@ -169,8 +176,8 @@ class _WordStore:
         self.words: list[tuple[int, ...]] = []
         self.counts: list[tuple[tuple[int, int], ...]] = []
         self.dev_counts: list[tuple[tuple[int, int], ...]] | None = [] if with_dev else None
-        self.index: dict[tuple[int, int], list[int]] = {}
-        self.pair_counts: dict[tuple[int, int], list[int]] = {}
+        self.index: dict[tuple[int, int], int | list[int]] = {}
+        self.pair_counts: dict[tuple[int, int], tuple[int, ...]] = {}
         self.token_totals = [0] * n_langs
         self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
 
@@ -182,6 +189,8 @@ class _WordStore:
         and none can form again, so its index slot and counts go at once.
         """
         listed = self.index.pop((a, b), ())
+        if type(listed) is int:
+            listed = (listed,)
         pair_counts = self.pair_counts
         pair_counts.pop((a, b), None)
         changed, _, repl, dev_repl = _kernels.merge_and_deltas(self, listed, a, b, c)
@@ -191,7 +200,7 @@ class _WordStore:
                 self.dev_totals[li] -= dev_repl[li]
         for pair, dvec in changed.items():
             vec = pair_counts.get(pair)
-            new = list(dvec) if vec is None else [x + d for x, d in zip(vec, dvec)]
+            new = tuple(dvec) if vec is None else tuple(map(add, vec, dvec))
             if any(new):
                 pair_counts[pair] = new
             elif vec is not None:
@@ -282,7 +291,10 @@ class TrainerState:
             for pair in zip(word, word[1:]):  # byte values are the initial ids
                 slot = index_get(pair)
                 if slot is None:
-                    index[pair] = [wid]
+                    index[pair] = wid
+                elif type(slot) is int:
+                    if slot != wid:
+                        index[pair] = [slot, wid]
                 elif slot[-1] != wid:
                     slot.append(wid)
                 if entries:
@@ -291,6 +303,9 @@ class TrainerState:
                         vec = pair_counts[pair] = [0] * n_langs
                     for li, c in entries:
                         vec[li] += c
+        # Accumulated in lists (a few hundred byte pairs), stored as tuples.
+        for pair, vec in pair_counts.items():
+            pair_counts[pair] = tuple(vec)
 
     def _build_heap(self, heap: list, value_of) -> None:
         """Fill an empty heap with one entry per pair that selection could pick."""
@@ -392,12 +407,26 @@ class TrainerState:
         }
 
     def tokenized_words(self, store: str = "train"):
-        """Yield (token byte spans, per-language counts) of the training or dev words."""
+        """(token byte spans, per-language counts) of each ``"train"`` or ``"dev"`` word.
+
+        Raises ValueError at the call for any other name, and for ``"dev"``
+        on a state built without dev text.
+        """
         ws = self.train
-        for tokens, entries in zip(ws.words, ws.counts if store == "train" else ws.dev_counts):
-            if entries:
-                spans = tuple(self.vocab[t] for t in tokens)
-                yield spans, {self.langs[li]: c for li, c in entries if c}
+        if store == "train":
+            entries_of = ws.counts
+        elif store != "dev":
+            raise ValueError(f"unknown word store {store!r}: expected 'train' or 'dev'")
+        elif ws.dev_counts is None:
+            raise ValueError("no dev words: this trainer state was built without dev text")
+        else:
+            entries_of = ws.dev_counts
+        vocab, langs = self.vocab, self.langs
+        return (
+            (tuple(vocab[t] for t in tokens), {langs[li]: c for li, c in entries if c})
+            for tokens, entries in zip(ws.words, entries_of)
+            if entries
+        )
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))

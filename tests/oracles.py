@@ -102,6 +102,15 @@ def sliding_pair_counts(words) -> Counter:
     return counts
 
 
+def listed_ids(index, pair) -> list[int]:
+    """The word ids a trainer pair index lists under ``pair``, in order.
+
+    A slot is a bare id while it names one word and a list of ids after.
+    """
+    slot = index.get(pair, [])
+    return [slot] if isinstance(slot, int) else list(slot)
+
+
 def replace_pair(tokens, left: bytes, right: bytes):
     """Leftmost-first non-overlapping replacement of (left, right)."""
     merged = left + right

@@ -84,7 +84,8 @@ def test_criterion_4_incremental_consistency(corpus, dev):
                 return
             # pair counts: from-scratch positional recount over current words
             # (each word's counts are sparse (lang_index, count) entries; a
-            # dev-only word has none and adds to no training count)
+            # dev-only word has none and adds to no training count), compared
+            # as the store keeps it: one tuple of per-language counts per pair
             recount = {}
             for tokens, entries in zip(state.train.words, state.train.counts):
                 if not entries:
@@ -96,7 +97,7 @@ def test_criterion_4_incremental_consistency(corpus, dev):
                         vec = recount[pair] = [0] * len(state.langs)
                     for li, c in entries:
                         vec[li] += c
-            assert recount == state.train.pair_counts
+            assert {pair: tuple(vec) for pair, vec in recount.items()} == state.train.pair_counts
             # dev table: re-encode the dev corpus with the merges so far
             model = TokenizerModel(list(state.merges))
             for li, lang in enumerate(state.langs):

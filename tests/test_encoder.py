@@ -38,7 +38,7 @@ def test_overlapping_merge_is_leftmost_nonoverlapping():
     assert new == (9, 1)
     assert replaced == 1
     assert deltas == {(9, 1): 1}  # the merged pair's own counts are dropped
-    assert index == {(9, 1): [0]}
+    assert index == {(9, 1): 0}  # a slot naming one word is the bare id
 
 
 def test_no_match_returns_input():
@@ -86,7 +86,7 @@ def test_merge_and_deltas_matches_recount(tokens, a, b, c):
     # the word is listed under each pair it gained
     gained = {pair for pair, d in expected.items() if d > 0}
     assert set(index) - {(a, b)} == gained
-    assert all(listed == [0] for listed in index.values())
+    assert all(listed == 0 for listed in index.values())
 
 
 def test_encode_applies_by_rank():

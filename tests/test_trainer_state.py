@@ -8,17 +8,18 @@ and has others of its own, and hold the incremental state to a recount from
 scratch after every merge.
 """
 
+import gc
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parity_bpe import LabeledCorpus
+from parity_bpe import LabeledCorpus, ParityConfig, train_parity
 from parity_bpe import _kernels, trainer
 from parity_bpe.trainer import TrainerState
 
-from .oracles import replace_pair
+from .oracles import listed_ids, replace_pair
 
 LANGS = ("aa", "bb", "cc")
 
@@ -125,9 +126,9 @@ def _check(state, multisets, dev_multisets):
     index = state.train.index
     for wid, tokens in enumerate(state.train.words):
         for pair in zip(tokens, tokens[1:]):
-            assert wid in index.get(pair, ())
+            assert wid in listed_ids(index, pair)
     n_words = len(state.train.words)
-    assert all(0 <= wid < n_words for listed in index.values() for wid in listed)
+    assert all(0 <= wid < n_words for pair in index for wid in listed_ids(index, pair))
 
 
 def _best(pairs: Counter):
@@ -180,7 +181,7 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     state.apply((d, c))  # dca loses (c, a) and keeps a
     ab, dc = state.first_id[b"ab"], state.first_id[b"dc"]
     assert (words[cab], words[dca]) == ((c, ab), (dc, a))
-    assert {cab, ca, dca} <= set(index[(c, a)])
+    assert {cab, ca, dca} <= set(listed_ids(index, (c, a)))
     _check(state, multisets, dev_multisets)
 
     calls = []
@@ -198,3 +199,87 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     assert words[cab] is stale[0] and words[dca] is stale[1]
     assert (words[cab], words[dca]) == ((c, ab), (dc, a))
     _check(state, multisets, dev_multisets)
+
+
+def test_tokenized_words_names_a_store_that_exists():
+    state = TrainerState(LabeledCorpus.from_multisets({"aa": {b"abc": 2}}))
+    assert list(state.tokenized_words("train")) == [((b"a", b"b", b"c"), {"aa": 2})]
+    with pytest.raises(ValueError, match="unknown word store 'trian'"):
+        state.tokenized_words("trian")
+    with pytest.raises(ValueError, match="without dev text"):
+        state.tokenized_words("dev")
+
+
+def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
+    """After a run, each pair's counts are an untracked tuple and a one-word slot a bare id."""
+    seen = []
+    config = ParityConfig(200, global_merges=50, window_size=0)
+    train_parity(corpus, dev, config, on_step=lambda state, record: seen.append(state))
+    state = seen[-1]
+    assert state._global_built and state._built_langs  # both kinds of step ran
+    store = state.train
+    gc.collect()
+    for vec in store.pair_counts.values():
+        assert not gc.is_tracked(vec)
+        assert type(vec) is tuple and len(vec) == store.n_langs
+        assert all(type(x) is int for x in vec)
+    assert {type(slot) for slot in store.index.values()} == {int, list}
+    assert all(len(slot) >= 2 for slot in store.index.values() if type(slot) is list)
+
+
+def _store_of(*words):
+    """A one-language store of ``words``, each counted once, and each word's id."""
+    state = TrainerState(LabeledCorpus.from_multisets({"aa": {w: 1 for w in words}}))
+    ids = {w: state.train.words.index(tuple(w)) for w in words}
+    return state.train, ids
+
+
+def test_a_stale_bare_id_is_skipped(monkeypatch):
+    store, ids = _store_of(b"cab")
+    a, b, c = b"abc"
+    store.apply_merge(a, b, 256)  # the word loses (c, a) and stays listed under it
+    assert store.index[(c, a)] == ids[b"cab"] and (c, a) not in store.pair_counts
+    word = store.words[ids[b"cab"]]
+    calls = []
+    merge_and_deltas = _kernels.merge_and_deltas
+
+    def record(store, listed, *args):
+        calls.append(listed)
+        return merge_and_deltas(store, listed, *args)
+
+    monkeypatch.setattr(_kernels, "merge_and_deltas", record)
+    assert store.apply_merge(c, a, 257) == ([0], {})
+    assert calls == [(ids[b"cab"],)]
+    assert store.words[ids[b"cab"]] is word and (c, a) not in store.index
+
+
+def test_a_word_gaining_a_pair_twice_stays_a_bare_id():
+    # (a, b) -> c, an id the word holds already: (c, c) is gained on both sides
+    store, ids = _store_of(b"ccabc")
+    a, b, c = b"abc"
+    assert store.index[(c, c)] == ids[b"ccabc"]
+    store.apply_merge(a, b, c)
+    assert store.words[ids[b"ccabc"]] == (c, c, c, c)
+    assert store.index[(c, c)] == ids[b"ccabc"]
+    assert store.pair_counts == {(c, c): (3,)}
+
+
+def test_a_second_word_turns_the_slot_into_a_list():
+    store, ids = _store_of(b"xab", b"xabab")
+    a, b, x = b"abx"
+    assert store.index[(a, b)] == [ids[b"xab"], ids[b"xabab"]]
+    assert store.index[(b, a)] == ids[b"xabab"]
+    store.apply_merge(a, b, 256)
+    assert store.index[(x, 256)] == [ids[b"xab"], ids[b"xabab"]]
+    assert store.index[(256, 256)] == ids[b"xabab"]
+    assert store.pair_counts == {(x, 256): (2,), (256, 256): (1,)}
+
+
+def test_a_run_of_a_equal_pair_leaves_no_count_of_it():
+    store, ids = _store_of(b"aaa")
+    a = ord("a")
+    assert store.pair_counts == {(a, a): (2,)} and store.index == {(a, a): ids[b"aaa"]}
+    store.apply_merge(a, a, 256)
+    assert store.words[ids[b"aaa"]] == (256, a)
+    assert store.pair_counts == {(256, a): (1,)}
+    assert store.index == {(256, a): ids[b"aaa"]}
