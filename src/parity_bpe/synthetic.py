@@ -4,6 +4,15 @@ Each language gets a disjoint byte alphabet and a Zipf-distributed word
 inventory. Training files are independent per language; dev files are
 line-aligned renderings of shared message index sequences, so line i is the
 same "content" expressed in every language's inventory.
+
+The output is a pure function of (spec, seed), across versions too: the same
+spec and seed give byte-identical files and stats. Each language's training
+lines draw from ``random.Random(f"{seed}/{code}/train")`` and the dev
+messages from ``random.Random(f"{seed}/dev")``. A line draws one
+``randint(low, high)`` for its word count ``n``, then ``n`` ``random()``
+values, each scaled by the total Zipf weight and bisected into the
+cumulative weights to pick a word. A language draws training lines until
+their text bytes reach its proportion of ``total_train_bytes``.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import islice, product, repeat, starmap
 from pathlib import Path
 
 from .errors import ConfigError, DataError
@@ -66,7 +75,12 @@ class SyntheticSpec:
         ]
         return cls(languages=langs, proportions=list(proportions), dev_lines=dev_lines, **kwargs)
 
-    def validate(self) -> None:
+    def validate(self) -> list[float]:
+        """Raise ``ConfigError`` for a spec that cannot be generated.
+
+        Returns the cumulative Zipf weights of the word inventory, the table
+        every line's draws bisect.
+        """
         numbers = (self.total_train_bytes, self.zipf_exponent, *self.proportions)
         if not all(isinstance(v, int) for v in (self.dev_lines, self.vocab_size)) or not all(
             isinstance(v, (int, float)) for v in numbers
@@ -86,6 +100,12 @@ class SyntheticSpec:
         codes = [l.code for l in self.languages]
         if len(set(codes)) != len(codes):
             raise ConfigError("duplicate language codes")
+        for code in codes:  # each names train/<code>.jsonl and dev/<code>.txt
+            if not isinstance(code, str) or code in ("", ".", "..") or "/" in code or "\0" in code:
+                raise ConfigError(
+                    f"language code {code!r} cannot name a file: it must be a non-empty "
+                    "string other than '.' and '..', without '/' or NUL"
+                )
         byte_sets = []
         for lang in self.languages:
             if not lang.alphabet:
@@ -109,17 +129,18 @@ class SyntheticSpec:
         ):
             raise ConfigError("words_per_line must be a (low, high) pair with 1 <= low <= high")
         exponent = self.zipf_exponent
+        cum = None
         try:  # json.loads reads NaN and Infinity; a huge exponent overflows a weight
-            ok = math.isfinite(exponent) and math.isfinite(
-                _zipf_cumweights(self.vocab_size, exponent)[-1]
-            )
+            if math.isfinite(exponent):
+                cum = _zipf_cumweights(self.vocab_size, exponent)
         except (OverflowError, ZeroDivisionError):
-            ok = False
-        if not ok:
+            pass
+        if cum is None or not math.isfinite(cum[-1]):
             raise ConfigError(
                 f"zipf_exponent must be finite and give {self.vocab_size} finite Zipf "
                 f"weights, got {exponent!r}"
             )
+        return cum
 
     @classmethod
     def from_json(cls, path: str | Path) -> "SyntheticSpec":
@@ -161,9 +182,7 @@ def _word_inventory(alphabet: str, size: int) -> list[str]:
     length = 2
     while len(words) < size:
         needed = size - len(words)
-        words.extend(
-            "".join(chars) for chars in islice(product(alphabet, repeat=length), needed)
-        )
+        words.extend(map("".join, islice(product(alphabet, repeat=length), needed)))
         length += 1
     return words
 
@@ -179,27 +198,30 @@ def _zipf_cumweights(n: int, exponent: float) -> list[float]:
 class _MessageSampler:
     """Samples word-index sequences from a Zipf distribution."""
 
-    def __init__(self, rng: random.Random, spec: SyntheticSpec):
+    def __init__(self, rng: random.Random, cum: list[float], words_per_line: tuple[int, int]):
         self._rng = rng
-        self._cum = _zipf_cumweights(spec.vocab_size, spec.zipf_exponent)
-        self._total = self._cum[-1]
-        self._lo, self._hi = spec.words_per_line
+        self._cum = cum
+        self._total = cum[-1]
+        self._lo, self._hi = words_per_line
 
     def line_indices(self) -> list[int]:
-        n = self._rng.randint(self._lo, self._hi)
-        return [
-            bisect_right(self._cum, self._rng.random() * self._total) for _ in range(n)
-        ]
+        """One ``randint`` for the length ``n``, then ``n`` ``random()`` draws."""
+        rng = self._rng
+        n = rng.randint(self._lo, self._hi)
+        # bisect_right(cum, random() * total) per word, in C iterators
+        draws = map(self._total.__mul__, starmap(rng.random, repeat((), n)))
+        return list(map(bisect_right, repeat(self._cum, n), draws))
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> dict:
     """Write a labeled training corpus plus an aligned dev corpus.
 
     Emits ``train/<lang>.jsonl``, ``manifest.json``, ``dev/<lang>.txt``, and
-    ``synth_stats.json`` under ``out_dir``. Pure function of (spec, seed):
-    repeated runs produce byte-identical files. Returns the stats dict.
+    ``synth_stats.json`` under ``out_dir``. Pure function of (spec, seed),
+    across versions too: repeated runs produce byte-identical files. Returns
+    the stats dict.
     """
-    spec.validate()
+    cum = spec.validate()
     out_dir = Path(out_dir)
     (out_dir / "train").mkdir(parents=True, exist_ok=True)
     (out_dir / "dev").mkdir(parents=True, exist_ok=True)
@@ -212,15 +234,20 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> d
     manifest = {"languages": []}
     for lang, proportion in zip(spec.languages, spec.proportions):
         target = proportion * spec.total_train_bytes
-        sampler = _MessageSampler(random.Random(f"{seed}/{lang.code}/train"), spec)
-        inventory = inventories[lang.code]
+        sampler = _MessageSampler(
+            random.Random(f"{seed}/{lang.code}/train"), cum, spec.words_per_line
+        )
+        word = inventories[lang.code].__getitem__
+        # json.dumps of the dict {"text": text, "lang": code}, with its
+        # default separators and ASCII escapes, but only the text escaped per line
+        tail = ', "lang": ' + json.dumps(lang.code) + "}\n"
         path = out_dir / "train" / f"{lang.code}.jsonl"
         emitted_bytes = 0
         emitted_lines = 0
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             while emitted_bytes < target:
-                text = " ".join(inventory[i] for i in sampler.line_indices())
-                fh.write(json.dumps({"text": text, "lang": lang.code}) + "\n")
+                text = " ".join(map(word, sampler.line_indices()))
+                fh.write('{"text": ' + json.dumps(text) + tail)
                 emitted_bytes += len(text.encode("utf-8"))
                 emitted_lines += 1
         manifest["languages"].append({"lang": lang.code, "path": f"train/{lang.code}.jsonl"})
@@ -230,14 +257,14 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> d
             "train_lines": emitted_lines,
         }
 
-    dev_sampler = _MessageSampler(random.Random(f"{seed}/dev"), spec)
+    dev_sampler = _MessageSampler(random.Random(f"{seed}/dev"), cum, spec.words_per_line)
     messages = [dev_sampler.line_indices() for _ in range(spec.dev_lines)]
     for lang in spec.languages:
-        inventory = inventories[lang.code]
+        word = inventories[lang.code].__getitem__
         path = out_dir / "dev" / f"{lang.code}.txt"
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             for indices in messages:
-                fh.write(" ".join(inventory[i] for i in indices) + "\n")
+                fh.write(" ".join(map(word, indices)) + "\n")
 
     manifest_path = out_dir / "manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")

@@ -57,6 +57,8 @@ BAD_INPUT_FILES = {
     "spec_words_per_line_zero.json": json.dumps(
         {"proportions": [1], "languages": ["aa"], "words_per_line": [0, 3]}
     ),
+    "spec_code_nul.json": json.dumps({"proportions": [1], "languages": ["a\0b"]}),
+    "spec_code_empty.json": json.dumps({"proportions": [1], "languages": [""]}),
     **{
         f"spec_zipf_{name}.json": json.dumps(
             {"proportions": [1], "languages": ["aa"], "zipf_exponent": value}
@@ -114,6 +116,12 @@ BAD_INPUT_ARGV = {
         f"synth-config-zipf-{name}": _SYNTH + ["--config", f"{{tmp}}/spec_zipf_{name}.json"]
         for name in ("nan", "inf", "1e6", "-1e6")
     },
+    # language codes that name no file of their own under train/ and dev/
+    "synth-code-nul": _SYNTH + ["--config", "{tmp}/spec_code_nul.json"],
+    "synth-code-parent-dir": _SYNTH + ["--langs", "../esc"],
+    "synth-code-two-levels-up": _SYNTH + ["--langs", "../../esc"],
+    "synth-code-slash": _SYNTH + ["--langs", "en/us"],
+    "synth-code-empty": _SYNTH + ["--config", "{tmp}/spec_code_empty.json"],
 }
 
 
@@ -1141,6 +1149,16 @@ class TestSynth:
         assert run(["synth", "--config", config, "--out", out]) == 0
         dev = load_parallel_dev(out / "dev", ["pp", "qq"])
         assert dev.n_lines == 4
+
+    @pytest.mark.parametrize("name", [n for n in BAD_INPUT_ARGV if n.startswith("synth-code-")])
+    def test_code_that_cannot_name_a_file_writes_nothing(self, name, tmp_path, capsys):
+        for file_name, content in BAD_INPUT_FILES.items():
+            (tmp_path / file_name).write_text(content)
+        before = sorted(tmp_path.rglob("*"))
+        assert run([arg.format(tmp=tmp_path) for arg in BAD_INPUT_ARGV[name]]) == 1
+        assert "cannot name a file" in capsys.readouterr().err
+        # nothing under --out ({tmp}/corpus) or beside it
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestUsage:

@@ -1,4 +1,5 @@
 import filecmp
+import hashlib
 
 import pytest
 
@@ -71,6 +72,14 @@ def test_proportions_must_sum_to_one(tmp_path):
         generate_synthetic(spec, seed=0, out_dir=tmp_path)
 
 
+@pytest.mark.parametrize("code", ["", ".", "..", "../x", "a/b", "a\0b", 7])
+def test_code_must_name_a_file(tmp_path, code):
+    spec = SyntheticSpec.default([code], [1.0])
+    with pytest.raises(ConfigError, match="cannot name a file"):
+        generate_synthetic(spec, seed=0, out_dir=tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_alphabet_byte_sets_disjoint(synth_dir, corpus):
     seen = {}
     for lang in corpus.languages:
@@ -83,3 +92,74 @@ def test_alphabet_byte_sets_disjoint(synth_dir, corpus):
     for i, a in enumerate(langs):
         for b in langs[i + 1 :]:
             assert not (seen[a] & seen[b])
+
+
+# The generator's output is a pure function of (spec, seed), across versions
+# too: the sha256 of every file it writes, and the stats it returns.
+PINNED_OUTPUTS = {
+    "default-mix": (
+        lambda: SyntheticSpec.default(
+            ["aa", "bb", "cc"], [0.8, 0.15, 0.05], dev_lines=20, total_train_bytes=20_000
+        ),
+        7,
+        {
+            "dev/aa.txt": "be94023f5bc593b03b0ebecb8a12c9b115d529f14556a91a214e720589f35c87",
+            "dev/bb.txt": "a31443e9349ea95503c5b301bbc8ec9d397835c1993103f5e4df7100639d463b",
+            "dev/cc.txt": "71d6c4a346769caa8e6b8b4bc0811f7f6c03d5206c90aa2062c0828480d3f253",
+            "manifest.json": "8e65ced992a189674386edd2346cd65a320125cdfaefa070aadd06d1f1039338",
+            "synth_stats.json": "34d8e5265929baccc0c5ef0fe3652605b0650f66a300e13e651c2af2acc8878f",
+            "train/aa.jsonl": "7bfcd6dbe220a57367891e83a474bbde0f83fb5c349f87e0e98803b8fe32877a",
+            "train/bb.jsonl": "a931ac6e35a2e91d4e4b6a97db0716b97c0b19751155942cd8dfc855768128ab",
+            "train/cc.jsonl": "c6c28040c6a8cead2412d62e9867e6a9212f84fc77dc9b54b9e62b6d88fd5747",
+        },
+        {
+            "seed": 7,
+            "languages": {
+                "aa": {"proportion": 0.8, "train_text_bytes": 16010, "train_lines": 596},
+                "bb": {"proportion": 0.15, "train_text_bytes": 3007, "train_lines": 114},
+                "cc": {"proportion": 0.05, "train_text_bytes": 1020, "train_lines": 41},
+            },
+            "dev_lines": 20,
+        },
+    ),
+    # JSON escapes in the text (quote, backslash, non-ASCII) and in the code
+    "custom": (
+        lambda: SyntheticSpec(
+            [SyntheticLanguage('q"', 'a"\\b'), SyntheticLanguage("\u00fc", "\u00e9\u00fc")],
+            [0.6, 0.4],
+            dev_lines=15,
+            total_train_bytes=4_000,
+            words_per_line=(1, 3),
+            zipf_exponent=0.7,
+        ),
+        11,
+        {
+            'dev/q".txt': "6e1e7d154df74354a131d9bcfd73720a6ac9263a6b3cf2dd4b84e007760ffb28",
+            "dev/\u00fc.txt": "95d49baf9239c46cf8be765b2de1da5a33b4adaba6c81e05f255abdea64922a7",
+            "manifest.json": "c1c65791c7d96e46c2ff134b9538563696c1d2924fa265634965796b7376863f",
+            "synth_stats.json": "81556687b27b3faaa4dd7bfec78a9b37bbd0ab44248fc3f1ea201d7faa9b6e1b",
+            'train/q".jsonl': "4e30c42251372a8cbb2ccfa2d63e5a40fef81fed48c206b106ee82b39417a531",
+            "train/\u00fc.jsonl": "40f82e33abfc26bb68f71006e34374c720b9810243b45ec3600e0dd018c6a6d0",
+        },
+        {
+            "seed": 11,
+            "languages": {
+                'q"': {"proportion": 0.6, "train_text_bytes": 2410, "train_lines": 316},
+                "\u00fc": {"proportion": 0.4, "train_text_bytes": 1604, "train_lines": 78},
+            },
+            "dev_lines": 15,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(PINNED_OUTPUTS))
+def test_output_bytes_are_pinned(tmp_path, name):
+    make_spec, seed, digests, stats = PINNED_OUTPUTS[name]
+    assert generate_synthetic(make_spec(), seed, tmp_path) == stats
+    written = {
+        path.relative_to(tmp_path).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in tmp_path.rglob("*")
+        if path.is_file()
+    }
+    assert written == digests
