@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev, pretokenize
+from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev, pretokenize, read_manifest
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
 from .metrics import RENYI_ALPHA_DEFAULT, check_renyi_order, full_report, load_gold_tsv
 from .parity import CRTable, ParityConfig, reference_unit_totals, train_no_dev, train_parity
@@ -302,13 +302,12 @@ def cmd_train(args) -> int:
         config.validate()
         dev_dir = None if args.no_dev else _require(args, "dev")
 
-    corpus = load_labeled_corpus(manifest, args.limit_per_language)
-    # The data files are known once the manifest is read; nothing is written yet.
-    entries = json.loads(manifest.read_text(encoding="utf-8"))["languages"]
-    train_files = {entry["lang"]: manifest.parent / entry["path"] for entry in entries}
-    dev_files = [] if dev_dir is None else _dev_files(dev_dir, corpus.languages)
-    train_inputs = [(f"the {lang} training file", path) for lang, path in train_files.items()]
+    # The data files are known once the manifest is read, and checked before any is.
+    train_files = read_manifest(manifest)
+    dev_files = [] if dev_dir is None else _dev_files(dev_dir, sorted(dict(train_files)))
+    train_inputs = [(f"the {lang} training file", path) for lang, path in train_files]
     _check_distinct(outputs, train_inputs + dev_files)
+    corpus = load_labeled_corpus(manifest, args.limit_per_language)
     resolved = {
         "command": "train",
         "corpus": str(manifest),
@@ -342,7 +341,7 @@ def cmd_train(args) -> int:
     )
 
     input_digests = {"manifest": _digest_file(manifest)}
-    input_digests.update((lang, _digest_file(path)) for lang, path in train_files.items())
+    input_digests.update((lang, _digest_file(path)) for lang, path in train_files)
     for lang, (_, path) in zip(corpus.languages, dev_files):
         input_digests[f"dev/{lang}"] = _digest_file(path)
 
@@ -634,7 +633,7 @@ def main(argv=None) -> int:
                 overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))
             except FileNotFoundError:
                 raise DataError(f"config file not found: {config_path}") from None
-            except ValueError as exc:  # bad UTF-8 or bad JSON
+            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or too deep
                 raise DataError(f"malformed config {config_path}: {exc}") from None
             if not isinstance(overrides, dict):
                 raise ConfigError(f"config {config_path} must be a JSON object")

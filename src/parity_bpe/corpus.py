@@ -5,15 +5,15 @@ ASCII-whitespace run and attaches the run to the following pre-token
 (leading-space convention), so concatenating the pre-tokens of any input
 restores it byte for byte. No Unicode normalization is applied.
 
-A labeled training file is read in one piece: it is decoded once (UTF-8,
-surrogates passed through, as ``json.loads`` decodes bytes), split on
-``\n``, and each line, stripped of ASCII whitespace as ``bytes.strip``
-strips it, is parsed in place by ``JSONDecoder.raw_decode`` and must end
-where the value ends. Its pre-tokens are counted with one ``Counter`` per
-language. On any error the file is read again with one ``json.loads`` per
-line, so the corpus, and every ``CorpusError`` with its ``path:lineno``,
-are those of the per-line loader. Files that need that path, such as one
-with a UTF-8 byte-order mark on a line, load correctly but more slowly.
+A labeled training file is read once. Its bytes are split on ``\n`` and
+each line, stripped of ASCII whitespace by ``bytes.strip``, is decoded
+(UTF-8, surrogates passed through, as ``json.loads`` decodes bytes) and
+parsed in place by ``JSONDecoder.raw_decode``. A line that this rejects,
+because it is not UTF-8 or its value does not fill it, is parsed again on
+its own by ``json.loads`` of its bytes: that either returns what the
+per-line loader reads there (a line led by a UTF-8 byte-order mark, say)
+or raises that loader's error, as a ``CorpusError`` with ``path:lineno``.
+Pre-tokens are counted with one ``Counter`` per language.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .errors import CorpusError
 # A pre-token is a whitespace run glued to the following non-whitespace run;
 # a trailing whitespace run with nothing after it stands alone.
 _PRETOKEN_RE = re.compile(rb"\s*\S+|\s+")
-# What bytes.strip() removes; str.strip() would also remove Unicode spaces.
-_ASCII_WS = " \t\n\r\x0b\x0c"
 _DECODER = json.JSONDecoder()
 
 
@@ -137,21 +135,18 @@ class ParallelDevCorpus:
         self.n_lines = distinct.pop() if distinct else 0
 
 
-def load_labeled_corpus(
-    manifest: str | Path, limit_per_language: int | None = None
-) -> LabeledCorpus:
-    """Load a labeled training corpus from a JSON manifest.
+def read_manifest(manifest: str | Path) -> list[tuple[str, Path]]:
+    """The ``(lang, path)`` entries of a corpus manifest, in its order.
 
-    The manifest lists ``{"languages": [{"lang": ..., "path": ...}, ...]}``
-    with paths relative to the manifest. Each referenced file is JSONL with
-    ``text`` and ``lang`` fields per record.
+    The manifest is ``{"languages": [{"lang": ..., "path": ...}, ...]}``
+    with paths relative to the manifest and no language listed twice.
     """
     manifest = Path(manifest)
     try:
         spec = json.loads(manifest.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise CorpusError(f"manifest not found: {manifest}") from None
-    except ValueError as exc:  # bad UTF-8 or bad JSON
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or too deep
         raise CorpusError(f"malformed manifest {manifest}: {exc}") from None
     if not isinstance(spec, dict):
         raise CorpusError(f"manifest {manifest} must be a JSON object")
@@ -171,7 +166,18 @@ def load_labeled_corpus(
             raise CorpusError(f"manifest {manifest}: duplicate language {lang!r}")
         seen.add(lang)
         declared.append((lang, manifest.parent / path))
+    return declared
 
+
+def load_labeled_corpus(
+    manifest: str | Path, limit_per_language: int | None = None
+) -> LabeledCorpus:
+    """Load a labeled training corpus from a JSON manifest (see :func:`read_manifest`).
+
+    Each file the manifest names is JSONL with ``text`` and ``lang`` fields
+    per record.
+    """
+    declared = read_manifest(manifest)
     known = {lang for lang, _ in declared}
     per_language: dict[str, Counter] = {lang: Counter() for lang in known}
     totals = {
@@ -205,43 +211,25 @@ def _read_records(
 ) -> tuple[dict[str, list[bytes]], dict[str, int]]:
     """The records one file adds: UTF-8 texts and char totals per language.
 
-    The whole file is decoded once and each line parsed in place. Any error
-    there sends the file through the per-line ``json.loads`` loop, which
-    raises the ``path:lineno`` error; the fast pass only ever accepts what
-    that loop accepts, with the same values.
-    """
-    try:
-        lines = path.read_bytes().decode("utf-8", "surrogatepass").split("\n")
-        return _parse_lines(path, lines, _parse_whole_line, _ASCII_WS, known, n_records, limit)
-    except (UnicodeDecodeError, CorpusError):
-        pass
-    with open(path, "rb") as fh:
-        return _parse_lines(path, fh, json.loads, None, known, n_records, limit)
-
-
-def _parse_whole_line(line: str):
-    """The JSON value that fills ``line``; what ``json.loads`` returns for it."""
-    value, end = _DECODER.raw_decode(line)
-    if end != len(line):
-        raise json.JSONDecodeError("Extra data", line, end)
-    return value
-
-
-def _parse_lines(path, lines, parse, strip_chars, known, n_records, limit):
-    """The record loop shared by both passes; raises at the first bad line.
-
-    ``n_records`` counts what earlier files kept; it is read, not changed.
+    The file is read once and raises at its first bad line. ``n_records``
+    counts what earlier files kept; it is read, not changed.
     """
     kept: dict[str, list[bytes]] = {lang: [] for lang in known}
     chars = dict.fromkeys(known, 0)
-    for lineno, raw in enumerate(lines, 1):
-        raw = raw.strip(strip_chars)
+    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), 1):
+        raw = raw.strip()
         if not raw:
             continue
         try:
-            record = parse(raw)
+            try:  # in place; what this rejects, json.loads of the bytes decides
+                line = raw.decode("utf-8", "surrogatepass")
+                record, end = _DECODER.raw_decode(line)
+                if end != len(line):
+                    raise ValueError
+            except ValueError:
+                record = json.loads(raw)
             text, rec_lang = record["text"], record["lang"]
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, KeyError, TypeError, RecursionError) as exc:
             raise CorpusError(f"{path}:{lineno}: malformed record ({exc})") from None
         if not isinstance(text, str) or not isinstance(rec_lang, str):
             raise CorpusError(f"{path}:{lineno}: text and lang must be strings")

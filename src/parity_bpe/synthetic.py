@@ -148,7 +148,7 @@ class SyntheticSpec:
             data = json.loads(Path(path).read_text(encoding="utf-8"))
         except OSError as exc:
             raise DataError(f"cannot read synthetic spec {path}: {exc.strerror or exc}") from None
-        except ValueError as exc:  # bad UTF-8 or bad JSON
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or too deep
             raise DataError(f"malformed synthetic spec {path}: {exc}") from None
         if not isinstance(data, dict) or "proportions" not in data:
             raise ConfigError(f"synthetic spec {path} must be a JSON object with 'proportions'")
@@ -216,13 +216,17 @@ class _MessageSampler:
 def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> dict:
     """Write a labeled training corpus plus an aligned dev corpus.
 
-    Emits ``train/<lang>.jsonl``, ``manifest.json``, ``dev/<lang>.txt``, and
-    ``synth_stats.json`` under ``out_dir``. Pure function of (spec, seed),
-    across versions too: repeated runs produce byte-identical files. Returns
-    the stats dict.
+    Emits ``train/<lang>.jsonl``, ``dev/<lang>.txt``, ``synth_stats.json``
+    and, last, ``manifest.json`` under ``out_dir``, after removing the stats
+    and manifest of an earlier run: a run that fails leaves no manifest. Pure
+    function of (spec, seed), across versions too: repeated runs produce
+    byte-identical files. Returns the stats dict.
     """
     cum = spec.validate()
     out_dir = Path(out_dir)
+    manifest_path, stats_path = out_dir / "manifest.json", out_dir / "synth_stats.json"
+    manifest_path.unlink(missing_ok=True)
+    stats_path.unlink(missing_ok=True)
     (out_dir / "train").mkdir(parents=True, exist_ok=True)
     (out_dir / "dev").mkdir(parents=True, exist_ok=True)
 
@@ -266,9 +270,6 @@ def generate_synthetic(spec: SyntheticSpec, seed: int, out_dir: str | Path) -> d
             for indices in messages:
                 fh.write(" ".join(map(word, indices)) + "\n")
 
-    manifest_path = out_dir / "manifest.json"
+    stats_path.write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
     manifest_path.write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
-    (out_dir / "synth_stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
     return stats

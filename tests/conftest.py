@@ -1,4 +1,6 @@
 import random
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -71,3 +73,22 @@ def window_run(corpus, dev):
 def fuzz_strings():
     rng = random.Random(SEED)
     return [rng.randbytes(rng.randint(0, 512)) for _ in range(10_000)]
+
+
+@pytest.fixture()
+def file_reads(monkeypatch):
+    """Counts, by path string, each file read through ``open`` or ``Path.read_bytes``."""
+    reads = Counter()
+    real_open, read_bytes = open, Path.read_bytes
+
+    def counting_open(file, *args, **kwargs):
+        reads[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    def counting_read_bytes(self):
+        reads[str(self)] += 1
+        return read_bytes(self)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    return reads

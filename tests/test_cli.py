@@ -57,6 +57,13 @@ BAD_INPUT_FILES = {
     "spec_words_per_line_zero.json": json.dumps(
         {"proportions": [1], "languages": ["aa"], "words_per_line": [0, 3]}
     ),
+    "deep.json": "[" * 100_000,
+    "deep_record.jsonl": "[" * 200_000 + "]" * 200_000 + "\n",
+    "huge_int_record.jsonl": '{"text": "a", "lang": "aa", "n": ' + "1" * 5000 + "}\n",
+    **{
+        f"manifest_{name}.json": json.dumps({"languages": [{"lang": "aa", "path": name + ".jsonl"}]})
+        for name in ("deep_record", "huge_int_record")
+    },
     "spec_code_nul.json": json.dumps({"proportions": [1], "languages": ["a\0b"]}),
     "spec_code_empty.json": json.dumps({"proportions": [1], "languages": [""]}),
     **{
@@ -116,6 +123,13 @@ BAD_INPUT_ARGV = {
         f"synth-config-zipf-{name}": _SYNTH + ["--config", f"{{tmp}}/spec_zipf_{name}.json"]
         for name in ("nan", "inf", "1e6", "-1e6")
     },
+    # JSON nested deeper than the parser's recursion limit, and an int too long to convert
+    "train-config-deep": _CLASSICAL_TRAIN + ["--config", "{tmp}/deep.json"],
+    "synth-config-deep": _SYNTH + ["--config", "{tmp}/deep.json"],
+    "train-corpus-manifest-deep": _CLASSICAL_TRAIN + ["--corpus", "{tmp}/deep.json"],
+    "train-record-deep": _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_deep_record.json"],
+    "train-record-huge-int":
+        _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_huge_int_record.json"],
     # language codes that name no file of their own under train/ and dev/
     "synth-code-nul": _SYNTH + ["--config", "{tmp}/spec_code_nul.json"],
     "synth-code-parent-dir": _SYNTH + ["--langs", "../esc"],
@@ -915,9 +929,11 @@ class TestOutputs:
         "argv, message", list(COLLIDING_ARGV.values()), ids=list(COLLIDING_ARGV)
     )
     def test_output_naming_another_file_is_usage_error(
-        self, tmp_path, small_synth_dir, capsys, argv, message
+        self, tmp_path, small_synth_dir, capsys, file_reads, argv, message
     ):
         shutil.copytree(small_synth_dir, tmp_path / "corpus")
+        # refused before any data is read, so a malformed file is never reached
+        (tmp_path / "corpus" / "train" / "bb.jsonl").write_text("{not json\n")
         (tmp_path / "model.bpe").write_text(EXAMPLE_MODEL)
         (tmp_path / "other.bpe").write_text(EXAMPLE_MODEL)
         (tmp_path / "link.bpe").symlink_to(tmp_path / "model.bpe")
@@ -925,10 +941,12 @@ class TestOutputs:
         (tmp_path / "text.txt").write_bytes(b"babab\n")
         (tmp_path / "tokens.txt").write_bytes(b"ba b\n")
         before = _tree(tmp_path)
+        file_reads.clear()
         paths = {"tmp": tmp_path, "corpus": tmp_path / "corpus"}
         code = run([arg.format(**paths) for arg in argv])
         assert code == 1
         assert f"error: {message.format(**paths)}" in capsys.readouterr().err
+        assert list(file_reads) == []
         assert _tree(tmp_path) == before
 
     def test_output_may_name_the_input(self, example_model, tmp_path):
@@ -1149,6 +1167,16 @@ class TestSynth:
         assert run(["synth", "--config", config, "--out", out]) == 0
         dev = load_parallel_dev(out / "dev", ["pp", "qq"])
         assert dev.n_lines == 4
+
+    def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
+        out = tmp_path / "corpus"
+        args = ["synth", "--out", out, "--train-bytes", "3000", "--dev-lines", "5"]
+        assert run(args + ["--langs", "aa,bb", "--seed", "1"]) == 0
+        # the second language's file name is too long to create
+        assert run(args + ["--langs", "aa," + "b" * 300, "--seed", "2"]) == 2
+        assert (out / "train" / "aa.jsonl").exists()
+        assert not (out / "manifest.json").exists()
+        assert not (out / "synth_stats.json").exists()
 
     @pytest.mark.parametrize("name", [n for n in BAD_INPUT_ARGV if n.startswith("synth-code-")])
     def test_code_that_cannot_name_a_file_writes_nothing(self, name, tmp_path, capsys):

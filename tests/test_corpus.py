@@ -148,17 +148,23 @@ class TestLoadLabeledCorpus:
 
 
 # -- the loader against the per-line oracle ------------------------------------
-def load_both(directory: Path, files: dict[str, bytes], limit=None):
-    """Write one file per language and load it with both loaders.
-
-    Returns (fast, per-line), each a corpus or the CorpusError message.
-    """
+def write_files(directory: Path, files: dict[str, bytes]) -> Path:
+    """Write one file per language and a manifest naming them; returns the manifest."""
     for lang, data in files.items():
         (directory / f"{lang}.jsonl").write_bytes(data)
     manifest = directory / "manifest.json"
     manifest.write_text(
         json.dumps({"languages": [{"lang": lang, "path": f"{lang}.jsonl"} for lang in files]})
     )
+    return manifest
+
+
+def load_both(directory: Path, files: dict[str, bytes], limit=None):
+    """Write one file per language and load it with both loaders.
+
+    Returns (fast, per-line), each a corpus or the CorpusError message.
+    """
+    manifest = write_files(directory, files)
     results = []
     for load in (load_labeled_corpus, per_line_load_labeled_corpus):
         try:
@@ -209,6 +215,11 @@ FIXED_FILES = {
     "limit-across-files": (rec("a") + b"\n" + rec("b1", "bb") + b"\n", 1),
     "limit-skips-bad-text": (rec("a") + b'\n{"text": "\\ud800", "lang": "aa"}\n', 1),
     "separator-between-records": (rec("a") + "\x1c".encode() + rec("b") + b"\n", None),
+    # the first bad line is named, after a line only json.loads reads
+    "bom-line-then-malformed": (
+        rec("a") + b"\n\xef\xbb\xbf" + rec("bom") + b"\n{not json\n\xff\n", None),
+    "bad-utf8-after-good-lines": (
+        rec("a") + b"\n" + rec("b") + b'\n\n{"text": "\xc3(", "lang": "aa"}\n{not json\n', None),
     "unicode-line-separators": (
         json.dumps({"text": "a\u2028b\x85c\rd", "lang": "aa"}, ensure_ascii=False).encode()
         + b"\n", None),
@@ -224,6 +235,23 @@ def test_loader_matches_per_line_oracle(tmp_path, name):
 def test_split_object_file_is_rejected_at_its_first_line(tmp_path):
     got = assert_same_load(tmp_path, {"aa": TWO_OBJECTS_AND_A_SPLIT_ONE})
     assert "aa.jsonl:1: malformed record" in got
+
+
+@pytest.mark.parametrize(
+    "name, lineno", [("bom-line-then-malformed", 3), ("bad-utf8-after-good-lines", 4)]
+)
+def test_first_bad_line_keeps_its_number(tmp_path, name, lineno):
+    got = assert_same_load(tmp_path, {"aa": FIXED_FILES[name][0]})
+    assert f"aa.jsonl:{lineno}: malformed record" in got
+
+
+def test_each_training_file_is_read_once(tmp_path, file_reads):
+    # the byte-order mark line is one that only json.loads reads
+    manifest = write_files(tmp_path, {"aa": FIXED_FILES["utf8-bom-line"][0],
+                                      "bb": rec("b c", "bb") + b"\n"})
+    corpus = load_labeled_corpus(manifest)
+    assert corpus.per_language["aa"][b"bom"] == 1
+    assert [file_reads[str(tmp_path / name)] for name in ("aa.jsonl", "bb.jsonl")] == [1, 1]
 
 
 def test_bom_line_loads(tmp_path):
