@@ -198,7 +198,7 @@ def load_labeled_corpus(
             t[NormUnit.LINES] += len(texts)
             n_records[rec_lang] += len(texts)
 
-    for lang in known:
+    for lang, _ in declared:  # manifest order: the first empty one is named
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
         totals[lang][NormUnit.WORDS] = per_language[lang].total()

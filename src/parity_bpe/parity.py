@@ -195,7 +195,7 @@ def _run_minmax(
         return None, None
 
     return run_merges(state, token_totals, config.total_merges, config.global_merges, pick,
-                      dev_tokens=True, on_step=on_step)
+                      on_step=on_step)
 
 
 def train_parity(

@@ -95,7 +95,7 @@ class TokenizerModel:
         vocab = [bytes([i]) for i in range(256)]
         first_id = {span: i for i, span in enumerate(vocab)}
         table: dict[tuple[int, int], tuple[int, int]] = {}
-        merge_rank: dict[tuple[bytes, bytes], int] = {}
+        seen: set[tuple[bytes, bytes]] = set()
         for k, (left, right) in enumerate(merges):
             for operand in (left, right):
                 if not operand:
@@ -105,7 +105,7 @@ class TokenizerModel:
                         f"merge {k}: operand not producible: {escape_token(operand)!r}"
                     )
             pair = (left, right)
-            if pair in merge_rank:
+            if pair in seen:
                 raise ModelFormatError(
                     f"merge {k}: duplicate pair "
                     f"{escape_token(left)!r} + {escape_token(right)!r}"
@@ -113,14 +113,12 @@ class TokenizerModel:
             result = left + right
             vocab.append(result)
             first_id.setdefault(result, 256 + k)
-            merge_rank[pair] = k
+            seen.add(pair)
             table[(first_id[left], first_id[right])] = (k, first_id[result])
 
         self.merges: tuple[tuple[bytes, bytes], ...] = tuple(merges)
-        self.merge_rank = merge_rank
         self.id_to_bytes: tuple[bytes, ...] = tuple(vocab)
         self.vocabulary: frozenset[bytes] = frozenset(vocab)
-        self._first_id = first_id
         self._table = table
         # a partial, not a bound method: no reference cycle through the model
         self._word_cache = _WordCache(partial(_kernel_encode, table))

@@ -8,19 +8,21 @@ shared. The pair index lists, for each pair, the ids of the words that
 hold it: a bare id while one word is listed, a list of ids once two are. An
 id is added when a word gains the pair and never removed, so a slot may
 also name a word that has lost the pair, or name a word twice. A merge is
-one ``_kernels.merge_and_deltas`` call, which visits the listed words, skips
-those that no longer hold the pair and rewrites the others. Adjacent-pair
-counts come from the training entries only and are maintained incrementally
-per language, from the pairs beside each replacement only; a pair's counts
-are a tuple that a merge replaces, never mutates.
+one ``TrainerState.apply``: one ``_kernels.merge_and_deltas`` call, which
+visits the listed words, skips those that no longer hold the pair and
+rewrites the others, then one pass over the pair-count deltas it returns.
+Adjacent-pair counts come from the training entries only and are maintained
+incrementally per language, from the pairs beside each replacement only; a
+pair's counts are a tuple that a merge replaces, never mutates.
 
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
 smallest byte spans. Each heap is built on its first selection and keeps
 only counts of at least ``MIN_PAIR_COUNT``, the ones selection can pick.
-After that it is pushed only counts that grew; an entry above a shrunk
-count is re-pushed at the live count when it reaches the top, as in Hugging
-Face ``tokenizers``' BPE trainer, so the picks are those of an exact heap.
+After that it is pushed only counts that grew, in the pass that updates
+the counts; an entry above a shrunk count is re-pushed at the live count
+when it reaches the top, as in Hugging Face ``tokenizers``' BPE trainer, so
+the picks are those of an exact heap.
 
 ``run_merges`` is the one loop that selects, applies and logs merges, for
 every training mode: global steps first, then steps chosen by a picker.
@@ -33,7 +35,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from operator import add, itemgetter
+from operator import add, itemgetter, sub
 from pathlib import Path
 
 from . import _kernels
@@ -167,8 +169,9 @@ class _WordStore:
     tracking a tuple of ints at its first collection, so neither table gives
     a full collection objects to walk.
     ``token_totals`` and ``dev_totals`` are the per-language token totals of
-    the two texts and shrink by one per replacement. A merge's word loop is
-    one ``_kernels.merge_and_deltas`` call with the store.
+    the two texts and shrink by one per replacement. The store holds data
+    only: ``TrainerState.apply`` updates it, through one
+    ``_kernels.merge_and_deltas`` call and one pass over the deltas.
     """
 
     def __init__(self, n_langs: int, with_dev: bool):
@@ -180,32 +183,6 @@ class _WordStore:
         self.pair_counts: dict[tuple[int, int], tuple[int, ...]] = {}
         self.token_totals = [0] * n_langs
         self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
-
-    def apply_merge(self, a: int, b: int, c: int):
-        """Replace (a, b) with c in every word containing it.
-
-        Returns (per-language training replacement counts, per-pair training
-        count delta lists, one int per language). No (a, b) is left afterwards,
-        and none can form again, so its index slot and counts go at once.
-        """
-        listed = self.index.pop((a, b), ())
-        if type(listed) is int:
-            listed = (listed,)
-        pair_counts = self.pair_counts
-        pair_counts.pop((a, b), None)
-        changed, _, repl, dev_repl = _kernels.merge_and_deltas(self, listed, a, b, c)
-        for li in range(self.n_langs):
-            self.token_totals[li] -= repl[li]
-            if self.dev_totals is not None:
-                self.dev_totals[li] -= dev_repl[li]
-        for pair, dvec in changed.items():
-            vec = pair_counts.get(pair)
-            new = tuple(dvec) if vec is None else tuple(map(add, vec, dvec))
-            if any(new):
-                pair_counts[pair] = new
-            elif vec is not None:
-                del pair_counts[pair]
-        return repl, changed
 
 
 def _entries_by_word(multisets: list[dict[bytes, int]], shared: dict) -> dict:
@@ -317,24 +294,6 @@ class TrainerState:
                 heap.append((-count, vocab[a], vocab[b], a, b))
         heapq.heapify(heap)
 
-    def _push_changes(self, changed: dict[tuple[int, int], list[int]]) -> None:
-        """Push the selectable counts that grew into the heaps built so far."""
-        built = [(li, self.lang_heaps[li]) for li in self._built_langs]
-        pc = self.train.pair_counts
-        vocab = self.vocab
-        least = MIN_PAIR_COUNT
-        for (a, b), dvec in changed.items():
-            vec = pc.get((a, b))
-            if vec is None:
-                continue
-            if self._global_built and sum(dvec) > 0:
-                total = sum(vec)
-                if total >= least:
-                    heapq.heappush(self.global_heap, (-total, vocab[a], vocab[b], a, b))
-            for li, heap in built:
-                if dvec[li] > 0 and vec[li] >= least:
-                    heapq.heappush(heap, (-vec[li], vocab[a], vocab[b], a, b))
-
     def _select(self, heap, value_of):
         """Pop until an entry matches its pair's live count; that is the argmax.
 
@@ -372,61 +331,60 @@ class TrainerState:
         return self._select(self.lang_heaps[li], value_of)
 
     def apply(self, pair: tuple[int, int]) -> list[int]:
-        """Record the merge and replace its occurrences in every word.
+        """Record the merge, replace it in every word, and update counts and heaps.
 
-        Returns the per-language replacement counts in the training text.
+        No (a, b) is left afterwards, and none can form again, so its index
+        slot and counts go first. One loop over the kernel's deltas then
+        replaces each changed pair's counts (removing a pair whose counts
+        all reach zero) and pushes each selectable count that grew into the
+        heaps built so far. Returns the per-language replacement counts in
+        the training text.
         """
         a, b = pair
-        left, right = self.vocab[a], self.vocab[b]
+        vocab = self.vocab
+        left, right = vocab[a], vocab[b]
         byte_pair = (left, right)
         if byte_pair in self._merged_pairs:
             raise InternalError(f"pair merged twice: {escape_token(left)!r}+{escape_token(right)!r}")
         self._merged_pairs.add(byte_pair)
         result = left + right
-        canonical = self.first_id.setdefault(result, len(self.vocab))
-        self.vocab.append(result)
+        canonical = self.first_id.setdefault(result, len(vocab))
+        vocab.append(result)
         self.merges.append(byte_pair)
 
-        train_repl, changed = self.train.apply_merge(a, b, canonical)
-        self._push_changes(changed)
-        return train_repl
+        store = self.train
+        listed = store.index.pop((a, b), ())
+        if type(listed) is int:
+            listed = (listed,)
+        pair_counts = store.pair_counts
+        pair_counts.pop((a, b), None)
+        changed, _, repl, dev_repl = _kernels.merge_and_deltas(store, listed, a, b, canonical)
+        # in place: run_merges holds these lists as its reference totals
+        store.token_totals[:] = map(sub, store.token_totals, repl)
+        if store.dev_totals is not None:
+            store.dev_totals[:] = map(sub, store.dev_totals, dev_repl)
 
-    def global_pair_counts(self) -> dict[tuple[bytes, bytes], int]:
-        """Summed pair counts keyed by byte spans (test/inspection view)."""
-        return {
-            (self.vocab[a], self.vocab[b]): sum(vec)
-            for (a, b), vec in self.train.pair_counts.items()
-        }
-
-    def lang_pair_counts(self, lang: str) -> dict[tuple[bytes, bytes], int]:
-        li = self.lang_index[lang]
-        return {
-            (self.vocab[a], self.vocab[b]): vec[li]
-            for (a, b), vec in self.train.pair_counts.items()
-            if vec[li]
-        }
-
-    def tokenized_words(self, store: str = "train"):
-        """(token byte spans, per-language counts) of each ``"train"`` or ``"dev"`` word.
-
-        Raises ValueError at the call for any other name, and for ``"dev"``
-        on a state built without dev text.
-        """
-        ws = self.train
-        if store == "train":
-            entries_of = ws.counts
-        elif store != "dev":
-            raise ValueError(f"unknown word store {store!r}: expected 'train' or 'dev'")
-        elif ws.dev_counts is None:
-            raise ValueError("no dev words: this trainer state was built without dev text")
-        else:
-            entries_of = ws.dev_counts
-        vocab, langs = self.vocab, self.langs
-        return (
-            (tuple(vocab[t] for t in tokens), {langs[li]: c for li, c in entries if c})
-            for tokens, entries in zip(ws.words, entries_of)
-            if entries
-        )
+        global_heap = self.global_heap if self._global_built else None
+        lang_heaps = [(li, self.lang_heaps[li]) for li in self._built_langs]
+        least = MIN_PAIR_COUNT
+        push = heapq.heappush
+        for key, dvec in changed.items():
+            vec = pair_counts.get(key)
+            new = tuple(dvec) if vec is None else tuple(map(add, vec, dvec))
+            if not any(new):
+                if vec is not None:
+                    del pair_counts[key]
+                continue
+            pair_counts[key] = new
+            x, y = key
+            if global_heap is not None and sum(dvec) > 0:
+                total = sum(new)
+                if total >= least:
+                    push(global_heap, (-total, vocab[x], vocab[y], x, y))
+            for li, heap in lang_heaps:
+                if dvec[li] > 0 and new[li] >= least:
+                    push(heap, (-new[li], vocab[x], vocab[y], x, y))
+        return repl
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))
@@ -438,7 +396,6 @@ def run_merges(
     num_merges: int,
     global_merges: int,
     pick=None,
-    dev_tokens: bool = False,
     on_step=None,
 ) -> tuple[TokenizerModel, TrainLog]:
     """Learn up to ``num_merges`` merges: ``global_merges`` global steps, then picked ones.
@@ -447,9 +404,10 @@ def run_merges(
     merge, or None when no language has a pair left, and the ``TrainStep``
     fields that explain the choice. ``reference_totals`` is the live
     per-language token-total list the merges shrink; it becomes the log's
-    ``token_totals``, and each record's ``dev_tokens`` when ``dev_tokens``.
+    ``token_totals``, and each record's ``dev_tokens`` when there is a picker.
     """
     langs = state.langs
+    dev_tokens = pick is not None
     log = TrainLog()
     for k in range(1, num_merges + 1):
         if k <= global_merges:

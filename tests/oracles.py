@@ -11,6 +11,10 @@ which the one-pass ``full_report`` must match exactly; the two per-line
 ``encode`` output, as the CLI did before it rendered each pre-token once; and
 the per-line ``decode``, which parses and checks each field, as the CLI did
 before it looked fields up in ``text_spans``.
+
+``listed_ids``, ``global_pair_counts``, ``lang_pair_counts`` and
+``tokenized_words`` are not oracles but views: they read a trainer state's
+store by byte spans, so tests can compare it with the recounts above.
 """
 
 import json
@@ -109,6 +113,36 @@ def listed_ids(index, pair) -> list[int]:
     """
     slot = index.get(pair, [])
     return [slot] if isinstance(slot, int) else list(slot)
+
+
+def global_pair_counts(state) -> dict[tuple[bytes, bytes], int]:
+    """A trainer state's summed pair counts, keyed by byte spans."""
+    return {
+        (state.vocab[a], state.vocab[b]): sum(vec)
+        for (a, b), vec in state.train.pair_counts.items()
+    }
+
+
+def lang_pair_counts(state, lang: str) -> dict[tuple[bytes, bytes], int]:
+    """A trainer state's nonzero pair counts in one language, keyed by byte spans."""
+    li = state.lang_index[lang]
+    return {
+        (state.vocab[a], state.vocab[b]): vec[li]
+        for (a, b), vec in state.train.pair_counts.items()
+        if vec[li]
+    }
+
+
+def tokenized_words(state, dev: bool = False):
+    """(token byte spans, per-language counts) of each training word of a
+    trainer state, or of each dev word when ``dev``."""
+    store = state.train
+    entries_of = store.dev_counts if dev else store.counts
+    return [
+        (tuple(state.vocab[t] for t in tokens), {state.langs[li]: c for li, c in entries if c})
+        for tokens, entries in zip(store.words, entries_of)
+        if entries
+    ]
 
 
 def replace_pair(tokens, left: bytes, right: bytes):
@@ -250,7 +284,7 @@ def per_line_load_labeled_corpus(
                 t[NormUnit.WORDS] += len(words)
                 t[NormUnit.LINES] += 1
 
-    for lang in known:
+    for lang, _ in declared:
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
 

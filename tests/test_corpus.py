@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -7,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parity_bpe
 from parity_bpe import (
     CorpusError,
     LabeledCorpus,
@@ -252,6 +256,22 @@ def test_each_training_file_is_read_once(tmp_path, file_reads):
     corpus = load_labeled_corpus(manifest)
     assert corpus.per_language["aa"][b"bom"] == 1
     assert [file_reads[str(tmp_path / name)] for name in ("aa.jsonl", "bb.jsonl")] == [1, 1]
+
+
+def test_first_empty_language_in_manifest_order_is_named(tmp_path):
+    """The error names the same language under any hash seed: the first empty one listed."""
+    manifest = write_files(tmp_path, {"aa": b"", "bb": b"", "cc": rec("c d", "cc") + b"\n",
+                                      "dd": b""})
+    src = str(Path(parity_bpe.__file__).parents[1])
+    for seed in ("2", "3"):  # a set's order named 'bb' and 'dd' under these
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        argv = ["train", "--classical", "--merges", "5", "--corpus", str(manifest),
+                "--model-out", str(tmp_path / "m.bpe")]
+        run = subprocess.run([sys.executable, "-m", "parity_bpe.cli", *argv],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 2
+        assert "empty language partition: 'aa'" in run.stderr
+        assert "Traceback" not in run.stderr
 
 
 def test_bom_line_loads(tmp_path):

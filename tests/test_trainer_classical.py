@@ -14,7 +14,7 @@ from parity_bpe import (
     train_no_dev,
 )
 
-from .oracles import greedy_steps, sliding_pair_counts
+from .oracles import global_pair_counts, greedy_steps, sliding_pair_counts, tokenized_words
 
 
 def corpus_of(multiset: dict[bytes, int], lang="xx") -> LabeledCorpus:
@@ -22,7 +22,7 @@ def corpus_of(multiset: dict[bytes, int], lang="xx") -> LabeledCorpus:
 
 
 def state_pair_counts(state):
-    return state.global_pair_counts()
+    return global_pair_counts(state)
 
 
 def best_pair(state):
@@ -36,7 +36,7 @@ def best_pair(state):
 
 def recount_from_state(state):
     words = [
-        (tokens, sum(counts.values())) for tokens, counts in state.tokenized_words()
+        (tokens, sum(counts.values())) for tokens, counts in tokenized_words(state)
     ]
     return sliding_pair_counts(words)
 
@@ -86,14 +86,14 @@ class TestApplyMerge:
         before = state.train.token_totals[0]
         assert state.apply((ord("a"), ord("b"))) == [2]  # ids 0-255 are the bytes
         assert state.train.token_totals[0] == before - 2
-        (tokens, _), = list(state.tokenized_words())
+        (tokens, _), = tokenized_words(state)
         assert tokens == (b"ab", b"ab")
 
     def test_self_overlap_leftmost_first(self):
         state = TrainerState(corpus_of({b"aaa": 1}))
         # two adjacencies, one replacement
         assert state.apply((ord("a"), ord("a"))) == [1]
-        (tokens, _), = list(state.tokenized_words())
+        (tokens, _), = tokenized_words(state)
         assert tokens == (b"aa", b"a")
 
     def test_incremental_counts_match_recount_after_random_merges(self):

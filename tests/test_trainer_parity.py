@@ -26,7 +26,7 @@ from parity_bpe.cli import main
 from parity_bpe.parity import rank_languages
 from parity_bpe.trainer import MIN_PAIR_COUNT, TrainerState
 
-from .oracles import audit_selection_windows
+from .oracles import audit_selection_windows, global_pair_counts, lang_pair_counts
 
 
 def dev_of(lines_by_lang: dict[str, list[bytes]]) -> ParallelDevCorpus:
@@ -276,8 +276,8 @@ def test_each_pick_is_the_argmax_of_its_counts(corpus, dev, global_merges):
     """
 
     def counts(state):
-        per_lang = {lang: state.lang_pair_counts(lang) for lang in state.langs}
-        return per_lang, state.global_pair_counts()
+        per_lang = {lang: lang_pair_counts(state, lang) for lang in state.langs}
+        return per_lang, global_pair_counts(state)
 
     before = [counts(TrainerState(corpus))]
     seen = Counter()

@@ -10,6 +10,7 @@ scratch after every merge.
 
 import gc
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +20,7 @@ from parity_bpe import LabeledCorpus, ParityConfig, train_parity
 from parity_bpe import _kernels, trainer
 from parity_bpe.trainer import TrainerState
 
-from .oracles import listed_ids, replace_pair
+from .oracles import global_pair_counts, lang_pair_counts, listed_ids, replace_pair, tokenized_words
 
 LANGS = ("aa", "bb", "cc")
 
@@ -95,10 +96,10 @@ def _recount(multisets, merges):
     return pairs, totals
 
 
-def _check_side(state, multisets, side):
+def _check_side(state, multisets, dev):
     """Each word of one text is stored once, tokenized as the merges say, with its counts."""
     seen = []
-    for spans, counts in state.tokenized_words(side):
+    for spans, counts in tokenized_words(state, dev):
         word = b"".join(spans)
         seen.append(word)
         assert spans == _replay(word, state.merges)
@@ -110,18 +111,28 @@ def _check(state, multisets, dev_multisets):
     pairs, totals = _recount(multisets, state.merges)
     _, dev_totals = _recount(dev_multisets, state.merges)
     for li, lang in enumerate(state.langs):
-        assert state.lang_pair_counts(lang) == dict(pairs[lang])
+        assert lang_pair_counts(state, lang) == dict(pairs[lang])
         assert state.train.token_totals[li] == totals[lang]
         assert state.train.dev_totals[li] == dev_totals[lang]
     # every pair with a count has its per-language list, and no other pair
-    assert set(state.global_pair_counts()) == set().union(*pairs.values())
-    _check_side(state, multisets, "train")
-    _check_side(state, dev_multisets, "dev")
+    assert set(global_pair_counts(state)) == set().union(*pairs.values())
+    _check_side(state, multisets, dev=False)
+    _check_side(state, dev_multisets, dev=True)
     # each distinct pre-token of training and dev text is stored once, in byte order
     stored = [b"".join(state.vocab[t] for t in tokens) for tokens in state.train.words]
     assert stored == sorted(set().union(*multisets.values(), *dev_multisets.values()))
     for heap in (state.global_heap, *state.lang_heaps):
         assert all(-entry[0] >= trainer.MIN_PAIR_COUNT for entry in heap)
+    # a built heap holds an entry at or above each count its selection could pick
+    built = [(state.global_heap, sum)] if state._global_built else []
+    built += [(state.lang_heaps[li], itemgetter(li)) for li in state._built_langs]
+    for heap, value_of in built:
+        top = {}
+        for negc, _, _, a, b in heap:
+            top[a, b] = max(top.get((a, b), 0), -negc)
+        for pair, vec in state.train.pair_counts.items():
+            if value_of(vec) >= trainer.MIN_PAIR_COUNT:
+                assert top.get(pair, 0) >= value_of(vec)
     # the index lists every word under each pair it holds, and names only words
     index = state.train.index
     for wid, tokens in enumerate(state.train.words):
@@ -201,15 +212,6 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     _check(state, multisets, dev_multisets)
 
 
-def test_tokenized_words_names_a_store_that_exists():
-    state = TrainerState(LabeledCorpus.from_multisets({"aa": {b"abc": 2}}))
-    assert list(state.tokenized_words("train")) == [((b"a", b"b", b"c"), {"aa": 2})]
-    with pytest.raises(ValueError, match="unknown word store 'trian'"):
-        state.tokenized_words("trian")
-    with pytest.raises(ValueError, match="without dev text"):
-        state.tokenized_words("dev")
-
-
 def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
     """After a run, each pair's counts are an untracked tuple and a one-word slot a bare id."""
     seen = []
@@ -227,59 +229,67 @@ def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
     assert all(len(slot) >= 2 for slot in store.index.values() if type(slot) is list)
 
 
-def _store_of(*words):
-    """A one-language store of ``words``, each counted once, and each word's id."""
+def _state_of(*words):
+    """A one-language trainer state of ``words``, each counted once, and each word's id."""
     state = TrainerState(LabeledCorpus.from_multisets({"aa": {w: 1 for w in words}}))
     ids = {w: state.train.words.index(tuple(w)) for w in words}
-    return state.train, ids
+    return state, ids
 
 
 def test_a_stale_bare_id_is_skipped(monkeypatch):
-    store, ids = _store_of(b"cab")
+    state, ids = _state_of(b"cab")
+    store = state.train
     a, b, c = b"abc"
-    store.apply_merge(a, b, 256)  # the word loses (c, a) and stays listed under it
+    state.apply((a, b))  # the word loses (c, a) and stays listed under it
     assert store.index[(c, a)] == ids[b"cab"] and (c, a) not in store.pair_counts
     word = store.words[ids[b"cab"]]
     calls = []
     merge_and_deltas = _kernels.merge_and_deltas
 
     def record(store, listed, *args):
-        calls.append(listed)
-        return merge_and_deltas(store, listed, *args)
+        result = merge_and_deltas(store, listed, *args)
+        calls.append((listed, result[0]))
+        return result
 
     monkeypatch.setattr(_kernels, "merge_and_deltas", record)
-    assert store.apply_merge(c, a, 257) == ([0], {})
-    assert calls == [(ids[b"cab"],)]
+    assert state.apply((c, a)) == [0]
+    assert calls == [((ids[b"cab"],), {})]  # one visit, no deltas
     assert store.words[ids[b"cab"]] is word and (c, a) not in store.index
 
 
 def test_a_word_gaining_a_pair_twice_stays_a_bare_id():
-    # (a, b) -> c, an id the word holds already: (c, c) is gained on both sides
-    store, ids = _store_of(b"ccabc")
+    # (a, b) -> c, an id the word holds already: (c, c) is gained on both sides.
+    # A merge of the trainer never yields a byte's id, so the kernel runs alone.
+    state, ids = _state_of(b"ccabc")
+    store = state.train
     a, b, c = b"abc"
     assert store.index[(c, c)] == ids[b"ccabc"]
-    store.apply_merge(a, b, c)
-    assert store.words[ids[b"ccabc"]] == (c, c, c, c)
+    assert store.pair_counts == {(c, c): (1,), (c, a): (1,), (a, b): (1,), (b, c): (1,)}
+    changed, _, repl, _ = _kernels.merge_and_deltas(store, (ids[b"ccabc"],), a, b, c)
+    assert store.words[ids[b"ccabc"]] == (c, c, c, c) and repl == [1]
     assert store.index[(c, c)] == ids[b"ccabc"]
-    assert store.pair_counts == {(c, c): (3,)}
+    # folded into the counts above, with (a, b) gone: {(c, c): (3,)}
+    assert changed == {(c, c): [2], (c, a): [-1], (b, c): [-1]}
 
 
 def test_a_second_word_turns_the_slot_into_a_list():
-    store, ids = _store_of(b"xab", b"xabab")
+    state, ids = _state_of(b"xab", b"xabab")
+    store = state.train
     a, b, x = b"abx"
     assert store.index[(a, b)] == [ids[b"xab"], ids[b"xabab"]]
     assert store.index[(b, a)] == ids[b"xabab"]
-    store.apply_merge(a, b, 256)
+    state.apply((a, b))
     assert store.index[(x, 256)] == [ids[b"xab"], ids[b"xabab"]]
     assert store.index[(256, 256)] == ids[b"xabab"]
     assert store.pair_counts == {(x, 256): (2,), (256, 256): (1,)}
 
 
 def test_a_run_of_a_equal_pair_leaves_no_count_of_it():
-    store, ids = _store_of(b"aaa")
+    state, ids = _state_of(b"aaa")
+    store = state.train
     a = ord("a")
     assert store.pair_counts == {(a, a): (2,)} and store.index == {(a, a): ids[b"aaa"]}
-    store.apply_merge(a, a, 256)
+    state.apply((a, a))
     assert store.words[ids[b"aaa"]] == (256, a)
     assert store.pair_counts == {(256, a): (1,)}
     assert store.index == {(256, a): ids[b"aaa"]}
