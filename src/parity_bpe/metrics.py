@@ -11,10 +11,11 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NormUnit, ParallelDevCorpus, char_count, pretokenize, unit_length
+from .corpus import NormUnit, ParallelDevCorpus, char_count, pretokenize
 from .errors import DataError
 from .tokenizer import TokenizerModel
 
@@ -29,18 +30,8 @@ class UnigramDistribution:
     total: int
 
     @classmethod
-    def from_token_lists(cls, token_lists) -> "UnigramDistribution":
-        freq = Counter()
-        for tokens in token_lists:
-            freq.update(tokens)
-        total = sum(freq.values())
-        if total <= 0:
-            raise DataError("empty token stream: cannot build a unigram distribution")
-        return cls(dict(freq), total)
-
-    @classmethod
     def from_texts(cls, model: TokenizerModel, docs: Sequence[bytes]) -> "UnigramDistribution":
-        return cls.from_token_lists(model.encode(doc) for doc in docs)
+        return _distribution(model, _doc_rows(model, docs)[0])
 
     def probabilities(self) -> list[float]:
         return [count / self.total for count in self.freq.values()]
@@ -72,48 +63,84 @@ class GoldSegmentation:
             raise DataError(f"gold boundary outside word {self.word!r}: {sorted(bad)}")
 
 
+def _doc_rows(model: TokenizerModel, docs: Sequence[bytes]) -> tuple[Counter, list[tuple], bool]:
+    """The counts of the token ids of ``docs``, one ``(tokens, bytes, chars,
+    lines, words)`` row per document, and whether a chars count fell back to
+    bytes. Each document is tokenized once, by ``encode_ids``; nothing raises."""
+    counts: Counter = Counter()
+    rows = []
+    fell_back = False
+    for doc in docs:
+        ids = model.encode_ids(doc)
+        counts.update(ids)
+        chars, fallback = char_count(doc)
+        fell_back = fell_back or fallback
+        # the unit_length of each unit, from the one char_count
+        rows.append((len(ids), len(doc), chars, len(doc.splitlines()), len(pretokenize(doc))))
+    return counts, rows, fell_back
+
+
+# The units of a row's columns after its token count, in row order.
+_ROW_UNITS = (NormUnit.BYTES, NormUnit.CHARS, NormUnit.LINES, NormUnit.WORDS)
+
+
+def _distribution(model: TokenizerModel, counts: Counter) -> UnigramDistribution:
+    if not counts:
+        raise DataError("empty token stream: cannot build a unigram distribution")
+    vocab = model.id_to_bytes
+    return UnigramDistribution({vocab[i]: c for i, c in counts.items()}, sum(counts.values()))
+
+
+def _rates(units: Sequence[int], tokens: Sequence[int]) -> CompressionRates:
+    """Both estimators of a unit column per token; a zero-token document raises."""
+    ratio_sum = 0.0
+    for u, t in zip(units, tokens):
+        if t == 0:
+            raise DataError("zero-token document in corpus")
+        ratio_sum += u / t
+    return CompressionRates(ratio_sum / len(tokens), sum(units) / sum(tokens))
+
+
+def _fertility(tokens: Sequence[int], words: Sequence[int]) -> float:
+    word_sum = sum(words)
+    if word_sum == 0:
+        raise DataError("empty corpus: no words")
+    return sum(tokens) / word_sum
+
+
+def _type_token_ratio(dist: UnigramDistribution) -> float:
+    return len(dist.freq) / dist.total
+
+
+def _vocab_utilization(model: TokenizerModel, counts: Counter) -> float:
+    return len(counts) / model.vocab_size
+
+
 def compression_rate(
     model: TokenizerModel, docs: Sequence[bytes], unit: NormUnit
 ) -> CompressionRates:
     """Both compression-rate estimators of ``model`` over ``docs``."""
-    unit = NormUnit(unit)
+    column = 1 + _ROW_UNITS.index(NormUnit(unit))
     if not docs:
         raise DataError("empty corpus: no documents")
-    unit_sum = 0
-    token_sum = 0
-    ratio_sum = 0.0
-    for doc in docs:
-        tokens = model.token_count(doc)
-        if tokens == 0:
-            raise DataError("zero-token document in corpus")
-        units = unit_length(doc, unit)
-        unit_sum += units
-        token_sum += tokens
-        ratio_sum += units / tokens
-    return CompressionRates(ratio_sum / len(docs), unit_sum / token_sum)
+    rows = _doc_rows(model, docs)[1]
+    return _rates([row[column] for row in rows], [row[0] for row in rows])
 
 
 def fertility(model: TokenizerModel, docs: Sequence[bytes]) -> float:
     """Average tokens per whitespace word, as a ratio of sums."""
-    token_sum = sum(model.token_count(doc) for doc in docs)
-    word_sum = sum(unit_length(doc, NormUnit.WORDS) for doc in docs)
-    if word_sum == 0:
-        raise DataError("empty corpus: no words")
-    return token_sum / word_sum
+    rows = _doc_rows(model, docs)[1]
+    return _fertility([row[0] for row in rows], [row[4] for row in rows])
 
 
 def vocab_utilization(model: TokenizerModel, docs: Sequence[bytes]) -> float:
     """Fraction of the vocabulary observed when tokenizing ``docs``."""
-    observed = set()
-    for doc in docs:
-        observed.update(model.encode(doc))
-    return len(observed) / model.vocab_size
+    return _vocab_utilization(model, _doc_rows(model, docs)[0])
 
 
 def type_token_ratio(model: TokenizerModel, docs: Sequence[bytes]) -> float:
     """Distinct token types over total tokens produced for ``docs``."""
-    dist = UnigramDistribution.from_texts(model, docs)
-    return len(dist.freq) / dist.total
+    return _type_token_ratio(UnigramDistribution.from_texts(model, docs))
 
 
 def avg_token_rank(
@@ -175,6 +202,11 @@ def gini(costs: Sequence[float]) -> float:
     return max(0.0, (n + 1 - 2.0 * weighted / total) / n)
 
 
+def _boundaries(pieces: Sequence[bytes]) -> frozenset[int]:
+    """The byte offsets between consecutive ``pieces`` of a word."""
+    return frozenset(accumulate(len(piece) for piece in pieces[:-1]))
+
+
 def morph_boundary_scores(
     model: TokenizerModel, gold: Sequence[GoldSegmentation]
 ) -> MorphScores:
@@ -188,12 +220,7 @@ def morph_boundary_scores(
         raise DataError("empty gold segmentation list")
     p_sum = r_sum = f_sum = 0.0
     for entry in gold:
-        tokens = model.encode(entry.word)
-        predicted = set()
-        offset = 0
-        for token in tokens[:-1]:
-            offset += len(token)
-            predicted.add(offset)
+        predicted = _boundaries(model.encode(entry.word))
         hits = len(predicted & entry.boundaries)
         precision = hits / len(predicted) if predicted else 1.0
         recall = hits / len(entry.boundaries) if entry.boundaries else 1.0
@@ -227,12 +254,9 @@ def load_gold_tsv(path: str | Path) -> list[GoldSegmentation]:
                 raise DataError(
                     f"{path}:{lineno}: segmentation does not concatenate to the word"
                 )
-            boundaries = set()
-            offset = 0
-            for piece in pieces[:-1]:
-                offset += len(piece)
-                boundaries.add(offset)
-            entries.append(GoldSegmentation(word, frozenset(boundaries)))
+            if b"" in pieces:
+                raise DataError(f"{path}:{lineno}: empty segment")
+            entries.append(GoldSegmentation(word, _boundaries(pieces)))
     if not entries:
         raise DataError(f"{path}: no gold entries")
     return entries
@@ -265,31 +289,21 @@ class MetricReport:
         return cls.from_dict(json.loads(text))
 
 
-def _mean_of_ratios(units: Sequence[int], tokens: Sequence[int]) -> float:
-    # Summed one document at a time, as compression_rate sums them.
-    ratio_sum = 0.0
-    for u, t in zip(units, tokens):
-        ratio_sum += u / t
-    return ratio_sum / len(tokens)
-
-
 def _rows_metrics(
     model: TokenizerModel, counts: Counter, rows: list[tuple], renyi_alpha: float
 ) -> dict:
-    """The report metrics of some documents from the counts of their token
-    ids and one ``(tokens, bytes, chars, lines, words)`` row per document.
-    Each value equals what the single-metric function gives."""
+    """The report metrics of some documents from their ``_doc_rows`` counts
+    and rows, by the formulas of the single-metric functions. The empty
+    token stream is checked first, then the zero-token document."""
+    dist = _distribution(model, counts)
     tokens, *unit_columns, words = zip(*rows)
-    token_sum = sum(tokens)
-    vocab = model.id_to_bytes
-    dist = UnigramDistribution({vocab[i]: c for i, c in counts.items()}, token_sum)
     stats = {}
-    for unit, units in zip(("bytes", "chars", "lines"), unit_columns):
-        stats[f"cr_{unit}_mean_of_ratios"] = _mean_of_ratios(units, tokens)
-        stats[f"cr_{unit}_ratio_of_sums"] = sum(units) / token_sum
-    stats["fertility"] = token_sum / sum(words)
-    stats["type_token_ratio"] = len(dist.freq) / dist.total
-    stats["vocab_utilization"] = len(dist.freq) / model.vocab_size
+    for unit, units in zip(_ROW_UNITS, unit_columns):
+        for estimator, value in zip(CompressionRates._fields, _rates(units, tokens)):
+            stats[f"cr_{unit.value}_{estimator}"] = value
+    stats["fertility"] = _fertility(tokens, words)
+    stats["type_token_ratio"] = _type_token_ratio(dist)
+    stats["vocab_utilization"] = _vocab_utilization(model, counts)
     stats["avg_token_rank"] = avg_token_rank(model, [], dist=dist)
     stats["renyi_entropy"] = renyi_entropy(dist, renyi_alpha)
     stats["tokens_per_line"] = dist.total / len(rows)
@@ -305,10 +319,8 @@ def full_report(
 ) -> MetricReport:
     """All intrinsic metrics per language and pooled over the parallel corpus.
 
-    Each line is tokenized once. The pooled metrics are built from the
-    per-language counts and rows in language order, which is the order
-    of the pooled lines, so every value is the one the single-metric
-    functions give on the pooled lines.
+    Each line is tokenized once; the pooled metrics come from the per-language
+    counts and rows in language order, the order of the pooled lines.
 
     The fairness Gini uses tokens per aligned line as the per-language cost,
     which normalizes by content rather than script.
@@ -320,20 +332,7 @@ def full_report(
     pooled_counts: Counter = Counter()
     pooled_rows: list[tuple] = []
     for lang in dev.languages:
-        counts: Counter = Counter()
-        rows = []
-        fell_back = False
-        for doc in dev.lines[lang]:
-            ids = model.encode_ids(doc)
-            counts.update(ids)
-            chars, fallback = char_count(doc)
-            fell_back = fell_back or fallback
-            # the unit_length of each unit, from the one char_count
-            rows.append((len(ids), len(doc), chars, len(doc.splitlines()), len(pretokenize(doc))))
-        if not counts:
-            raise DataError("empty token stream: cannot build a unigram distribution")
-        if any(row[0] == 0 for row in rows):
-            raise DataError("zero-token document in corpus")
+        counts, rows, fell_back = _doc_rows(model, dev.lines[lang])
         per_language[lang] = _rows_metrics(model, counts, rows, renyi_alpha)
         if fell_back:
             fallback_languages.append(lang)

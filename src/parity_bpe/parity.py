@@ -86,9 +86,6 @@ class SelectionWindow:
     def count(self, lang: str) -> int:
         return self._counts[lang]
 
-    def contents(self) -> tuple[str, ...]:
-        return tuple(self._recent)
-
 
 @dataclass
 class CRTable:

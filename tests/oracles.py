@@ -2,15 +2,17 @@
 
 Everything here is deliberately naive and self-contained: sequential merge
 replay and a per-merge rescan for encoding, from-scratch sliding-window pair
-recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, and
-the one-``json.loads``-per-line corpus loader. None of it shares code with
-the package paths it verifies, except ``ten_pass_full_report``: the report
-built from the single-metric functions, one tokenization pass per metric,
-which the one-pass ``full_report`` must match exactly; the two per-line
-``encode`` formatters, which format a whole line's ``encode_ids`` and
-``encode`` output, as the CLI did before it rendered each pre-token once; and
-the per-line ``decode``, which parses and checks each field, as the CLI did
-before it looked fields up in ``text_spans``.
+recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, the
+one-``json.loads``-per-line corpus loader, and the ``naive_*`` metric bodies,
+each of which tokenizes the documents on its own and applies its own formula.
+``ten_pass_full_report`` builds the report from those bodies, one
+tokenization pass per metric; it takes only the Renyi entropy, the Gini and
+the morph scores from the package, and the one-pass ``full_report`` must
+match it exactly. None of it shares code with the package paths it verifies,
+except the two per-line ``encode`` formatters, which format a whole line's
+``encode_ids`` and ``encode`` output, as the CLI did before it rendered each
+pre-token once; and the per-line ``decode``, which parses and checks each
+field, as the CLI did before it looked fields up in ``text_spans``.
 
 ``listed_ids``, ``global_pair_counts``, ``lang_pair_counts`` and
 ``tokenized_words`` are not oracles but views: they read a trainer state's
@@ -32,16 +34,14 @@ from parity_bpe import (
     ParallelDevCorpus,
     TokenizerModel,
     UnigramDistribution,
-    avg_token_rank,
-    compression_rate,
-    fertility,
     gini,
     morph_boundary_scores,
     pretokenize,
     renyi_entropy,
+    unit_length,
 )
 from parity_bpe.corpus import char_count
-from parity_bpe.metrics import RENYI_ALPHA_DEFAULT
+from parity_bpe.metrics import RENYI_ALPHA_DEFAULT, CompressionRates
 from parity_bpe.tokenizer import escape_token, unescape_token
 
 
@@ -291,11 +291,81 @@ def per_line_load_labeled_corpus(
     return LabeledCorpus(tuple(sorted(known)), per_language, totals)
 
 
+def naive_unigram_distribution(
+    model: TokenizerModel, docs: Sequence[bytes]
+) -> UnigramDistribution:
+    """``UnigramDistribution.from_texts`` from a Counter of ``encode`` tokens."""
+    freq = Counter()
+    for doc in docs:
+        freq.update(model.encode(doc))
+    total = sum(freq.values())
+    if total <= 0:
+        raise DataError("empty token stream: cannot build a unigram distribution")
+    return UnigramDistribution(dict(freq), total)
+
+
+def naive_compression_rate(
+    model: TokenizerModel, docs: Sequence[bytes], unit: NormUnit
+) -> CompressionRates:
+    """Both compression-rate estimators, one ``token_count`` per document."""
+    unit = NormUnit(unit)
+    if not docs:
+        raise DataError("empty corpus: no documents")
+    unit_sum = 0
+    token_sum = 0
+    ratio_sum = 0.0
+    for doc in docs:
+        tokens = model.token_count(doc)
+        if tokens == 0:
+            raise DataError("zero-token document in corpus")
+        units = unit_length(doc, unit)
+        unit_sum += units
+        token_sum += tokens
+        ratio_sum += units / tokens
+    return CompressionRates(ratio_sum / len(docs), unit_sum / token_sum)
+
+
+def naive_fertility(model: TokenizerModel, docs: Sequence[bytes]) -> float:
+    """Tokens per whitespace word, as a ratio of sums."""
+    token_sum = sum(model.token_count(doc) for doc in docs)
+    word_sum = sum(unit_length(doc, NormUnit.WORDS) for doc in docs)
+    if word_sum == 0:
+        raise DataError("empty corpus: no words")
+    return token_sum / word_sum
+
+
+def naive_vocab_utilization(model: TokenizerModel, docs: Sequence[bytes]) -> float:
+    """The distinct ``encode`` tokens over the vocabulary size."""
+    observed = set()
+    for doc in docs:
+        observed.update(model.encode(doc))
+    return len(observed) / model.vocab_size
+
+
+def naive_type_token_ratio(model: TokenizerModel, docs: Sequence[bytes]) -> float:
+    """Distinct token types over total tokens."""
+    dist = naive_unigram_distribution(model, docs)
+    return len(dist.freq) / dist.total
+
+
+def naive_avg_token_rank(
+    model: TokenizerModel,
+    docs: Sequence[bytes],
+    dist: UnigramDistribution | None = None,
+) -> float:
+    """Frequency-weighted mean rank; ties order by (count desc, bytes)."""
+    if dist is None:
+        dist = naive_unigram_distribution(model, docs)
+    ordered = sorted(dist.freq.items(), key=lambda item: (-item[1], item[0]))
+    weighted = sum(rank * count for rank, (_, count) in enumerate(ordered, start=1))
+    return weighted / dist.total
+
+
 def _doc_metrics(model: TokenizerModel, docs: Sequence[bytes], renyi_alpha: float) -> dict:
-    dist = UnigramDistribution.from_texts(model, docs)
-    cr_bytes = compression_rate(model, docs, NormUnit.BYTES)
-    cr_chars = compression_rate(model, docs, NormUnit.CHARS)
-    cr_lines = compression_rate(model, docs, NormUnit.LINES)
+    dist = naive_unigram_distribution(model, docs)
+    cr_bytes = naive_compression_rate(model, docs, NormUnit.BYTES)
+    cr_chars = naive_compression_rate(model, docs, NormUnit.CHARS)
+    cr_lines = naive_compression_rate(model, docs, NormUnit.LINES)
     return {
         "cr_bytes_mean_of_ratios": cr_bytes.mean_of_ratios,
         "cr_bytes_ratio_of_sums": cr_bytes.ratio_of_sums,
@@ -303,10 +373,10 @@ def _doc_metrics(model: TokenizerModel, docs: Sequence[bytes], renyi_alpha: floa
         "cr_chars_ratio_of_sums": cr_chars.ratio_of_sums,
         "cr_lines_mean_of_ratios": cr_lines.mean_of_ratios,
         "cr_lines_ratio_of_sums": cr_lines.ratio_of_sums,
-        "fertility": fertility(model, docs),
-        "type_token_ratio": len(dist.freq) / dist.total,
-        "vocab_utilization": len(dist.freq) / model.vocab_size,
-        "avg_token_rank": avg_token_rank(model, docs, dist=dist),
+        "fertility": naive_fertility(model, docs),
+        "type_token_ratio": naive_type_token_ratio(model, docs),
+        "vocab_utilization": naive_vocab_utilization(model, docs),
+        "avg_token_rank": naive_avg_token_rank(model, docs, dist=dist),
         "renyi_entropy": renyi_entropy(dist, renyi_alpha),
         "tokens_per_line": dist.total / len(docs),
     }

@@ -2,7 +2,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from parity_bpe import (
@@ -26,7 +26,16 @@ from parity_bpe import (
     vocab_utilization,
 )
 
-from .oracles import pairwise_gini, ten_pass_full_report
+from .oracles import (
+    naive_avg_token_rank,
+    naive_compression_rate,
+    naive_fertility,
+    naive_type_token_ratio,
+    naive_unigram_distribution,
+    naive_vocab_utilization,
+    pairwise_gini,
+    ten_pass_full_report,
+)
 
 IDENTITY = TokenizerModel([])
 # Merges over the pieces of _REPORT_LINE, including a two-byte UTF-8 char.
@@ -43,6 +52,12 @@ _REPORT_LINE = st.lists(
     min_size=1,
     max_size=8,
 ).map(b"".join)
+# Documents for the single-metric functions: report lines, the empty
+# document, whitespace-only documents and invalid UTF-8 on its own.
+_DOCS = st.lists(
+    st.one_of(_REPORT_LINE, st.sampled_from([b"", b" ", b"\t\n ", b"\r\n", b"\xff\x80"])),
+    max_size=4,
+)
 _GOLD = [GoldSegmentation(b"aba", frozenset({2})), GoldSegmentation(b"caf\xc3\xa9", frozenset({3}))]
 
 
@@ -286,11 +301,66 @@ class TestMorphBoundaries:
         assert gold[0].boundaries == frozenset({2, 7})
         assert gold[1].boundaries == frozenset()
 
-    def test_gold_tsv_mismatch_rejected(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("abc\tab|d", "segmentation does not concatenate to the word"),
+            ("abc\ta||bc", "empty segment"),
+            ("ab\tab|", "empty segment"),
+            ("ab\t|ab", "empty segment"),
+        ],
+        ids=["concatenation", "empty-inner", "empty-last", "empty-first"],
+    )
+    def test_gold_tsv_mismatch_rejected(self, tmp_path, line, message):
         path = tmp_path / "gold.tsv"
-        path.write_text("abc\tab|d\n")
-        with pytest.raises(DataError, match="concatenate"):
+        path.write_text(f"ab\ta|b\n{line}\n")
+        with pytest.raises(DataError) as raised:
             load_gold_tsv(path)
+        assert str(raised.value) == f"{path}:2: {message}"
+
+
+def _outcome(function, *args):
+    """What a call gives: its value, or the type and message of what it raised."""
+    try:
+        value = function(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(value, UnigramDistribution):  # the order too: it orders the Renyi sum
+        return list(value.freq.items()), value.total
+    return value
+
+
+class TestViewsMatchOracles:
+    """Each single-metric function gives what its independent body gives,
+    or raises the same exception with the same message."""
+
+    @pytest.mark.parametrize("unit", [*NormUnit, *(unit.value for unit in NormUnit), "furlongs"])
+    @given(model=st.sampled_from([IDENTITY, MERGED]), docs=_DOCS)
+    @example(model=MERGED, docs=[])
+    @example(model=MERGED, docs=[b""])
+    @example(model=MERGED, docs=[b"ab", b" \t"])
+    def test_compression_rate(self, unit, model, docs):
+        expected = _outcome(naive_compression_rate, model, docs, unit)
+        assert _outcome(compression_rate, model, docs, unit) == expected
+
+    @pytest.mark.parametrize(
+        "view, oracle",
+        [
+            (fertility, naive_fertility),
+            (vocab_utilization, naive_vocab_utilization),
+            (type_token_ratio, naive_type_token_ratio),
+            (avg_token_rank, naive_avg_token_rank),
+            (UnigramDistribution.from_texts, naive_unigram_distribution),
+        ],
+        ids=["fertility", "vocab_utilization", "type_token_ratio", "avg_token_rank", "from_texts"],
+    )
+    @given(model=st.sampled_from([IDENTITY, MERGED]), docs=_DOCS)
+    @example(model=MERGED, docs=[])
+    @example(model=MERGED, docs=[b""])
+    @example(model=MERGED, docs=[b"", b"ab"])
+    @example(model=MERGED, docs=[b" ", b"\xff"])
+    def test_view(self, view, oracle, model, docs):
+        assert _outcome(view, model, docs) == _outcome(oracle, model, docs)
 
 
 class TestFullReport:
