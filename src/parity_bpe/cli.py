@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import hashlib
 import json
 import os
 import stat
@@ -21,27 +20,24 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .corpus import NormUnit, load_labeled_corpus, load_parallel_dev, pretokenize, read_manifest
+from .corpus import (
+    NormUnit,
+    digest,
+    load_labeled_corpus,
+    load_parallel_dev,
+    pretokenize,
+    read_manifest,
+)
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
 from .metrics import RENYI_ALPHA_DEFAULT, check_renyi_order, full_report, load_gold_tsv
-from .parity import CRTable, ParityConfig, reference_unit_totals, train_no_dev, train_parity
+from .parity import CRTable, ParityConfig, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel, unescape_token
-from .trainer import check_merge_budget, train_classical
-
-
-def _digest_file(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()[:16]
+from .trainer import LogWriter, check_merge_budget, train_classical
 
 
 def _digest_config(config: dict) -> str:
-    return hashlib.sha256(
-        json.dumps(config, sort_keys=True, default=str).encode("utf-8")
-    ).hexdigest()[:16]
+    return digest(json.dumps(config, sort_keys=True, default=str).encode("utf-8"))
 
 
 @contextlib.contextmanager
@@ -303,11 +299,11 @@ def cmd_train(args) -> int:
         dev_dir = None if args.no_dev else _require(args, "dev")
 
     # The data files are known once the manifest is read, and checked before any is.
-    train_files = read_manifest(manifest)
-    dev_files = [] if dev_dir is None else _dev_files(dev_dir, sorted(dict(train_files)))
-    train_inputs = [(f"the {lang} training file", path) for lang, path in train_files]
+    declared = read_manifest(manifest)
+    langs = sorted(lang for lang, _ in declared.entries)
+    dev_files = [] if dev_dir is None else _dev_files(dev_dir, langs)
+    train_inputs = [(f"the {lang} training file", path) for lang, path in declared.entries]
     _check_distinct(outputs, train_inputs + dev_files)
-    corpus = load_labeled_corpus(manifest, args.limit_per_language)
     resolved = {
         "command": "train",
         "corpus": str(manifest),
@@ -321,59 +317,59 @@ def cmd_train(args) -> int:
         "hybrid_split": hybrid_split,
         "limit_per_language": args.limit_per_language,
     }
+    # Digests of the bytes each loader read, not of the files as they are later.
+    input_digests = {"manifest": declared.digest}
 
-    if args.classical:
-        model, log = train_classical(corpus, merges)
-        reference = corpus
-    elif args.no_dev:
-        model, log = train_no_dev(corpus, config)
-        reference = corpus
-    else:
-        reference = load_parallel_dev(dev_dir, list(corpus.languages))
-        model, log = train_parity(corpus, reference, config)
-    # The trainer's final token totals are what encoding the reference
-    # corpus with the model would give, so it is not encoded again.
-    summary_table = CRTable(
-        NormUnit(unit),
-        reference.languages,
-        reference_unit_totals(reference, unit),
-        log.token_totals,
-    )
+    def training_corpus():
+        corpus = load_labeled_corpus(declared, args.limit_per_language)
+        input_digests.update(corpus.digests)
+        return corpus
 
-    input_digests = {"manifest": _digest_file(manifest)}
-    input_digests.update((lang, _digest_file(path)) for lang, path in train_files)
-    for lang, (_, path) in zip(corpus.languages, dev_files):
-        input_digests[f"dev/{lang}"] = _digest_file(path)
+    def dev_corpus():
+        dev = load_parallel_dev(dev_dir, langs)
+        input_digests.update((f"dev/{lang}", d) for lang, d in dev.digests.items())
+        return dev
 
-    summary = {
-        "merges_learned": len(log),
-        "stopped_early": log.stopped_early,
-        "stop_reason": log.stop_reason,
-        "cr_unit": summary_table.unit.value,
-        "per_language_cr": summary_table.snapshot(),
-    }
-    meta = {
-        "config": resolved,
-        "config_hash": _digest_config(resolved),
-        "inputs": input_digests,
-        "summary": summary,
-    }
-    # All three are written to temp files first. Unwinding the with statement
-    # renames the model, then the log, then the meta; the meta of an earlier
-    # run is removed before the first rename, so a meta on disk always sits
-    # beside the model and log of its own run.
+    # All three outputs go to temp files. Unwinding the with statement renames
+    # the model, then the log, then the meta; the meta of an earlier run is
+    # removed before the first rename, so a meta on disk always sits beside
+    # the model and log of its own run. The corpora are made in the training
+    # call's arguments, so that no name here holds them while the merges run,
+    # and the log is written record by record as the merges are made.
     with (
         _output(meta_out, "w", encoding="utf-8") as meta_fh,
-        _replaced(log_out) as log_tmp,
+        _output(log_out, "w", encoding="utf-8", newline="\n") as log_fh,
         _replaced(model_out) as model_tmp,
     ):
+        writer = LogWriter(log_fh)
+        if args.classical:
+            model, log = train_classical(training_corpus(), merges, on_step=writer)
+        elif args.no_dev:
+            model, log = train_no_dev(training_corpus(), config, on_step=writer)
+        else:
+            model, log = train_parity(training_corpus(), dev_corpus(), config, on_step=writer)
+        # The trainer's final token totals are what encoding the reference
+        # corpus with the model would give, so it is not encoded again.
+        summary_table = CRTable(NormUnit(unit), tuple(langs), log.unit_totals, log.token_totals)
+        summary = {
+            "merges_learned": len(model.merges),
+            "stopped_early": log.stopped_early,
+            "stop_reason": log.stop_reason,
+            "cr_unit": summary_table.unit.value,
+            "per_language_cr": summary_table.snapshot(),
+        }
+        meta = {
+            "config": resolved,
+            "config_hash": _digest_config(resolved),
+            "inputs": input_digests,
+            "summary": summary,
+        }
         model.save(model_tmp)
-        log.to_jsonl(log_tmp)
         meta_fh.write(json.dumps(meta, indent=2, sort_keys=True) + "\n")
         if os.path.isfile(meta_out):  # a symlink stays; its target goes
             os.unlink(os.path.realpath(meta_out))
 
-    print(f"model: {model_out} ({len(log)} merges)")
+    print(f"model: {model_out} ({len(model.merges)} merges)")
     print(f"log:   {log_out}")
     print(f"final per-language CR ({summary_table.unit.value}):")
     for lang in summary_table.langs:
@@ -452,7 +448,7 @@ def _report_for(model_path: Path, dev, args):
     gold = load_gold_tsv(args.gold) if getattr(args, "gold", None) else None
     provenance = {
         "model": str(model_path),
-        "model_digest": _digest_file(model_path),
+        "model_digest": model.file_digest,
         "dev": str(args.dev),
         "config_hash": _digest_config(
             {"dev": str(args.dev), "renyi_alpha": args.renyi_alpha, "model": str(model_path)}

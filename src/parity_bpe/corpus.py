@@ -14,11 +14,18 @@ its own by ``json.loads`` of its bytes: that either returns what the
 per-line loader reads there (a line led by a UTF-8 byte-order mark, say)
 or raises that loader's error, as a ``CorpusError`` with ``path:lineno``.
 Pre-tokens are counted with one ``Counter`` per language.
+
+Every loader reads each file once and records the :func:`digest` of the
+bytes it read, so a recorded digest names the data that was loaded even if
+the file changes later.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -32,6 +39,11 @@ from .errors import CorpusError
 # a trailing whitespace run with nothing after it stands alone.
 _PRETOKEN_RE = re.compile(rb"\s*\S+|\s+")
 _DECODER = json.JSONDecoder()
+
+
+def digest(data: bytes) -> str:
+    """The digest an input is recorded under: the first 16 hex digits of its sha256."""
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 class NormUnit(str, Enum):
@@ -80,13 +92,16 @@ class LabeledCorpus:
 
     ``per_language`` maps a language code to a Counter of pre-token bytes;
     ``unit_totals[lang][unit]`` holds the corpus length of that language in
-    each normalization unit. Instances are treated as immutable after
+    each normalization unit; ``digests[lang]`` is the :func:`digest` of the
+    file the manifest names for that language, as it was read (empty for a
+    corpus not read from files). Instances are treated as immutable after
     construction.
     """
 
     languages: tuple[str, ...]
     per_language: dict[str, Counter]
     unit_totals: dict[str, dict[NormUnit, int]]
+    digests: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_multisets(cls, multisets: dict[str, dict[bytes, int]]) -> "LabeledCorpus":
@@ -120,10 +135,15 @@ class LabeledCorpus:
 
 @dataclass
 class ParallelDevCorpus:
-    """Line-aligned multilingual corpus; line i is content-aligned across languages."""
+    """Line-aligned multilingual corpus; line i is content-aligned across languages.
+
+    ``digests[lang]`` is the :func:`digest` of that language's file as it
+    was read (empty for a corpus not read from files).
+    """
 
     languages: tuple[str, ...]
     lines: dict[str, list[bytes]]
+    digests: dict[str, str] = field(default_factory=dict)
     n_lines: int = field(init=False)
 
     def __post_init__(self):
@@ -135,17 +155,50 @@ class ParallelDevCorpus:
         self.n_lines = distinct.pop() if distinct else 0
 
 
-def read_manifest(manifest: str | Path) -> list[tuple[str, Path]]:
-    """The ``(lang, path)`` entries of a corpus manifest, in its order.
+def reference_unit_totals(
+    reference: ParallelDevCorpus | LabeledCorpus, unit: NormUnit
+) -> dict[str, int]:
+    """Length of each language of a reference corpus in ``unit``."""
+    unit = NormUnit(unit)
+    if isinstance(reference, ParallelDevCorpus):
+        return {
+            lang: sum(unit_length(line, unit) for line in reference.lines[lang])
+            for lang in reference.languages
+        }
+    return {lang: reference.unit_totals[lang][unit] for lang in reference.languages}
+
+
+@dataclass(frozen=True)
+class Manifest:
+    """A corpus manifest as read: its path, its ``(lang, path)`` entries in
+    file order, and the :func:`digest` of its bytes.
+
+    It is path-like (``os.fspath`` gives its path), so it stands wherever the
+    manifest's path does, and :func:`load_labeled_corpus` takes it in place of
+    reading the file again.
+    """
+
+    path: Path
+    entries: tuple[tuple[str, Path], ...]
+    digest: str
+
+    def __fspath__(self) -> str:
+        return os.fspath(self.path)
+
+
+def read_manifest(manifest: str | Path) -> Manifest:
+    """Read a corpus manifest once.
 
     The manifest is ``{"languages": [{"lang": ..., "path": ...}, ...]}``
     with paths relative to the manifest and no language listed twice.
     """
     manifest = Path(manifest)
     try:
-        spec = json.loads(manifest.read_text(encoding="utf-8"))
+        data = manifest.read_bytes()
     except FileNotFoundError:
         raise CorpusError(f"manifest not found: {manifest}") from None
+    try:
+        spec = json.loads(data.decode("utf-8"))
     except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or too deep
         raise CorpusError(f"malformed manifest {manifest}: {exc}") from None
     if not isinstance(spec, dict):
@@ -166,18 +219,21 @@ def read_manifest(manifest: str | Path) -> list[tuple[str, Path]]:
             raise CorpusError(f"manifest {manifest}: duplicate language {lang!r}")
         seen.add(lang)
         declared.append((lang, manifest.parent / path))
-    return declared
+    return Manifest(manifest, tuple(declared), digest(data))
 
 
 def load_labeled_corpus(
-    manifest: str | Path, limit_per_language: int | None = None
+    manifest: str | Path | Manifest, limit_per_language: int | None = None
 ) -> LabeledCorpus:
     """Load a labeled training corpus from a JSON manifest (see :func:`read_manifest`).
 
-    Each file the manifest names is JSONL with ``text`` and ``lang`` fields
-    per record.
+    ``manifest`` is the manifest's path, or the :class:`Manifest` already
+    read from it. Each file the manifest names is JSONL with ``text`` and
+    ``lang`` fields per record.
     """
-    declared = read_manifest(manifest)
+    if not isinstance(manifest, Manifest):
+        manifest = read_manifest(manifest)
+    declared = manifest.entries
     known = {lang for lang, _ in declared}
     per_language: dict[str, Counter] = {lang: Counter() for lang in known}
     totals = {
@@ -185,11 +241,12 @@ def load_labeled_corpus(
         for lang in known
     }
     n_records = {lang: 0 for lang in known}
+    digests = {}
 
     for lang, path in declared:
         if not path.exists():
             raise CorpusError(f"missing corpus file for {lang!r}: {path}")
-        kept, chars = _read_records(path, known, n_records, limit_per_language)
+        kept, chars, digests[lang] = _read_records(path, known, n_records, limit_per_language)
         for rec_lang, texts in kept.items():
             per_language[rec_lang].update(chain.from_iterable(map(_PRETOKEN_RE.findall, texts)))
             t = totals[rec_lang]
@@ -203,20 +260,24 @@ def load_labeled_corpus(
             raise CorpusError(f"empty language partition: {lang!r}")
         totals[lang][NormUnit.WORDS] = per_language[lang].total()
 
-    return LabeledCorpus(tuple(sorted(known)), per_language, totals)
+    return LabeledCorpus(tuple(sorted(known)), per_language, totals, digests)
 
 
 def _read_records(
     path: Path, known: set[str], n_records: dict[str, int], limit: int | None
-) -> tuple[dict[str, list[bytes]], dict[str, int]]:
-    """The records one file adds: UTF-8 texts and char totals per language.
+) -> tuple[dict[str, list[bytes]], dict[str, int], str]:
+    """The records one file adds: UTF-8 texts and char totals per language,
+    and the file's :func:`digest`.
 
     The file is read once and raises at its first bad line. ``n_records``
     counts what earlier files kept; it is read, not changed.
     """
     kept: dict[str, list[bytes]] = {lang: [] for lang in known}
     chars = dict.fromkeys(known, 0)
-    for lineno, raw in enumerate(path.read_bytes().split(b"\n"), 1):
+    data = path.read_bytes()
+    read_digest, lines = digest(data), data.split(b"\n")
+    del data  # the lines hold its text; the whole file need not stay beside them
+    for lineno, raw in enumerate(lines, 1):
         raw = raw.strip()
         if not raw:
             continue
@@ -243,7 +304,7 @@ def _read_records(
         except UnicodeEncodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid text ({exc})") from None
         chars[rec_lang] += len(text)  # valid UTF-8, so one char per code point
-    return kept, chars
+    return kept, chars, read_digest
 
 
 def load_parallel_dev(directory: str | Path, languages: list[str]) -> ParallelDevCorpus:
@@ -252,16 +313,18 @@ def load_parallel_dev(directory: str | Path, languages: list[str]) -> ParallelDe
     if not languages:
         raise CorpusError("no languages requested for the parallel dev corpus")
     lines: dict[str, list[bytes]] = {}
+    digests: dict[str, str] = {}
     for lang in languages:
         path = directory / f"{lang}.txt"
         if not path.exists():
             raise CorpusError(f"missing dev file for {lang!r}: {path}")
+        data = path.read_bytes()
         records = []
-        with open(path, "rb") as fh:
-            for lineno, raw in enumerate(fh, 1):
-                record = raw.rstrip(b"\r\n")
-                if not record:
-                    raise CorpusError(f"{path}:{lineno}: empty line after trimming")
-                records.append(record)
+        for lineno, raw in enumerate(io.BytesIO(data), 1):  # the lines a binary file yields
+            record = raw.rstrip(b"\r\n")
+            if not record:
+                raise CorpusError(f"{path}:{lineno}: empty line after trimming")
+            records.append(record)
         lines[lang] = records
-    return ParallelDevCorpus(tuple(sorted(languages)), lines)
+        digests[lang] = digest(data)
+    return ParallelDevCorpus(tuple(sorted(languages)), lines, digests)

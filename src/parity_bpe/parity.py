@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, unit_length
+from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, reference_unit_totals
 from .errors import ConfigError, CorpusError, DataError
 from .tokenizer import TokenizerModel
 from .trainer import TrainerState, TrainLog, check_merge_budget, run_merges
@@ -114,19 +114,6 @@ class CRTable:
         return {lang: self.cr(lang) for lang in self.langs}
 
 
-def reference_unit_totals(
-    reference: ParallelDevCorpus | LabeledCorpus, unit: NormUnit
-) -> dict[str, int]:
-    """Length of each language of a reference corpus in ``unit``."""
-    unit = NormUnit(unit)
-    if isinstance(reference, ParallelDevCorpus):
-        return {
-            lang: sum(unit_length(line, unit) for line in reference.lines[lang])
-            for lang in reference.languages
-        }
-    return {lang: reference.unit_totals[lang][unit] for lang in reference.languages}
-
-
 def compute_cr(
     dev: ParallelDevCorpus | LabeledCorpus, model: TokenizerModel, unit: NormUnit
 ) -> CRTable:
@@ -191,8 +178,8 @@ def _run_minmax(
             skipped.append(lang)
         return None, None
 
-    return run_merges(state, token_totals, config.total_merges, config.global_merges, pick,
-                      on_step=on_step)
+    return run_merges(state, unit_totals, token_totals, config.total_merges,
+                      config.global_merges, pick, on_step=on_step)
 
 
 def train_parity(
@@ -213,6 +200,7 @@ def train_parity(
     }
     unit_totals = reference_unit_totals(dev, config.unit)
     state = TrainerState(train, dev_words=dev_words)
+    del train, dev, dev_words  # not needed past the build (see trainer's docstring)
     return _run_minmax(state, config, unit_totals, state.train.dev_totals, on_step)
 
 
@@ -223,6 +211,7 @@ def train_no_dev(
     config.validate()
     if NormUnit(config.unit) is not NormUnit.BYTES:
         raise ConfigError("train_no_dev requires the bytes normalization unit")
-    state = TrainerState(train)
     unit_totals = reference_unit_totals(train, NormUnit.BYTES)
+    state = TrainerState(train)
+    del train  # not needed past the build (see trainer's docstring)
     return _run_minmax(state, config, unit_totals, state.train.token_totals, on_step)

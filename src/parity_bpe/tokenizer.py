@@ -17,7 +17,7 @@ from functools import partial
 from pathlib import Path
 
 from . import _kernels
-from .corpus import pretokenize
+from .corpus import digest, pretokenize
 from .errors import ModelFormatError
 
 MODEL_HEADER = "parity-bpe v1"
@@ -88,7 +88,8 @@ class TokenizerModel:
     Token ids follow model order: ids 0-255 are the singleton bytes, id
     256+k is the result of merge k. When two merges produce identical bytes
     the earliest id is the canonical one and is the only id emitted by
-    ``encode_ids``.
+    ``encode_ids``. ``file_digest`` is the ``corpus.digest`` of the file
+    :meth:`load` read the model from, and None for a model built in memory.
     """
 
     def __init__(self, merges: list[tuple[bytes, bytes]]):
@@ -122,6 +123,7 @@ class TokenizerModel:
         self._table = table
         # a partial, not a bound method: no reference cycle through the model
         self._word_cache = _WordCache(partial(_kernel_encode, table))
+        self.file_digest: str | None = None
 
     @property
     def vocab_size(self) -> int:
@@ -212,11 +214,15 @@ class TokenizerModel:
     def load(cls, path: str | Path) -> "TokenizerModel":
         path = Path(path)
         try:
-            text = path.read_text(encoding="ascii")
+            data = path.read_bytes()
         except FileNotFoundError:
             raise ModelFormatError(f"model file not found: {path}") from None
+        try:
+            text = data.decode("ascii")
         except UnicodeDecodeError as exc:
             raise ModelFormatError(f"{path}: not a text model file ({exc})") from None
+        # line breaks as a text-mode read gives them
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
         if text.endswith("\n"):
             text = text[:-1]
         lines = text.split("\n")
@@ -237,7 +243,9 @@ class TokenizerModel:
             except ModelFormatError as exc:
                 raise ModelFormatError(f"{path}:{lineno}: {exc}") from None
         try:
-            return cls(merges)
+            model = cls(merges)
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
+        model.file_digest = digest(data)
+        return model
 

@@ -27,7 +27,10 @@ the picks are those of an exact heap.
 ``run_merges`` is the one loop that selects, applies and logs merges, for
 every training mode: global steps first, then steps chosen by a picker.
 Classical training is all global steps; ``parity`` supplies the min-max
-picker.
+picker. Once the state is built, the training functions hold no reference
+to their corpora, so a caller that hands over its only one frees the
+pre-token multisets for the merge loop; a ``LogWriter`` given as ``on_step``
+writes each log record as it is made, in place of the log keeping it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from operator import add, itemgetter, sub
 from pathlib import Path
 
 from . import _kernels
-from .corpus import LabeledCorpus
+from .corpus import LabeledCorpus, NormUnit, reference_unit_totals
 from .errors import ConfigError, CorpusError, InternalError
 from .tokenizer import TokenizerModel, escape_token, unescape_token
 
@@ -105,16 +108,20 @@ class TrainStep:
 class TrainLog:
     """Ordered record of learned merges, one entry per merge.
 
-    ``token_totals`` holds the per-language token totals of the reference
-    corpus after the last merge (the training corpus for classical and
-    no-dev training, the dev corpus for parity training). ``run_merges`` sets
-    it; it is not written to the JSONL file, so a log read back has None.
+    ``unit_totals`` and ``token_totals`` hold the per-language length, in
+    the run's compression unit (bytes for classical and no-dev training),
+    and the token totals after the last merge of the reference corpus: the
+    training corpus for classical and no-dev training, the dev corpus for
+    parity training. They give the final compression rates. ``run_merges``
+    sets them; they are not written to the JSONL file, so a log read back
+    has None.
     """
 
     def __init__(self):
         self.steps: list[TrainStep] = []
         self.stopped_early = False
         self.stop_reason: str | None = None
+        self.unit_totals: dict[str, int] | None = None
         self.token_totals: dict[str, int] | None = None
 
     def append(self, step: TrainStep) -> None:
@@ -131,8 +138,9 @@ class TrainLog:
 
     def to_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            write = LogWriter(fh).write
             for step in self.steps:
-                fh.write(json.dumps(step.to_record(), sort_keys=True) + "\n")
+                write(step)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TrainLog":
@@ -143,6 +151,25 @@ class TrainLog:
                 if line:
                     log.append(TrainStep.from_record(json.loads(line)))
         return log
+
+
+class LogWriter:
+    """Writes log records to an open text file, one JSON line each.
+
+    This is the one rendering of a record, which ``TrainLog.to_jsonl`` uses
+    too. Given as a training run's ``on_step``, it writes each record as the
+    merge is made and the run's log keeps no steps (only its stop and
+    totals), so the memory a run holds does not grow with its log.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def write(self, step: TrainStep) -> None:
+        self.fh.write(json.dumps(step.to_record(), sort_keys=True) + "\n")
+
+    def __call__(self, state: "TrainerState", step: TrainStep) -> None:
+        self.write(step)
 
 
 class _WordStore:
@@ -392,6 +419,7 @@ class TrainerState:
 
 def run_merges(
     state: TrainerState,
+    unit_totals: dict[str, int],
     reference_totals: list[int],
     num_merges: int,
     global_merges: int,
@@ -405,9 +433,13 @@ def run_merges(
     fields that explain the choice. ``reference_totals`` is the live
     per-language token-total list the merges shrink; it becomes the log's
     ``token_totals``, and each record's ``dev_tokens`` when there is a picker.
+    ``unit_totals`` is the reference corpus's length, the log's
+    ``unit_totals``. ``on_step(state, record)`` sees each record once it is
+    made; the log keeps the record unless ``on_step`` is a ``LogWriter``.
     """
     langs = state.langs
     dev_tokens = pick is not None
+    keep_steps = not isinstance(on_step, LogWriter)
     log = TrainLog()
     for k in range(1, num_merges + 1):
         if k <= global_merges:
@@ -432,9 +464,11 @@ def run_merges(
             replacements=dict(zip(langs, repl)),
             **fields,
         )
-        log.append(record)
+        if keep_steps:
+            log.append(record)
         if on_step is not None:
             on_step(state, record)
+    log.unit_totals = unit_totals
     log.token_totals = dict(zip(langs, reference_totals))
     return state.to_model(), log
 
@@ -450,5 +484,8 @@ def train_classical(
 ) -> tuple[TokenizerModel, TrainLog]:
     """Greedy global BPE: repeatedly merge the highest-count adjacent pair."""
     check_merge_budget(num_merges)
+    unit_totals = reference_unit_totals(corpus, NormUnit.BYTES)
     state = TrainerState(corpus)
-    return run_merges(state, state.train.token_totals, num_merges, num_merges, on_step=on_step)
+    del corpus  # not needed past the build (see the module docstring)
+    return run_merges(state, unit_totals, state.train.token_totals, num_merges, num_merges,
+                      on_step=on_step)

@@ -77,9 +77,10 @@ def fuzz_strings():
 
 @pytest.fixture()
 def file_reads(monkeypatch):
-    """Counts, by path string, each file read through ``open`` or ``Path.read_bytes``."""
+    """Counts, by path string, each file opened through ``open`` or read through
+    ``Path.read_bytes`` or ``Path.read_text``."""
     reads = Counter()
-    real_open, read_bytes = open, Path.read_bytes
+    real_open, read_bytes, read_text = open, Path.read_bytes, Path.read_text
 
     def counting_open(file, *args, **kwargs):
         reads[str(file)] += 1
@@ -89,6 +90,11 @@ def file_reads(monkeypatch):
         reads[str(self)] += 1
         return read_bytes(self)
 
+    def counting_read_text(self, *args, **kwargs):
+        reads[str(self)] += 1
+        return read_text(self, *args, **kwargs)
+
     monkeypatch.setattr("builtins.open", counting_open)
     monkeypatch.setattr(Path, "read_bytes", counting_read_bytes)
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
     return reads

@@ -19,6 +19,7 @@ field, as the CLI did before it looked fields up in ``text_spans``.
 store by byte spans, so tests can compare it with the recounts above.
 """
 
+import hashlib
 import json
 from collections import Counter
 from pathlib import Path
@@ -249,10 +250,12 @@ def per_line_load_labeled_corpus(
         for lang in known
     }
     n_records = {lang: 0 for lang in known}
+    digests = {}
 
     for lang, path in declared:
         if not path.exists():
             raise CorpusError(f"missing corpus file for {lang!r}: {path}")
+        digests[lang] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 raw = raw.strip()
@@ -288,7 +291,7 @@ def per_line_load_labeled_corpus(
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
 
-    return LabeledCorpus(tuple(sorted(known)), per_language, totals)
+    return LabeledCorpus(tuple(sorted(known)), per_language, totals, digests)
 
 
 def naive_unigram_distribution(

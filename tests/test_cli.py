@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import random
 import shutil
 import stat
+import weakref
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -26,6 +28,7 @@ from parity_bpe import (
 from parity_bpe import cli, tokenizer
 from parity_bpe.cli import main
 from parity_bpe.tokenizer import escape_token
+from parity_bpe.trainer import LogWriter
 
 from .oracles import decode_line, ids_line, tokens_line
 
@@ -353,6 +356,84 @@ class TestTrain:
         log = TrainLog.from_jsonl(tmp_path / "h.bpe.log.jsonl")
         modes = [step.mode for step in log]
         assert modes == ["global"] * global_steps + ["parity"] * (100 - global_steps)
+
+    def test_each_input_is_read_once(self, tmp_path, small_synth_dir, file_reads):
+        manifest, dev = small_synth_dir / "manifest.json", small_synth_dir / "dev"
+        model, gold = tmp_path / "m.bpe", tmp_path / "gold.tsv"
+        train_config, eval_config = tmp_path / "train.json", tmp_path / "eval.json"
+        train_config.write_text(json.dumps({"window": 6}))
+        eval_config.write_text(json.dumps({"renyi_alpha": 3}))
+        gold.write_text("ab\ta|b\n")
+        dev_files = sorted(dev.glob("*.txt"))
+        for argv, inputs in (
+            (["train", "--parity", "--merges", "20", "--corpus", manifest, "--dev", dev,
+              "--model-out", model, "--config", train_config],
+             [train_config, manifest, *sorted((small_synth_dir / "train").glob("*.jsonl")),
+              *dev_files]),
+            (["eval", "--model", model, "--dev", dev, "--gold", gold, "--out", tmp_path / "r.json",
+              "--config", eval_config],
+             [eval_config, model, gold, *dev_files]),
+        ):
+            file_reads.clear()
+            assert run(argv) == 0
+            names = [str(p) for p in inputs]
+            assert {name: file_reads[name] for name in names} == dict.fromkeys(names, 1)
+
+    def test_digests_are_of_the_bytes_read(self, tmp_path, small_synth_dir, monkeypatch):
+        """A file rewritten once training has read it keeps the digest of what was read."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(small_synth_dir, corpus)
+        inputs = {"manifest": corpus / "manifest.json", "aa": corpus / "train" / "aa.jsonl",
+                  "dev/bb": corpus / "dev" / "bb.txt"}
+        read = {key: hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+                for key, path in inputs.items()}
+        write = LogWriter.__call__
+
+        def rewriting_write(self, state, record):
+            if record.step == 1:
+                for path in inputs.values():
+                    path.write_bytes(path.read_bytes() + b"\n")
+            write(self, state, record)
+
+        monkeypatch.setattr(LogWriter, "__call__", rewriting_write)
+        assert _train_into(corpus, tmp_path, 5) == 0
+        digests = json.loads((tmp_path / "m.bpe.meta.json").read_text())["inputs"]
+        assert {key: digests[key] for key in inputs} == read
+        assert sorted(digests) == ["aa", "bb", "cc", "dev/aa", "dev/bb", "dev/cc", "manifest"]
+        assert hashlib.sha256(inputs["aa"].read_bytes()).hexdigest()[:16] != read["aa"]
+
+    @pytest.mark.parametrize("mode", [["--classical"], ["--parity", "--no-dev"], ["--parity"]],
+                             ids=["classical", "no-dev", "parity"])
+    def test_no_corpus_is_held_during_the_merges(self, tmp_path, small_synth_dir, monkeypatch,
+                                                 mode):
+        """Once the trainer state is built, nothing keeps the loaded corpora alive."""
+        loaded = []
+
+        def remembered(load):
+            def wrapper(*args):
+                data = load(*args)
+                loaded.append(weakref.ref(data))
+                if hasattr(data, "per_language"):
+                    loaded.extend(weakref.ref(words) for words in data.per_language.values())
+                return data
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "load_labeled_corpus", remembered(cli.load_labeled_corpus))
+        monkeypatch.setattr(cli, "load_parallel_dev", remembered(cli.load_parallel_dev))
+        alive = []
+        write = LogWriter.__call__
+
+        def checking_write(self, state, record):
+            alive.append(sum(ref() is not None for ref in loaded))
+            write(self, state, record)
+
+        monkeypatch.setattr(LogWriter, "__call__", checking_write)
+        dev = ["--dev", small_synth_dir / "dev"] if mode == ["--parity"] else []
+        assert run(["train", *mode, *dev, "--merges", "5", "--model-out", tmp_path / "m.bpe",
+                    "--corpus", small_synth_dir / "manifest.json"]) == 0
+        assert len(loaded) == (5 if dev else 4)
+        assert alive == [0] * 5
 
     @pytest.mark.parametrize("limit", ["0", "-3"])
     def test_limit_below_one_is_usage_error(self, tmp_path, small_synth_dir, limit, capsys):
@@ -797,9 +878,15 @@ class TestOutputs:
         if where == "model":
             monkeypatch.setattr(TokenizerModel, "save", _interrupt_partial_write(
                 new["m.bpe"].decode()))
-        elif where == "log":
-            monkeypatch.setattr(TrainLog, "to_jsonl", _interrupt_partial_write(
-                new["m.bpe.log.jsonl"].decode()))
+        elif where == "log":  # the log is streamed: interrupted partway through the merges
+            write = LogWriter.__call__
+
+            def interrupted_write(self, state, record):
+                if record.step == 4:
+                    raise KeyboardInterrupt
+                write(self, state, record)
+
+            monkeypatch.setattr(LogWriter, "__call__", interrupted_write)
         elif where == "meta":
             dumps = json.dumps
 
@@ -946,7 +1033,11 @@ class TestOutputs:
         code = run([arg.format(**paths) for arg in argv])
         assert code == 1
         assert f"error: {message.format(**paths)}" in capsys.readouterr().err
-        assert list(file_reads) == []
+        # train reads its manifest first, to name the data files it checks
+        names_data_file = argv[0] == "train" and ("training file" in message
+                                                  or "--dev file" in message)
+        manifest = str(tmp_path / "corpus" / "manifest.json")
+        assert dict(file_reads) == ({manifest: 1} if names_data_file else {})
         assert _tree(tmp_path) == before
 
     def test_output_may_name_the_input(self, example_model, tmp_path):
@@ -977,7 +1068,8 @@ class TestEval:
         assert code == 0
         report = MetricReport.from_json(out.read_text())
         assert report.global_metrics["cr_bytes_ratio_of_sums"] == 1.0
-        assert report.provenance["model_digest"]
+        assert report.provenance["model_digest"] == hashlib.sha256(
+            model_path.read_bytes()).hexdigest()[:16]
 
     def test_matches_library_call(self, tmp_path, synth_dir, classical_run, dev):
         model, _ = classical_run

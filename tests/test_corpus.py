@@ -186,6 +186,7 @@ def assert_same_load(directory: Path, files: dict[str, bytes], limit=None):
     assert fast.languages == per_line.languages
     assert fast.per_language == per_line.per_language
     assert fast.unit_totals == per_line.unit_totals
+    assert fast.digests == per_line.digests
     for lang in fast.languages:  # the same first-seen order, too
         assert list(fast.per_language[lang]) == list(per_line.per_language[lang])
     return fast

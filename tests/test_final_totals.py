@@ -1,7 +1,8 @@
 """The trainers' final token totals equal a re-encode of the reference corpus.
 
-``train`` builds its summary CR table from ``TrainLog.token_totals`` instead
-of encoding the corpus again; these tests hold the two equal.
+``train`` builds its summary CR table from ``TrainLog.unit_totals`` and
+``TrainLog.token_totals`` instead of measuring and encoding the corpus again;
+these tests hold that table equal to ``compute_cr``'s.
 """
 
 import pytest
@@ -17,7 +18,6 @@ from parity_bpe import (
     train_no_dev,
     train_parity,
 )
-from parity_bpe.parity import reference_unit_totals
 
 BUDGET = 120
 # One language runs out of pairs after a few merges, the other has none.
@@ -28,11 +28,8 @@ STOPPING_DEV = ParallelDevCorpus(("aa", "bb"), {"aa": [b"abab abc"], "bb": [b"xy
 def assert_totals_match(log, reference, model, unit):
     expected = compute_cr(reference, model, unit)
     assert log.token_totals == expected.token_totals
-    # the table the CLI builds from them is the one compute_cr returns
-    table = CRTable(
-        unit, reference.languages, reference_unit_totals(reference, unit), log.token_totals
-    )
-    assert table == expected
+    # the table the CLI builds from the log is the one compute_cr returns
+    assert CRTable(unit, reference.languages, log.unit_totals, log.token_totals) == expected
 
 
 @pytest.mark.parametrize("merges", [0, BUDGET])
@@ -95,5 +92,6 @@ def test_no_dev_stopped_early():
 def test_totals_are_not_written_to_the_log(corpus, tmp_path):
     _, log = train_classical(corpus, 5)
     log.to_jsonl(tmp_path / "log.jsonl")
-    assert "token_totals" not in (tmp_path / "log.jsonl").read_text()
-    assert type(log).from_jsonl(tmp_path / "log.jsonl").token_totals is None
+    assert "totals" not in (tmp_path / "log.jsonl").read_text()
+    read = type(log).from_jsonl(tmp_path / "log.jsonl")
+    assert read.unit_totals is None and read.token_totals is None

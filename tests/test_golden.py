@@ -15,7 +15,9 @@ from pathlib import Path
 import pytest
 
 import parity_bpe
-from parity_bpe import NormUnit, ParityConfig, train_no_dev
+from parity_bpe import NormUnit, ParityConfig, train_no_dev, train_parity
+from parity_bpe.cli import main
+from parity_bpe.trainer import LogWriter
 
 from .conftest import MERGE_BUDGET
 
@@ -44,6 +46,16 @@ GOLDEN = {
 }
 
 
+# the CLI flags that train each run above
+CLI_FLAGS = {
+    "classical": ["--classical"],
+    "hybrid": ["--parity", "--hybrid-split", "0.5", "--window", "0", "--dev", "{dev}"],
+    "no_dev": ["--parity", "--no-dev", "--window", "20"],
+    "parity": ["--parity", "--window", "0", "--dev", "{dev}"],
+    "window": ["--parity", "--window", "6", "--alpha", "2", "--dev", "{dev}"],
+}
+
+
 @pytest.fixture(scope="module")
 def no_dev_run(corpus):
     config = ParityConfig(
@@ -65,6 +77,30 @@ def test_model_and_log_bytes_are_pinned(name, request, tmp_path):
     log.to_jsonl(tmp_path / "log.jsonl")
     got = (_sha256(tmp_path / "model.bpe"), _sha256(tmp_path / "log.jsonl"))
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_cli_writes_the_pinned_bytes(name, synth_dir, tmp_path):
+    """CLI ``train`` streams its log record by record, by the rule ``to_jsonl`` writes with."""
+    flags = [flag.format(dev=synth_dir / "dev") for flag in CLI_FLAGS[name]]
+    assert main(["train", *flags, "--merges", str(MERGE_BUDGET),
+                 "--corpus", str(synth_dir / "manifest.json"),
+                 "--model-out", str(tmp_path / "m.bpe")]) == 0
+    got = (_sha256(tmp_path / "m.bpe"), _sha256(tmp_path / "m.bpe.log.jsonl"))
+    assert got == GOLDEN[name]
+
+
+def test_a_log_writer_takes_the_records(corpus, dev, window_run, tmp_path):
+    """Given as ``on_step``, a ``LogWriter`` writes each record and the log keeps none."""
+    config = ParityConfig(total_merges=MERGE_BUDGET, window_size=6, alpha=2)
+    with open(tmp_path / "log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
+        model, log = train_parity(corpus, dev, config, on_step=LogWriter(fh))
+    assert _sha256(tmp_path / "log.jsonl") == GOLDEN["window"][1]
+    assert log.steps == []
+    full_model, full = window_run
+    assert model.merges == full_model.merges
+    assert (log.stopped_early, log.unit_totals, log.token_totals) == (
+        full.stopped_early, full.unit_totals, full.token_totals)
 
 
 def test_training_does_not_depend_on_the_hash_seed(synth_dir, tmp_path):

@@ -340,3 +340,25 @@ class TestTrainNoDev:
         prefix_table = compute_cr(corpus, prefix_model, NormUnit.BYTES)
         for lang in corpus.languages:
             assert snapshot_crs[lang] == pytest.approx(prefix_table.cr(lang), abs=0)
+
+
+# Greedy training is prefix-consistent: the k-merge run makes the first k
+# choices of the n-merge run, so one trained model stands for every smaller
+# vocabulary size. Hybrid training is not: its global prelude is
+# floor(split * budget) steps, so its length depends on the budget.
+PREFIX_RUNS = {
+    "classical": lambda corpus, dev, n: train_classical(corpus, n),
+    "no-dev": lambda corpus, dev, n: train_no_dev(
+        corpus, ParityConfig(n, window_size=6, unit=NormUnit.BYTES)),
+    "window-0": lambda corpus, dev, n: train_parity(corpus, dev, ParityConfig(n, window_size=0)),
+    "window-6": lambda corpus, dev, n: train_parity(
+        corpus, dev, ParityConfig(n, window_size=6, alpha=2)),
+}
+
+
+@pytest.mark.parametrize("mode", list(PREFIX_RUNS))
+def test_a_smaller_budget_trains_a_prefix(corpus, dev, mode):
+    (short_model, short_log), (model, log) = (PREFIX_RUNS[mode](corpus, dev, n) for n in (60, 120))
+    assert len(log) == 120
+    assert short_model.merges == model.merges[:60]
+    assert [step.to_record() for step in short_log] == [step.to_record() for step in log[:60]]
