@@ -229,7 +229,9 @@ def load_labeled_corpus(
 
     ``manifest`` is the manifest's path, or the :class:`Manifest` already
     read from it. Each file the manifest names is JSONL with ``text`` and
-    ``lang`` fields per record.
+    ``lang`` fields per record. A file that several entries name, however
+    spelled (by ``os.path.realpath``), is read and counted once, and each of
+    those languages records its digest.
     """
     if not isinstance(manifest, Manifest):
         manifest = read_manifest(manifest)
@@ -242,11 +244,17 @@ def load_labeled_corpus(
     }
     n_records = {lang: 0 for lang in known}
     digests = {}
+    read: dict[str, str] = {}  # the digest of each file read, by real path
 
     for lang, path in declared:
         if not path.exists():
             raise CorpusError(f"missing corpus file for {lang!r}: {path}")
+        real = os.path.realpath(path)
+        if real in read:  # named by an earlier entry: its records are counted
+            digests[lang] = read[real]
+            continue
         kept, chars, digests[lang] = _read_records(path, known, n_records, limit_per_language)
+        read[real] = digests[lang]
         for rec_lang, texts in kept.items():
             per_language[rec_lang].update(chain.from_iterable(map(_PRETOKEN_RE.findall, texts)))
             t = totals[rec_lang]

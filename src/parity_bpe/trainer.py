@@ -13,7 +13,8 @@ visits the listed words, skips those that no longer hold the pair and
 rewrites the others, then one pass over the pair-count deltas it returns.
 Adjacent-pair counts come from the training entries only and are maintained
 incrementally per language, from the pairs beside each replacement only; a
-pair's counts are a tuple that a merge replaces, never mutates.
+pair's counts are a tuple that a merge replaces, never mutates, and equal
+count tuples are one shared object.
 
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
@@ -192,9 +193,14 @@ class _WordStore:
     weighted by training multiplicity, a tuple of ``n_langs`` ints, so a
     dev-only word adds nothing to it. A merge replaces a changed pair's
     tuple and never mutates one, and a pair whose counts all reach zero is
-    removed. The cyclic garbage collector never tracks a bare id, and stops
-    tracking a tuple of ints at its first collection, so neither table gives
-    a full collection objects to walk.
+    removed. Equal count tuples are one shared object: ``shared_counts``
+    maps each count tuple stored since its last rebuild to itself, and is
+    rebuilt from the live counts, each pointed at its rebuilt entry, once it
+    holds more than ``shared_limit``, twice its size at that rebuild. Most
+    pairs occur in one language with a small count, so there are far
+    fewer distinct count tuples than pairs. The cyclic garbage collector
+    never tracks a bare id, and stops tracking a tuple of ints at its first
+    collection, so neither table gives a full collection objects to walk.
     ``token_totals`` and ``dev_totals`` are the per-language token totals of
     the two texts and shrink by one per replacement. The store holds data
     only: ``TrainerState.apply`` updates it, through one
@@ -208,6 +214,8 @@ class _WordStore:
         self.dev_counts: list[tuple[tuple[int, int], ...]] | None = [] if with_dev else None
         self.index: dict[tuple[int, int], int | list[int]] = {}
         self.pair_counts: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.shared_counts: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.shared_limit = 0
         self.token_totals = [0] * n_langs
         self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
 
@@ -310,6 +318,18 @@ class TrainerState:
         # Accumulated in lists (a few hundred byte pairs), stored as tuples.
         for pair, vec in pair_counts.items():
             pair_counts[pair] = tuple(vec)
+        self._share_counts()
+
+    def _share_counts(self) -> None:
+        """Rebuild ``shared_counts`` from the live counts, and point each at its entry."""
+        store = self.train
+        pair_counts = store.pair_counts
+        shared: dict = {}
+        intern = shared.setdefault
+        for pair, vec in pair_counts.items():
+            pair_counts[pair] = intern(vec, vec)
+        store.shared_counts = shared
+        store.shared_limit = 2 * len(shared)
 
     def _build_heap(self, heap: list, value_of) -> None:
         """Fill an empty heap with one entry per pair that selection could pick."""
@@ -362,10 +382,11 @@ class TrainerState:
 
         No (a, b) is left afterwards, and none can form again, so its index
         slot and counts go first. One loop over the kernel's deltas then
-        replaces each changed pair's counts (removing a pair whose counts
-        all reach zero) and pushes each selectable count that grew into the
-        heaps built so far. Returns the per-language replacement counts in
-        the training text.
+        replaces each changed pair's counts by the shared tuple of their new
+        value (removing a pair whose counts all reach zero) and pushes each
+        selectable count that grew into the heaps built so far; the table of
+        shared tuples is rebuilt if that outgrew its limit. Returns the
+        per-language replacement counts in the training text.
         """
         a, b = pair
         vocab = self.vocab
@@ -395,6 +416,7 @@ class TrainerState:
         lang_heaps = [(li, self.lang_heaps[li]) for li in self._built_langs]
         least = MIN_PAIR_COUNT
         push = heapq.heappush
+        intern = store.shared_counts.setdefault
         for key, dvec in changed.items():
             vec = pair_counts.get(key)
             new = tuple(dvec) if vec is None else tuple(map(add, vec, dvec))
@@ -402,7 +424,7 @@ class TrainerState:
                 if vec is not None:
                     del pair_counts[key]
                 continue
-            pair_counts[key] = new
+            pair_counts[key] = new = intern(new, new)
             x, y = key
             if global_heap is not None and sum(dvec) > 0:
                 total = sum(new)
@@ -411,6 +433,8 @@ class TrainerState:
             for li, heap in lang_heaps:
                 if dvec[li] > 0 and new[li] >= least:
                     push(heap, (-new[li], vocab[x], vocab[y], x, y))
+        if len(store.shared_counts) > store.shared_limit:
+            self._share_counts()
         return repl
 
     def to_model(self) -> TokenizerModel:

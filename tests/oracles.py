@@ -21,6 +21,7 @@ store by byte spans, so tests can compare it with the recounts above.
 
 import hashlib
 import json
+import os
 from collections import Counter
 from pathlib import Path
 from typing import Sequence
@@ -251,11 +252,16 @@ def per_line_load_labeled_corpus(
     }
     n_records = {lang: 0 for lang in known}
     digests = {}
+    read = {}  # real path -> digest: a file several entries name is read once
 
     for lang, path in declared:
         if not path.exists():
             raise CorpusError(f"missing corpus file for {lang!r}: {path}")
-        digests[lang] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+        real = os.path.realpath(path)
+        if real in read:
+            digests[lang] = read[real]
+            continue
+        digests[lang] = read[real] = hashlib.sha256(path.read_bytes()).hexdigest()[:16]
         with open(path, "rb") as fh:
             for lineno, raw in enumerate(fh, 1):
                 raw = raw.strip()

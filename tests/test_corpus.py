@@ -20,6 +20,7 @@ from parity_bpe import (
     pretokenize,
     unit_length,
 )
+from parity_bpe.corpus import digest
 
 from .oracles import per_line_load_labeled_corpus, utf8_scalar_count
 
@@ -257,6 +258,35 @@ def test_each_training_file_is_read_once(tmp_path, file_reads):
     corpus = load_labeled_corpus(manifest)
     assert corpus.per_language["aa"][b"bom"] == 1
     assert [file_reads[str(tmp_path / name)] for name in ("aa.jsonl", "bb.jsonl")] == [1, 1]
+
+
+def test_a_file_named_by_several_entries_is_read_once(tmp_path, file_reads):
+    """However the manifest spells it, a shared file's records are counted once."""
+    (tmp_path / "sub").mkdir()
+    data = b"".join(rec(text, lang) + b"\n" for text, lang in
+                    [("ab ab", "aa"), ("cd", "bb"), ("ef", "cc"), ("gh", "aa")])
+    (tmp_path / "both.jsonl").write_bytes(data)
+    manifest = tmp_path / "manifest.json"
+    spellings = {"aa": "both.jsonl", "bb": "./both.jsonl", "cc": "sub/../both.jsonl"}
+    manifest.write_text(json.dumps(
+        {"languages": [{"lang": lang, "path": path} for lang, path in spellings.items()]}))
+    corpus = load_labeled_corpus(manifest)
+    assert corpus.per_language == {"aa": Counter({b"ab": 1, b" ab": 1, b"gh": 1}),
+                                   "bb": Counter({b"cd": 1}), "cc": Counter({b"ef": 1})}
+    assert {lang: t[NormUnit.LINES] for lang, t in corpus.unit_totals.items()} == {
+        "aa": 2, "bb": 1, "cc": 1}
+    assert corpus.digests == dict.fromkeys(spellings, digest(data))
+    assert sum(n for path, n in file_reads.items() if path.endswith("both.jsonl")) == 1
+    # the limit counts each record once
+    assert load_labeled_corpus(manifest, 3).per_language == corpus.per_language
+    assert load_labeled_corpus(manifest, 1).per_language["aa"] == Counter({b"ab": 1, b" ab": 1})
+    # the per-line oracle reads each distinct file once too, and agrees
+    for limit in (None, 1, 3):
+        fast = load_labeled_corpus(manifest, limit)
+        per_line = per_line_load_labeled_corpus(manifest, limit)
+        assert fast.per_language == per_line.per_language
+        assert fast.unit_totals == per_line.unit_totals
+        assert fast.digests == per_line.digests
 
 
 def test_first_empty_language_in_manifest_order_is_named(tmp_path):

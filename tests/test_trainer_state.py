@@ -140,6 +140,17 @@ def _check(state, multisets, dev_multisets):
             assert wid in listed_ids(index, pair)
     n_words = len(state.train.words)
     assert all(0 <= wid < n_words for pair in index for wid in listed_ids(index, pair))
+    _check_shared_counts(state.train)
+
+
+def _check_shared_counts(store):
+    """Equal live count tuples are one object, the table's, and the table keeps its bound."""
+    live = list(store.pair_counts.values())
+    assert len(set(map(id, live))) == len(set(live))
+    shared = store.shared_counts
+    assert all(shared.get(vec) is vec for vec in live)
+    # at most twice its size at the last rebuild, which held only live counts
+    assert len(shared) <= store.shared_limit <= 2 * len(shared)
 
 
 def _best(pairs: Counter):
@@ -213,7 +224,8 @@ def test_stale_index_entries_are_skipped(monkeypatch):
 
 
 def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
-    """After a run, each pair's counts are an untracked tuple and a one-word slot a bare id."""
+    """After a run, each pair's counts are an untracked tuple, shared with equal
+    counts, and a one-word slot a bare id."""
     seen = []
     config = ParityConfig(200, global_merges=50, window_size=0)
     train_parity(corpus, dev, config, on_step=lambda state, record: seen.append(state))
@@ -227,6 +239,7 @@ def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
         assert all(type(x) is int for x in vec)
     assert {type(slot) for slot in store.index.values()} == {int, list}
     assert all(len(slot) >= 2 for slot in store.index.values() if type(slot) is list)
+    _check_shared_counts(store)
 
 
 def _state_of(*words):
