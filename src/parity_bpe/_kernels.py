@@ -119,7 +119,7 @@ def merge_and_deltas(store, listed, a: int, b: int, c: int):
 
 
 def encode_ids(ids, table: dict) -> list:
-    """Tokenize one pre-token's id sequence against a merge table.
+    """Tokenize one pre-token's id sequence (its bytes, say) against a merge table.
 
     ``table`` maps an adjacent id pair to ``(rank, merged_id)``. The lowest
     rank present in the sequence is applied to all of its occurrences
@@ -187,6 +187,6 @@ def encode_ids(ids, table: dict) -> list:
                 else:
                     pending.append(entry[0] * n + i)
     seq.pop()
-    # Sliced to an exact-size copy: the word cache keeps every result, and a
-    # comprehension's list carries spare capacity.
-    return [t for t in seq if t is not None][:]
+    # Not copied to an exact size: the word cache charges a result's
+    # ``sys.getsizeof``, spare capacity included, to its byte budget.
+    return [t for t in seq if t is not None]

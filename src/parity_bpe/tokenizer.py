@@ -15,16 +15,18 @@ from __future__ import annotations
 
 from functools import partial
 from pathlib import Path
+from sys import getsizeof
 
 from . import _kernels
 from .corpus import digest, pretokenize
 from .errors import ModelFormatError
 
 MODEL_HEADER = "parity-bpe v1"
-# Entries a pre-token cache holds before it starts over: above the distinct
-# pre-tokens of a few MB of text, so only an unbounded stream of new words
-# (random bytes, say) ever clears it, and memory stays bounded on any input.
-WORD_CACHE_LIMIT = 1 << 17
+# Bytes a pre-token cache's keys and values (``sys.getsizeof``) may hold
+# before it starts over: above the distinct pre-tokens of a few MB of text, so
+# only a long stream of new or long words (random bytes, say) ever clears it.
+# A cache then holds at most this plus its dict's own table.
+WORD_CACHE_BYTES = 1 << 24
 
 _PRINTABLE = frozenset(range(0x21, 0x7F)) - {0x5C}  # visible ASCII minus backslash
 
@@ -59,26 +61,39 @@ def unescape_token(text: str) -> bytes:
 
 
 def _kernel_encode(table: dict, word: bytes) -> list[int]:
-    return _kernels.encode_ids(list(word), table)
+    return _kernels.encode_ids(word, table)
 
 
 class _WordCache(dict):
     """Pre-token -> ``compute(pre-token)``, computed on first lookup.
 
-    A miss on a cache that already holds :data:`WORD_CACHE_LIMIT` entries
-    clears it first, so it never holds more than that.
+    ``held`` is the summed ``sys.getsizeof`` of the keys and values stored.
+    A miss computes its value first; if storing it would take ``held`` past
+    :data:`WORD_CACHE_BYTES`, the cache is cleared before the store, and an
+    entry larger than the budget on its own is returned but never stored.
+    So the keys and values never hold more than the budget; the dict's own
+    table, not counted, adds at most about 55 bytes per entry.
     """
 
-    __slots__ = ("_compute",)
+    __slots__ = ("_compute", "held")
 
     def __init__(self, compute):
         super().__init__()
         self._compute = compute
+        self.held = 0
 
     def __missing__(self, word: bytes):
-        if len(self) >= WORD_CACHE_LIMIT:
+        value = self._compute(word)
+        # A bytes key has no GC header, so its __sizeof__ is its getsizeof,
+        # without getsizeof's argument parsing (about 0.1 us a miss).
+        size = word.__sizeof__() + getsizeof(value)
+        if self.held + size > WORD_CACHE_BYTES:
             self.clear()
-        value = self[word] = self._compute(word)
+            self.held = 0
+            if size > WORD_CACHE_BYTES:
+                return value
+        self[word] = value
+        self.held += size
         return value
 
 

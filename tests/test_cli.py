@@ -705,11 +705,11 @@ class TestEncodeOutput:
     """The CLI renders each pre-token once; its output must be what formatting
     each whole line gives, whenever its pre-token cache clears."""
 
-    @pytest.mark.parametrize("limit", [1, 3])
+    @pytest.mark.parametrize("budget", [1, 1000])
     @settings(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
-    def test_matches_per_line_formatters(self, classical_run, dev, tmp_path, limit, data):
+    def test_matches_per_line_formatters(self, classical_run, dev, tmp_path, budget, data):
         model, _ = classical_run
         model_path, src = tmp_path / "m.bpe", tmp_path / "in.txt"
         model.save(model_path)
@@ -724,7 +724,7 @@ class TestEncodeOutput:
             expected = "".join(formatter(oracle, record) + "\n" for record in records)
             enc, dec = tmp_path / f"enc.{fmt}", tmp_path / f"dec.{fmt}"
             with pytest.MonkeyPatch.context() as mp:
-                mp.setattr(tokenizer, "WORD_CACHE_LIMIT", limit)
+                mp.setattr(tokenizer, "WORD_CACHE_BYTES", budget)
                 assert run(["encode", "--model", model_path, "--format", fmt,
                             "--input", src, "--output", enc]) == 0
             assert enc.read_bytes() == expected.encode("utf-8")

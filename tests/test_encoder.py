@@ -124,6 +124,14 @@ def test_matches_rescan(case):
     assert _kernels.encode_ids(ids, table) == rescan_encode_ids(ids, table)
 
 
+@settings(max_examples=200, deadline=None)
+@given(word=st.binary(max_size=300))
+def test_takes_a_pretokens_bytes(classical_run, word):
+    """The word caches pass a pre-token's bytes as its ids, not a list of them."""
+    table = classical_run[0]._table
+    assert _kernels.encode_ids(word, table) == _kernels.encode_ids(list(word), table)
+
+
 def _queue_encode(model, data: bytes) -> list[bytes]:
     return [model.id_to_bytes[i] for i in _kernels.encode_ids(list(data), model._table)]
 

@@ -1,10 +1,12 @@
 import random
+from pathlib import Path
+from sys import getsizeof
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from parity_bpe import ModelFormatError, TokenizerModel, pretokenize, tokenizer
+from parity_bpe import ModelFormatError, TokenizerModel, _kernels, pretokenize, tokenizer
 from parity_bpe.tokenizer import escape_token, unescape_token
 
 from .oracles import replay_encode
@@ -90,29 +92,76 @@ class TestTextSpans:
         assert len(spans) == (len(model.id_to_bytes) if fmt == "ids" else model.vocab_size)
 
 
+def _held(cache) -> int:
+    return sum(getsizeof(word) + getsizeof(value) for word, value in cache.items())
+
+
 class TestWordCache:
-    @pytest.mark.parametrize("limit", [1, 2, 5])
-    def test_caches_start_over_at_the_limit(self, classical_run, monkeypatch, limit):
-        monkeypatch.setattr(tokenizer, "WORD_CACHE_LIMIT", limit)
+    # An entry here is 200-350 bytes, so a budget of 1 is below every single entry.
+    @pytest.mark.parametrize("budget", [1, 600, 2000, 10_000])
+    def test_caches_start_over_at_the_limit(self, classical_run, monkeypatch, budget):
+        monkeypatch.setattr(tokenizer, "WORD_CACHE_BYTES", budget)
         merges = classical_run[0].merges
         model = TokenizerModel(merges)
-        texts = model.text_cache("ids")
+        caches = (model._word_cache, model.text_cache("ids"))
         rng = random.Random(11)
-        seen = 0
+        stored = cleared = 0
         for n in range(60):
             # three unique pre-tokens per line: a space, a serial number, random non-space bytes
             line = b"".join(
                 b" %d:%d:" % (n, k) + bytes(b for b in rng.randbytes(20) if not chr(b).isspace())
                 for k in range(3)
             )
-            words = pretokenize(line)
+            for word in pretokenize(line):
+                ids = TokenizerModel(merges).encode_ids(word)
+                for cache, expected in zip(caches, (ids, " ".join(map(str, ids)))):
+                    before, held = dict(cache), cache.held
+                    value = cache[word]
+                    assert value == expected
+                    assert cache.held == _held(cache) <= budget
+                    size = getsizeof(word) + getsizeof(value)
+                    if size > budget:  # returned, not stored, and the cache cleared
+                        assert not cache and cache.held == 0
+                    elif held + size > budget:  # a miss that would pass the budget starts over
+                        assert cache == {word: value}
+                        cleared += 1
+                    else:
+                        assert cache == {**before, word: value}
+                    stored += word in cache
             assert model.encode_ids(line) == TokenizerModel(merges).encode_ids(line)
-            for word in words:
-                assert texts[word] == " ".join(map(str, TokenizerModel(merges).encode_ids(word)))
-                seen += 1
-                # a miss on a full cache clears it, then stores the new word
-                assert len(texts) == (seen - 1) % limit + 1
-            assert len(model._word_cache) == (seen - 1) % limit + 1
+            assert caches[0].held == _held(caches[0]) <= budget
+        if budget == 1:
+            assert stored == 0
+        else:
+            assert stored == 2 * 180 and cleared > 0
+
+    def test_long_pretokens_stay_within_the_budget(self, classical_run, monkeypatch):
+        """200 distinct 4 KB whitespace-free pre-tokens never hold more than a
+        64 KiB budget in either cache, and encode as the kernel does."""
+        budget = 1 << 16
+        monkeypatch.setattr(tokenizer, "WORD_CACHE_BYTES", budget)
+        model = TokenizerModel(classical_run[0].merges)
+        texts = model.text_cache("tokens")
+        rng = random.Random(5)
+        # the training alphabet, so that merges apply
+        letters = {b for pair in model.merges for b in b"".join(pair)}
+        alphabet = sorted(letters - set(b" \t\n\r\x0b\x0c"))
+        for n in range(200):
+            word = b"%d:" % n + bytes(rng.choices(alphabet, k=4096))
+            assert pretokenize(word) == [word]
+            ids = _kernels.encode_ids(list(word), model._table)
+            assert model.encode_ids(word) == ids
+            assert texts[word] == " ".join(escape_token(model.id_to_bytes[i]) for i in ids)
+            for cache in (model._word_cache, texts):
+                assert word in cache
+                assert cache.held == _held(cache) <= budget
+
+
+def test_readme_states_the_word_cache_budget():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = " ".join(readme.read_text(encoding="utf-8").split())
+    budget = tokenizer.WORD_CACHE_BYTES
+    assert f"past {budget >> 20} MiB ({budget:,} bytes)" in text
 
 
 class TestMonotoneCompression:
