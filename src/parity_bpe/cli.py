@@ -25,7 +25,6 @@ from .corpus import (
     digest,
     load_labeled_corpus,
     load_parallel_dev,
-    pretokenize,
     read_manifest,
 )
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
@@ -389,15 +388,19 @@ def _input(path: str | None):
 def cmd_encode(args) -> int:
     # --output may name --input: the input is read to its end before the replace.
     _check_distinct([("--output", args.output)], [("--model", args.model)])
-    # Every pre-token yields at least one token and an empty line yields no
-    # pre-token, so joining the pre-tokens' texts gives the line's tokens.
-    texts = TokenizerModel.load(args.model).text_cache(args.format).__getitem__
+    # A line's tokens are its runs' tokens in order (no merge joins an inert
+    # byte to a neighbour), every run yields at least one token and an empty
+    # line has no run, so joining the runs' texts gives the line's tokens.
+    # Runs, unlike pre-tokens, repeat in random bytes, so the cache hits there.
+    model = TokenizerModel.load(args.model)
+    texts, runs = model.text_cache(args.format).__getitem__, model.run_splitter()
+    del model  # the loop needs neither its vocabulary nor its id cache
     with (
         _input(args.input) as lines,
         _output(args.output, "w", encoding="utf-8", newline="\n") as out,
     ):
         for line in lines:
-            out.write(" ".join(map(texts, pretokenize(line.rstrip(b"\n")))) + "\n")
+            out.write(" ".join(map(texts, runs(line.rstrip(b"\n")))) + "\n")
     return 0
 
 

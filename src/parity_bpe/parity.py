@@ -145,9 +145,9 @@ def rank_languages(
     (current selection included) above the quota. The trainer takes the
     first language that still has a pair to merge.
     """
-    ranked = sorted(
-        (quota is not None and window.count(lang) + 1 > quota, crs[lang], lang) for lang in crs
-    )
+    # An occupancy is an integer, so it passes the quota when it passes its floor.
+    limit = math.inf if quota is None else math.floor(quota)
+    ranked = sorted((window.count(lang) + 1 > limit, crs[lang], lang) for lang in crs)
     return [(lang, fallback) for fallback, _, lang in ranked]
 
 

@@ -9,10 +9,17 @@ arbitrary byte input.
 The text of a token id in either output format is defined once, by
 ``TokenizerModel._id_text``: ``text_cache`` renders encode output from it and
 ``text_spans`` maps it back to bytes for decode.
+
+A byte is *inert* when no vocabulary token of two or more bytes holds it.
+Every merge result is such a token, so no merge joins an inert byte to a
+neighbour, and a pre-token's tokens are those of its *runs* in order: its
+inert bytes one by one, and the maximal inert-free stretches between them.
+``run_splitter`` splits a line into runs.
 """
 
 from __future__ import annotations
 
+import re
 from functools import partial
 from pathlib import Path
 from sys import getsizeof
@@ -22,13 +29,19 @@ from .corpus import digest, pretokenize
 from .errors import ModelFormatError
 
 MODEL_HEADER = "parity-bpe v1"
-# Bytes a pre-token cache's keys and values (``sys.getsizeof``) may hold
-# before it starts over: above the distinct pre-tokens of a few MB of text, so
-# only a long stream of new or long words (random bytes, say) ever clears it.
-# A cache then holds at most this plus its dict's own table.
+# Bytes a word cache's keys and values (``sys.getsizeof``) may hold before it
+# starts over: above the distinct pre-tokens of a few MB of text, so only a
+# long stream of new or long words ever clears it. The id cache is keyed on
+# pre-tokens, which random bytes keep new. ``encode``'s text cache is keyed on
+# runs, and random bytes are mostly inert single-byte runs, so there only long
+# lines of active bytes fill it. A cache holds at most this plus its table.
 WORD_CACHE_BYTES = 1 << 24
 
 _PRINTABLE = frozenset(range(0x21, 0x7F)) - {0x5C}  # visible ASCII minus backslash
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+# The bytes ``\s`` matches in a bytes pattern, before which ``pretokenize``
+# splits; ``tests/test_tokenizer.py::TestRuns`` checks that the two agree.
+_WHITESPACE = frozenset(b" \t\n\r\x0b\x0c")
 
 
 def escape_token(token: bytes) -> str:
@@ -44,12 +57,12 @@ def unescape_token(text: str) -> bytes:
     while i < n:
         ch = text[i]
         if ch == "\\":
-            if i + 3 >= n or text[i + 1] != "x":
+            digits = text[i + 2 : i + 4]
+            # exactly two hex digits: int() alone takes "+1", " 1" and "1 "
+            if (text[i + 1 : i + 2] != "x" or len(digits) != 2
+                    or not _HEX_DIGITS.issuperset(digits)):
                 raise ModelFormatError(f"malformed escape in token {text!r}")
-            try:
-                out.append(int(text[i + 2 : i + 4], 16))
-            except ValueError:
-                raise ModelFormatError(f"malformed escape in token {text!r}") from None
+            out.append(int(digits, 16))
             i += 4
         else:
             code = ord(ch)
@@ -58,6 +71,22 @@ def unescape_token(text: str) -> bytes:
             out.append(code)
             i += 1
     return bytes(out)
+
+
+def _byte_class(values) -> bytes:
+    """A regex class of the byte values ``values``, consecutive ones as ranges.
+
+    The class of no value matches nothing.
+    """
+    if not values:
+        return rb"[^\x00-\xff]"
+    ranges = []
+    for b in sorted(values):
+        if ranges and ranges[-1][1] == b - 1:
+            ranges[-1][1] = b
+        else:
+            ranges.append([b, b])
+    return b"[" + b"".join(b"\\x%02x-\\x%02x" % (lo, hi) for lo, hi in ranges) + b"]"
 
 
 def _kernel_encode(table: dict, word: bytes) -> list[int]:
@@ -138,6 +167,7 @@ class TokenizerModel:
         self._table = table
         # a partial, not a bound method: no reference cycle through the model
         self._word_cache = _WordCache(partial(_kernel_encode, table))
+        self._run_findall = None
         self.file_digest: str | None = None
 
     @property
@@ -163,6 +193,24 @@ class TokenizerModel:
         cache = self._word_cache
         return sum(len(cache[word]) for word in pretokenize(text))
 
+    def run_splitter(self):
+        """The compiled ``findall`` that splits a line into its runs, in order.
+
+        A run is an inert byte, or a maximal stretch of active bytes inside
+        one pre-token: ``[inert]|[active ws]*[active non-ws]+|[active ws]+``,
+        where whitespace is what :func:`corpus.pretokenize` takes it to be.
+        Runs concatenate to the line, never cross a pre-token boundary, and
+        their token ids concatenate to the line's :meth:`encode_ids`. With no
+        inert byte the runs are the pre-tokens. Built on the first call.
+        """
+        if self._run_findall is None:
+            active = set(b"".join(self.id_to_bytes[256:]))
+            inert = set(range(256)) - active
+            space, word = _byte_class(active & _WHITESPACE), _byte_class(active - _WHITESPACE)
+            pattern = b"%s|%s*%s+|%s+" % (_byte_class(inert), space, word, space)
+            self._run_findall = re.compile(pattern).findall
+        return self._run_findall
+
     def _id_text(self, fmt: str) -> list[str]:
         """Each id's output text: its decimal id for ``"ids"``, else its escaped span."""
         if fmt == "ids":
@@ -170,13 +218,15 @@ class TokenizerModel:
         return [escape_token(span) for span in self.id_to_bytes]
 
     def text_cache(self, fmt: str) -> _WordCache:
-        """A new cache from pre-token to its tokens as ``encode`` output text.
+        """A new cache from a word to its tokens as ``encode`` output text.
 
-        ``fmt`` is ``"ids"`` (decimal ids) or ``"tokens"`` (escaped spans);
-        a value is the pre-token's tokens joined by single spaces. Each id's
-        text is the one :meth:`text_spans` maps back to its span. The cache
-        is filled straight from the kernel, not from the id cache, so a word
-        is held once, as text.
+        A word is a pre-token or a run (see :meth:`run_splitter`): ``encode``
+        looks up runs, which random bytes repeat far more often than
+        pre-tokens. ``fmt`` is ``"ids"`` (decimal ids) or ``"tokens"``
+        (escaped spans); a value is the word's tokens joined by single
+        spaces. Each id's text is the one :meth:`text_spans` maps back to its
+        span. The cache is filled straight from the kernel, not from the id
+        cache, so a word is held once, as text.
         """
         id_text = self._id_text(fmt)
         table = self._table
@@ -194,8 +244,8 @@ class TokenizerModel:
         :meth:`decode_ids` gives for the id. Other spellings that
         ``decode_ids`` or ``decode`` accept (``007``, ``\\x41``) are not keys.
         """
-        return {text.encode("ascii"): self.decode_ids([i])
-                for i, text in enumerate(self._id_text(fmt))}
+        texts = (text.encode("ascii") for text in self._id_text(fmt))
+        return dict(zip(texts, self.id_to_bytes))
 
     def decode(self, tokens) -> bytes:
         """Concatenate token byte spans; every token must be in the vocabulary."""

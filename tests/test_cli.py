@@ -21,9 +21,11 @@ from parity_bpe import (
     NormUnit,
     TokenizerModel,
     TrainLog,
+    _kernels,
     compute_cr,
     full_report,
     load_parallel_dev,
+    pretokenize,
 )
 from parity_bpe import cli, tokenizer
 from parity_bpe.cli import main
@@ -560,6 +562,13 @@ class TestEncodeDecode:
     def test_missing_model_is_data_error(self, tmp_path):
         assert run(["encode", "--model", tmp_path / "none.bpe", "--input", "-"]) == 2
 
+    def test_signed_escape_in_model_is_data_error(self, tmp_path, capsys, monkeypatch):
+        model = tmp_path / "m.bpe"
+        model.write_text("parity-bpe v1\nmerges:\n\\x+1\ta\n")
+        assert run(["encode", "--model", model], monkeypatch, stdin=b"a\n") == 2
+        err = capsys.readouterr().err
+        assert "malformed escape" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["encode", "decode"])
     def test_missing_input_is_data_error(self, example_model, tmp_path, command, capsys):
         out = tmp_path / "out.txt"
@@ -661,7 +670,7 @@ class TestDecode:
         def counted(name, fn):
             return lambda *args: calls.update([name]) or fn(*args)
 
-        table = Counter(decode_ids=len(model.id_to_bytes))  # text_spans: one call per id
+        table = Counter()  # text_spans reads id_to_bytes, decoding nothing
         for fmt, odd, checked in (("ids", b"0065\n", Counter(decode_ids=1)),
                                   ("tokens", b"\\x41\n", Counter(decode=1, unescape_token=1))):
             enc, dec = tmp_path / f"enc.{fmt}", tmp_path / f"dec.{fmt}"
@@ -731,6 +740,28 @@ class TestEncodeOutput:
             assert run(["decode", "--model", model_path, "--format", fmt,
                         "--input", enc, "--output", dec]) == 0
             assert dec.read_bytes() == restored
+
+    def test_random_bytes_encode_each_run_once(self, classical_run, tmp_path, monkeypatch):
+        """Random bytes are mostly inert: the kernel sees each distinct run
+        once, fewer than half as many as the distinct pre-tokens."""
+        model, _ = classical_run
+        model_path, src, enc = tmp_path / "m.bpe", tmp_path / "in.txt", tmp_path / "enc.ids"
+        model.save(model_path)
+        rng = random.Random(25)
+        lines = [rng.randbytes(rng.randint(0, 80)).replace(b"\n", b"") for _ in range(2000)]
+        src.write_bytes(b"".join(line + b"\n" for line in lines))
+        calls = Counter()
+        encode_ids = _kernels.encode_ids
+        monkeypatch.setattr(_kernels, "encode_ids",
+                            lambda ids, table: calls.update(["kernel"]) or encode_ids(ids, table))
+        assert run(["encode", "--model", model_path, "--format", "ids",
+                    "--input", src, "--output", enc]) == 0
+        runs = model.run_splitter()
+        assert calls["kernel"] <= len({run for line in lines for run in runs(line)})
+        assert calls["kernel"] * 2 < len({word for line in lines for word in pretokenize(line)})
+        monkeypatch.undo()
+        oracle = TokenizerModel(model.merges)
+        assert enc.read_text() == "".join(ids_line(oracle, line) + "\n" for line in lines)
 
 
 TRAIN_OUTPUTS = ("m.bpe", "m.bpe.log.jsonl", "m.bpe.meta.json")

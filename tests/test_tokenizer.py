@@ -1,12 +1,22 @@
 import random
+from collections import Counter
+from itertools import accumulate
 from pathlib import Path
 from sys import getsizeof
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parity_bpe import ModelFormatError, TokenizerModel, _kernels, pretokenize, tokenizer
+from parity_bpe import (
+    LabeledCorpus,
+    ModelFormatError,
+    TokenizerModel,
+    _kernels,
+    pretokenize,
+    tokenizer,
+    train_classical,
+)
 from parity_bpe.tokenizer import escape_token, unescape_token
 
 from .oracles import replay_encode
@@ -90,6 +100,73 @@ class TestTextSpans:
             field = b"%d" % i if fmt == "ids" else escape_token(span).encode("ascii")
             assert spans[field] == model.id_to_bytes[i]
         assert len(spans) == (len(model.id_to_bytes) if fmt == "ids" else model.vocab_size)
+
+
+# Models for the run tests: no merges (every byte inert), every byte active
+# (so runs are pre-tokens), merges over whitespace, and two merges that build
+# the same bytes "abc" (ids 257 and 259, the first canonical).
+RUN_MODELS = {
+    "no-merges": [],
+    "all-active": [(bytes([i]), bytes([(i + 1) % 256])) for i in range(256)]
+    + [(b"\x00\x01", b"\x02\x03")],
+    "whitespace": [(b" ", b"a"), (b" a", b"b"), (b"\t", b"\t"), (b"\t\t", b"c"), (b"c", b" ")],
+    "equal-bytes": [(b"b", b"c"), (b"a", b"bc"), (b"a", b"b"), (b"ab", b"c")],
+}
+_RUN_PIECES = [b"a", b"b", b"c", b"ab", b" ", b"  ", b"\t", b"\r\x0b\x0c", b"\n", b"\xc3", b"\xff"]
+
+
+@st.composite
+def _trained_models(draw):
+    """A classical model trained on a few drawn lines of letters, whitespace
+    and high bytes, with a drawn merge budget (0 included)."""
+    lines = draw(st.lists(st.lists(st.sampled_from(_RUN_PIECES), min_size=1, max_size=10)
+                          .map(b"".join), min_size=1, max_size=6))
+    corpus = LabeledCorpus.from_multisets({"aa": Counter(w for line in lines
+                                                         for w in pretokenize(line))})
+    return train_classical(corpus, draw(st.integers(0, 20)))[0]
+
+
+def _check_runs(model: TokenizerModel, line: bytes) -> None:
+    runs = model.run_splitter()(line)
+    assert b"".join(runs) == line
+    # every pre-token ends where a run ends, so no run crosses a boundary
+    run_ends = list(accumulate(map(len, runs)))
+    pretoken_ends = set(accumulate(map(len, pretokenize(line))))
+    assert pretoken_ends <= set(run_ends)
+    # runs are the inert bytes one by one and the maximal stretches between them
+    inert = set(range(256)) - set(b"".join(model.id_to_bytes[256:]))
+    for run, end, following in zip(runs, run_ends, runs[1:] + [None]):
+        assert len(run) == 1 or not inert.intersection(run)
+        if following is not None and not inert.intersection(run + following):
+            assert end in pretoken_ends
+    ids = [i for run in runs for i in _kernels.encode_ids(run, model._table)]
+    assert ids == model.encode_ids(line)
+    if not inert.intersection(line):
+        assert runs == pretokenize(line)
+
+
+class TestRuns:
+    """``run_splitter`` splits a line into runs whose tokens are the line's."""
+
+    @pytest.mark.parametrize("name", RUN_MODELS)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_runs_tokenize_the_line(self, name, data):
+        model = TokenizerModel(RUN_MODELS[name])
+        pieces = st.one_of(st.sampled_from(model.id_to_bytes), st.binary(max_size=4))
+        _check_runs(model, data.draw(st.lists(pieces, max_size=16).map(b"".join)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(model=_trained_models(), data=st.data())
+    def test_runs_of_trained_models(self, model, data):
+        pieces = st.one_of(st.sampled_from(_RUN_PIECES), st.binary(max_size=4))
+        _check_runs(model, data.draw(st.lists(pieces, max_size=16).map(b"".join)))
+
+    def test_trained_model_on_random_bytes(self, classical_run):
+        model, _ = classical_run
+        rng = random.Random(25)
+        for _ in range(300):
+            _check_runs(model, rng.randbytes(rng.randint(0, 80)))
 
 
 def _held(cache) -> int:
@@ -214,9 +291,13 @@ class TestEscaping:
         assert escape_token(b" \t\xff\\") == "\\x20\\x09\\xff\\x5c"
 
     def test_malformed_escape_rejected(self):
-        for bad in ("\\x", "\\xg1", "\\q", "a b"):
+        # int(..., 16) alone would take a sign or surrounding whitespace
+        for bad in ("\\x", "\\xg1", "\\q", "a b", "\\x 1", "\\x+1", "\\x1 "):
             with pytest.raises(ModelFormatError):
                 unescape_token(bad)
+
+    def test_upper_case_hex_accepted(self):
+        assert unescape_token("\\x4A\\xFf") == b"J\xff"
 
     @given(st.binary(min_size=1, max_size=32))
     def test_bijective(self, token):

@@ -118,6 +118,19 @@ def test_window_count_matches_its_contents(size, pushes):
             assert window.count(code) == recent.count(code)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.none() | st.fractions(min_value=0, max_value=8, max_denominator=7).filter(bool),
+       st.lists(st.sampled_from(["aa", "bb", "cc"]), max_size=12))
+def test_fallback_flags_an_occupancy_above_the_quota(quota, pushes):
+    """The integer limit flags what the exact comparison with the quota does."""
+    window = SelectionWindow(12)
+    for lang in pushes:
+        window.push(lang)
+    flags = dict(rank_languages({"aa": 1.0, "bb": 2.0, "cc": 3.0}, window, quota))
+    for lang, fallback in flags.items():
+        assert fallback == (quota is not None and window.count(lang) + 1 > quota)
+
+
 class TestSelectLanguage:
     CONFIG = ParityConfig(total_merges=10, window_size=6, alpha=2)
 
