@@ -42,7 +42,6 @@ from .metrics import (
 from .parity import (
     CRTable,
     ParityConfig,
-    SelectionWindow,
     compute_cr,
     train_no_dev,
     train_parity,
@@ -50,7 +49,6 @@ from .parity import (
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel
 from .trainer import (
-    TrainerState,
     TrainLog,
     TrainStep,
     train_classical,
@@ -87,14 +85,12 @@ __all__ = [
     "vocab_utilization",
     "CRTable",
     "ParityConfig",
-    "SelectionWindow",
     "compute_cr",
     "train_no_dev",
     "train_parity",
     "SyntheticSpec",
     "generate_synthetic",
     "TokenizerModel",
-    "TrainerState",
     "TrainLog",
     "TrainStep",
     "train_classical",

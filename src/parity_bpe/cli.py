@@ -150,14 +150,12 @@ def build_parser() -> _Parser:
         choices=[u.value for u in NormUnit],
         default=None,
         help="normalization unit for dev compression rates "
-        "(default: lines; --classical and --no-dev: bytes)",
+        f"(default: {ParityConfig.unit.value}; --classical and --no-dev: bytes)",
     )
-    train.add_argument(
-        "--window", type=int, default=None, help="moving-window size (0 disables; default 100)"
-    )
-    train.add_argument(
-        "--alpha", type=float, default=None, help="window quota multiplier (default 2.0)"
-    )
+    train.add_argument("--window", type=int, default=None,
+                       help=f"moving-window size (0 disables; default {ParityConfig.window_size})")
+    train.add_argument("--alpha", type=float, default=None,
+                       help=f"window quota multiplier (default {ParityConfig.alpha})")
     train.add_argument(
         "--hybrid-split",
         type=float,
@@ -257,9 +255,10 @@ def cmd_train(args) -> int:
     if args.no_dev and args.dev is not None:
         raise ConfigError("--no-dev takes no --dev")
     # Parity-only flags get their defaults here, not from argparse, so that
-    # --classical can tell a given flag from an absent one.
-    window = 100 if args.window is None else args.window
-    alpha = 2.0 if args.alpha is None else args.alpha
+    # --classical can tell a given flag from an absent one; ParityConfig's
+    # field defaults are the one source of them.
+    window = ParityConfig.window_size if args.window is None else args.window
+    alpha = ParityConfig.alpha if args.alpha is None else args.alpha
     hybrid_split = 0.0 if args.hybrid_split is None else args.hybrid_split
     if not 0.0 <= hybrid_split <= 1.0:  # also false for nan
         raise ConfigError(f"hybrid split must be in [0, 1], got {hybrid_split}")
@@ -273,7 +272,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"{flag} forces --unit bytes")
         unit = NormUnit.BYTES.value
     elif unit is None:
-        unit = NormUnit.LINES.value
+        unit = ParityConfig.unit.value
 
     model_out = Path(args.model_out)
     log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")

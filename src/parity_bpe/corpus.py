@@ -1,4 +1,4 @@
-"""Corpus loading, labeling, pre-tokenization, and length accounting.
+r"""Corpus loading, labeling, pre-tokenization, and length accounting.
 
 All text is handled as raw bytes. Pre-tokenization splits before every
 ASCII-whitespace run and attaches the run to the following pre-token
@@ -33,7 +33,7 @@ from enum import Enum
 from itertools import chain
 from pathlib import Path
 
-from .errors import CorpusError
+from .errors import ConfigError, CorpusError
 
 # A pre-token is a whitespace run glued to the following non-whitespace run;
 # a trailing whitespace run with nothing after it stands alone.
@@ -74,16 +74,26 @@ def char_count(text: bytes) -> tuple[int, bool]:
         return len(text), True
 
 
+def line_count(text: bytes) -> int:
+    r"""Count the lines of ``text``: they end at ``\n`` only, as every line
+    reader in the package splits. They are the pieces of ``text.split(b"\n")``
+    but the empty one after a final ``\n``, so a dev record is one line and
+    empty text has none."""
+    return text.count(b"\n") + (not text.endswith(b"\n")) if text else 0
+
+
+# The one rule for a length in each unit.
+_LENGTHS = {
+    NormUnit.BYTES: len,
+    NormUnit.CHARS: lambda text: char_count(text)[0],
+    NormUnit.WORDS: lambda text: len(pretokenize(text)),
+    NormUnit.LINES: line_count,
+}
+
+
 def unit_length(text: bytes, unit: NormUnit) -> int:
     """Length of ``text`` in the given normalization unit."""
-    unit = NormUnit(unit)
-    if unit is NormUnit.BYTES:
-        return len(text)
-    if unit is NormUnit.CHARS:
-        return char_count(text)[0]
-    if unit is NormUnit.WORDS:
-        return len(pretokenize(text))
-    return len(text.splitlines())
+    return _LENGTHS[NormUnit(unit)](text)
 
 
 @dataclass
@@ -91,30 +101,23 @@ class LabeledCorpus:
     """Language-labeled training text aggregated as pre-token multisets.
 
     ``per_language`` maps a language code to a Counter of pre-token bytes;
-    ``unit_totals[lang][unit]`` holds the corpus length of that language in
-    each normalization unit; ``digests[lang]`` is the :func:`digest` of the
-    file the manifest names for that language, as it was read (empty for a
-    corpus not read from files). Instances are treated as immutable after
-    construction.
+    ``digests[lang]`` is the :func:`digest` of the file the manifest names
+    for that language, as it was read (empty for a corpus not read from
+    files). Its lengths are derived by :func:`reference_unit_totals`.
+    Instances are treated as immutable after construction.
     """
 
     languages: tuple[str, ...]
     per_language: dict[str, Counter]
-    unit_totals: dict[str, dict[NormUnit, int]]
     digests: dict[str, str] = field(default_factory=dict)
 
     @classmethod
     def from_multisets(cls, multisets: dict[str, dict[bytes, int]]) -> "LabeledCorpus":
-        """Build a corpus directly from per-language pre-token multisets.
-
-        Intended for programmatic construction; record/line totals are not
-        available here, so the lines total is the number of word types.
-        """
+        """Build a corpus directly from per-language pre-token multisets."""
         if not multisets:
             raise CorpusError("empty corpus: no languages")
         languages = tuple(sorted(multisets))
         per_language: dict[str, Counter] = {}
-        unit_totals: dict[str, dict[NormUnit, int]] = {}
         for lang in languages:
             words = Counter()
             for w, c in multisets[lang].items():
@@ -124,13 +127,7 @@ class LabeledCorpus:
             if not words:
                 raise CorpusError(f"empty language partition: {lang!r}")
             per_language[lang] = words
-            unit_totals[lang] = {
-                NormUnit.BYTES: sum(len(w) * c for w, c in words.items()),
-                NormUnit.CHARS: sum(char_count(w)[0] * c for w, c in words.items()),
-                NormUnit.WORDS: sum(words.values()),
-                NormUnit.LINES: len(words),
-            }
-        return cls(languages, per_language, unit_totals)
+        return cls(languages, per_language)
 
 
 @dataclass
@@ -158,14 +155,22 @@ class ParallelDevCorpus:
 def reference_unit_totals(
     reference: ParallelDevCorpus | LabeledCorpus, unit: NormUnit
 ) -> dict[str, int]:
-    """Length of each language of a reference corpus in ``unit``."""
+    """Length of each language of a reference corpus in ``unit``.
+
+    A labeled corpus keeps only its pre-token counts. Pre-tokens split at
+    ASCII whitespace, so its bytes, chars and words add up across them; it
+    keeps no record boundaries, so asking it for lines raises ``ConfigError``.
+    """
     unit = NormUnit(unit)
+    length = _LENGTHS[unit]
     if isinstance(reference, ParallelDevCorpus):
-        return {
-            lang: sum(unit_length(line, unit) for line in reference.lines[lang])
-            for lang in reference.languages
-        }
-    return {lang: reference.unit_totals[lang][unit] for lang in reference.languages}
+        return {lang: sum(map(length, reference.lines[lang])) for lang in reference.languages}
+    if unit is NormUnit.LINES:
+        raise ConfigError("a labeled corpus has no line totals: use bytes, chars or words")
+    return {
+        lang: sum(length(w) * c for w, c in reference.per_language[lang].items())
+        for lang in reference.languages
+    }
 
 
 @dataclass(frozen=True)
@@ -238,10 +243,6 @@ def load_labeled_corpus(
     declared = manifest.entries
     known = {lang for lang, _ in declared}
     per_language: dict[str, Counter] = {lang: Counter() for lang in known}
-    totals = {
-        lang: {NormUnit.BYTES: 0, NormUnit.CHARS: 0, NormUnit.WORDS: 0, NormUnit.LINES: 0}
-        for lang in known
-    }
     n_records = {lang: 0 for lang in known}
     digests = {}
     read: dict[str, str] = {}  # the digest of each file read, by real path
@@ -253,35 +254,29 @@ def load_labeled_corpus(
         if real in read:  # named by an earlier entry: its records are counted
             digests[lang] = read[real]
             continue
-        kept, chars, digests[lang] = _read_records(path, known, n_records, limit_per_language)
+        kept, digests[lang] = _read_records(path, known, n_records, limit_per_language)
         read[real] = digests[lang]
         for rec_lang, texts in kept.items():
             per_language[rec_lang].update(chain.from_iterable(map(_PRETOKEN_RE.findall, texts)))
-            t = totals[rec_lang]
-            t[NormUnit.BYTES] += sum(map(len, texts))
-            t[NormUnit.CHARS] += chars[rec_lang]
-            t[NormUnit.LINES] += len(texts)
             n_records[rec_lang] += len(texts)
 
     for lang, _ in declared:  # manifest order: the first empty one is named
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
-        totals[lang][NormUnit.WORDS] = per_language[lang].total()
 
-    return LabeledCorpus(tuple(sorted(known)), per_language, totals, digests)
+    return LabeledCorpus(tuple(sorted(known)), per_language, digests)
 
 
 def _read_records(
     path: Path, known: set[str], n_records: dict[str, int], limit: int | None
-) -> tuple[dict[str, list[bytes]], dict[str, int], str]:
-    """The records one file adds: UTF-8 texts and char totals per language,
-    and the file's :func:`digest`.
+) -> tuple[dict[str, list[bytes]], str]:
+    """The records one file adds, as UTF-8 texts per language, and the
+    file's :func:`digest`.
 
     The file is read once and raises at its first bad line. ``n_records``
     counts what earlier files kept; it is read, not changed.
     """
     kept: dict[str, list[bytes]] = {lang: [] for lang in known}
-    chars = dict.fromkeys(known, 0)
     data = path.read_bytes()
     read_digest, lines = digest(data), data.split(b"\n")
     del data  # the lines hold its text; the whole file need not stay beside them
@@ -311,8 +306,7 @@ def _read_records(
             texts.append(text.encode("utf-8"))
         except UnicodeEncodeError as exc:
             raise CorpusError(f"{path}:{lineno}: invalid text ({exc})") from None
-        chars[rec_lang] += len(text)  # valid UTF-8, so one char per code point
-    return kept, chars, read_digest
+    return kept, read_digest
 
 
 def load_parallel_dev(directory: str | Path, languages: list[str]) -> ParallelDevCorpus:

@@ -15,7 +15,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NormUnit, ParallelDevCorpus, char_count, pretokenize
+from .corpus import NormUnit, ParallelDevCorpus, char_count, line_count, pretokenize
 from .errors import DataError
 from .tokenizer import TokenizerModel
 
@@ -76,7 +76,7 @@ def _doc_rows(model: TokenizerModel, docs: Sequence[bytes]) -> tuple[Counter, li
         chars, fallback = char_count(doc)
         fell_back = fell_back or fallback
         # the unit_length of each unit, from the one char_count
-        rows.append((len(ids), len(doc), chars, len(doc.splitlines()), len(pretokenize(doc))))
+        rows.append((len(ids), len(doc), chars, line_count(doc), len(pretokenize(doc))))
     return counts, rows, fell_back
 
 

@@ -2,7 +2,8 @@
 
 Everything here is deliberately naive and self-contained: sequential merge
 replay and a per-merge rescan for encoding, from-scratch sliding-window pair
-recounts, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, the
+recounts, classical and min-max training traces that recount everything at
+every step, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, the
 one-``json.loads``-per-line corpus loader, and the ``naive_*`` metric bodies,
 each of which tokenizes the documents on its own and applies its own formula.
 ``ten_pass_full_report`` builds the report from those bodies, one
@@ -23,6 +24,7 @@ import hashlib
 import json
 import os
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -184,6 +186,76 @@ def greedy_steps(multiset: dict[bytes, int], budget: int, min_count: int = 2):
     return steps
 
 
+def naive_parity_steps(train: LabeledCorpus, dev_lines, config, no_dev: bool = False):
+    """Brute-force min-max training trace: one dict of ``TrainStep`` fields per step.
+
+    Every step recomputes from scratch each language's compression rate (its
+    unit total over the token count of its reference text, the dev lines, or
+    the training words when ``no_dev``), the window ranks from the last
+    ``window_size`` parity picks, and each candidate's pair counts. The first
+    ``global_merges`` steps pick from the summed counts. A parity step takes
+    the first language in (over quota, rate, code) order whose best count is
+    at least 2; ties go to the smallest (left, right) spans.
+    """
+    langs = list(train.languages)
+    train_sets = {lang: dict(train.per_language[lang]) for lang in langs}
+    if no_dev:
+        reference = train_sets
+        units = {lang: sum(len(w) * c for w, c in train_sets[lang].items()) for lang in langs}
+    else:
+        reference = {lang: Counter(w for line in dev_lines[lang] for w in pretokenize(line))
+                     for lang in langs}
+        units = {lang: sum(unit_length(line, config.unit) for line in dev_lines[lang])
+                 for lang in langs}
+    tokens = {w: tuple(bytes([b]) for b in w)
+              for multisets in (train_sets, reference) for lang in langs for w in multisets[lang]}
+    quota = Fraction(str(config.alpha)) * config.window_size / len(langs)
+    picks: list[str] = []
+
+    def best(multiset_of):
+        counts = sliding_pair_counts((tokens[w], c) for w, c in multiset_of.items())
+        pair, count = min(counts.items(), key=lambda kv: (-kv[1], kv[0]), default=(None, 0))
+        return (pair, count) if count >= 2 else None
+
+    def token_totals(multisets):
+        return {lang: sum(len(tokens[w]) * c for w, c in multisets[lang].items()) for lang in langs}
+
+    steps = []
+    for k in range(1, config.total_merges + 1):
+        fields = dict(lang=None, fallback=False, skipped=[], cr_snapshot=None)
+        if k <= config.global_merges:
+            summed = Counter()
+            for lang in langs:
+                summed.update(train_sets[lang])
+            sel = best(summed)
+            fields["mode"] = "global"
+        else:
+            totals = token_totals(reference)
+            snapshot = {lang: units[lang] / totals[lang] for lang in langs}
+            recent = picks[-config.window_size:] if config.window_size else []
+            over = {lang: bool(config.window_size) and recent.count(lang) + 1 > quota
+                    for lang in langs}
+            sel = None
+            for lang in sorted(langs, key=lambda lang: (over[lang], snapshot[lang], lang)):
+                sel = best(train_sets[lang])
+                if sel is not None:
+                    picks.append(lang)
+                    fields.update(lang=lang, fallback=over[lang], cr_snapshot=snapshot)
+                    break
+                fields["skipped"].append(lang)
+            fields["mode"] = "parity"
+        if sel is None:
+            break
+        (left, right), count = sel
+        before = token_totals(train_sets)
+        tokens = {w: replace_pair(t, left, right) for w, t in tokens.items()}
+        after = token_totals(train_sets)
+        steps.append(dict(step=k, left=left, right=right, count=count, **fields,
+                          dev_tokens=token_totals(reference),
+                          replacements={lang: before[lang] - after[lang] for lang in langs}))
+    return steps
+
+
 def utf8_scalar_count(data: bytes) -> int:
     """Count UTF-8 code points by counting non-continuation bytes."""
     return sum(1 for b in data if b & 0xC0 != 0x80)
@@ -217,10 +289,13 @@ def audit_selection_windows(selections, window_size: int, quota: int):
 
 def per_line_load_labeled_corpus(
     manifest: str | Path, limit_per_language: int | None = None
-) -> LabeledCorpus:
+) -> tuple[LabeledCorpus, dict[str, dict[NormUnit, int]]]:
     """The labeled-corpus loader as it was before its fast path: one
     ``json.loads`` and one ``Counter.update`` per line. The package loader
     must return the same corpus, or raise the same ``CorpusError``.
+
+    Beside the corpus it returns each language's bytes, chars and words,
+    summed record by record, for ``reference_unit_totals`` to match.
     """
     manifest = Path(manifest)
     try:
@@ -246,10 +321,7 @@ def per_line_load_labeled_corpus(
 
     known = {lang for lang, _ in declared}
     per_language: dict[str, Counter] = {lang: Counter() for lang in known}
-    totals = {
-        lang: {NormUnit.BYTES: 0, NormUnit.CHARS: 0, NormUnit.WORDS: 0, NormUnit.LINES: 0}
-        for lang in known
-    }
+    totals = {lang: {NormUnit.BYTES: 0, NormUnit.CHARS: 0, NormUnit.WORDS: 0} for lang in known}
     n_records = {lang: 0 for lang in known}
     digests = {}
     read = {}  # real path -> digest: a file several entries name is read once
@@ -291,13 +363,12 @@ def per_line_load_labeled_corpus(
                 t[NormUnit.BYTES] += len(data)
                 t[NormUnit.CHARS] += len(text)  # valid UTF-8, so one char per code point
                 t[NormUnit.WORDS] += len(words)
-                t[NormUnit.LINES] += 1
 
     for lang, _ in declared:
         if not per_language[lang]:
             raise CorpusError(f"empty language partition: {lang!r}")
 
-    return LabeledCorpus(tuple(sorted(known)), per_language, totals, digests)
+    return LabeledCorpus(tuple(sorted(known)), per_language, digests), totals
 
 
 def naive_unigram_distribution(

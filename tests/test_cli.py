@@ -19,6 +19,7 @@ from parity_bpe import (
     DataError,
     MetricReport,
     NormUnit,
+    ParityConfig,
     TokenizerModel,
     TrainLog,
     _kernels,
@@ -215,6 +216,25 @@ class TestTrain:
         assert first["mode"] == "parity"
         assert first["lang"]
         assert first["cr_snapshot"]
+
+    def test_parity_defaults_are_the_config_defaults(self, tmp_path, small_synth_dir, capsys):
+        """Without --window, --alpha and --unit, a parity run records the field
+        defaults of ParityConfig, and the help states them."""
+        model_out = tmp_path / "p.bpe"
+        assert run(["train", "--parity", "--merges", "5", "--corpus",
+                    small_synth_dir / "manifest.json", "--dev", small_synth_dir / "dev",
+                    "--model-out", model_out]) == 0
+        config = json.loads((tmp_path / "p.bpe.meta.json").read_text())["config"]
+        defaults = ParityConfig(total_merges=5)
+        assert (config["window"], config["alpha"], config["unit"]) == (
+            defaults.window_size, defaults.alpha, defaults.unit.value) == (100, 2.0, "lines")
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["train", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert f"(0 disables; default {defaults.window_size})" in help_text
+        assert f"multiplier (default {defaults.alpha})" in help_text
+        assert f"(default: {defaults.unit.value}; --classical" in help_text
 
     def test_hybrid_prefix_matches_classical(self, tmp_path, synth_dir):
         classical_out = tmp_path / "c.bpe"

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import parity_bpe
 from parity_bpe import (
+    ConfigError,
     CorpusError,
     LabeledCorpus,
     NormUnit,
@@ -20,7 +21,7 @@ from parity_bpe import (
     pretokenize,
     unit_length,
 )
-from parity_bpe.corpus import digest
+from parity_bpe.corpus import digest, reference_unit_totals
 
 from .oracles import per_line_load_labeled_corpus, utf8_scalar_count
 
@@ -90,14 +91,29 @@ class TestUnitLength:
         assert unit_length(b"ab\ncd", NormUnit.LINES) == 2
         assert unit_length(b"single line", NormUnit.LINES) == 1
 
+    def test_a_line_ends_at_newline_only(self):
+        assert unit_length(b"ab\rcd", NormUnit.LINES) == 1
+        assert unit_length(b"ab\r\ncd\r", NormUnit.LINES) == 2
+        assert unit_length(b"ab\n", NormUnit.LINES) == 1
+        assert unit_length(b"\n\n", NormUnit.LINES) == 2
+        assert unit_length(b"\r", NormUnit.LINES) == 1
+
+    @given(st.one_of(
+        st.binary(max_size=60),
+        st.lists(st.sampled_from([b"a", b" ", b"\n", b"\x0b", b"\x0c", b"\x1c", b"\x85"]),
+                 max_size=12).map(b"".join),
+    ).map(lambda text: text.replace(b"\r", b"")))
+    def test_lines_without_cr_are_splitlines(self, text):
+        assert unit_length(text, NormUnit.LINES) == len(text.splitlines())
+
 
 class TestLoadLabeledCorpus:
     def test_single_record_counts(self, tmp_path):
         mpath = write_manifest(tmp_path, {"aa": ["ab ab"]})
         corpus = load_labeled_corpus(mpath)
         assert corpus.per_language["aa"] == Counter({b"ab": 1, b" ab": 1})
-        assert corpus.unit_totals["aa"][NormUnit.WORDS] == 2
-        assert corpus.unit_totals["aa"][NormUnit.BYTES] == 5
+        assert reference_unit_totals(corpus, NormUnit.WORDS) == {"aa": 2}
+        assert reference_unit_totals(corpus, NormUnit.BYTES) == {"aa": 5}
 
     def test_empty_partition_rejected(self, tmp_path):
         mpath = write_manifest(tmp_path, {"aa": ["ab"], "bb": []})
@@ -135,18 +151,19 @@ class TestLoadLabeledCorpus:
         c1 = load_labeled_corpus(m1)
         c2 = load_labeled_corpus(m2)
         assert c1.per_language == c2.per_language
-        assert c1.unit_totals == c2.unit_totals
+        for unit in DERIVED_UNITS:
+            assert reference_unit_totals(c1, unit) == reference_unit_totals(c2, unit)
 
     def test_limit_per_language(self, tmp_path):
         mpath = write_manifest(tmp_path, {"aa": ["x y", "z w"]})
         corpus = load_labeled_corpus(mpath, limit_per_language=1)
-        assert corpus.unit_totals["aa"][NormUnit.LINES] == 1
+        assert corpus.per_language["aa"] == Counter(pretokenize(b"x y"))  # the first record only
 
     def test_synthetic_totals_match_declared(self, synth_dir, corpus):
         stats = json.loads((synth_dir / "synth_stats.json").read_text())
         for lang in corpus.languages:
             declared = stats["languages"][lang]["train_text_bytes"]
-            assert corpus.unit_totals[lang][NormUnit.BYTES] == declared
+            assert reference_unit_totals(corpus, NormUnit.BYTES)[lang] == declared
             # reconstruction-completeness: multiset bytes equal raw text bytes
             recounted = sum(len(w) * c for w, c in corpus.per_language[lang].items())
             assert recounted == declared
@@ -167,26 +184,40 @@ def write_files(directory: Path, files: dict[str, bytes]) -> Path:
 def load_both(directory: Path, files: dict[str, bytes], limit=None):
     """Write one file per language and load it with both loaders.
 
-    Returns (fast, per-line), each a corpus or the CorpusError message.
+    Returns (fast, per-line), each a corpus or the CorpusError message, and
+    the per-line loader's record-by-record totals (None when it raised).
     """
     manifest = write_files(directory, files)
-    results = []
-    for load in (load_labeled_corpus, per_line_load_labeled_corpus):
-        try:
-            results.append(load(manifest, limit))
-        except CorpusError as exc:
-            results.append(str(exc))
-    return results
+    try:
+        fast = load_labeled_corpus(manifest, limit)
+    except CorpusError as exc:
+        fast = str(exc)
+    try:
+        per_line, totals = per_line_load_labeled_corpus(manifest, limit)
+    except CorpusError as exc:
+        per_line, totals = str(exc), None
+    return fast, per_line, totals
+
+
+# The units a labeled corpus has: it keeps no record boundaries, so no lines.
+DERIVED_UNITS = (NormUnit.BYTES, NormUnit.CHARS, NormUnit.WORDS)
+
+
+def assert_same_totals(fast: LabeledCorpus, totals: dict[str, dict[NormUnit, int]]):
+    """The fast loader's derived totals equal the oracle's per-record sums."""
+    for unit in DERIVED_UNITS:
+        assert reference_unit_totals(fast, unit) == {
+            lang: totals[lang][unit] for lang in fast.languages}
 
 
 def assert_same_load(directory: Path, files: dict[str, bytes], limit=None):
-    fast, per_line = load_both(directory, files, limit)
+    fast, per_line, totals = load_both(directory, files, limit)
     if isinstance(per_line, str) or isinstance(fast, str):
         assert fast == per_line
         return per_line
     assert fast.languages == per_line.languages
     assert fast.per_language == per_line.per_language
-    assert fast.unit_totals == per_line.unit_totals
+    assert_same_totals(fast, totals)
     assert fast.digests == per_line.digests
     for lang in fast.languages:  # the same first-seen order, too
         assert list(fast.per_language[lang]) == list(per_line.per_language[lang])
@@ -271,10 +302,9 @@ def test_a_file_named_by_several_entries_is_read_once(tmp_path, file_reads):
     manifest.write_text(json.dumps(
         {"languages": [{"lang": lang, "path": path} for lang, path in spellings.items()]}))
     corpus = load_labeled_corpus(manifest)
+    # each record kept once: two of aa's, one each of bb's and cc's
     assert corpus.per_language == {"aa": Counter({b"ab": 1, b" ab": 1, b"gh": 1}),
                                    "bb": Counter({b"cd": 1}), "cc": Counter({b"ef": 1})}
-    assert {lang: t[NormUnit.LINES] for lang, t in corpus.unit_totals.items()} == {
-        "aa": 2, "bb": 1, "cc": 1}
     assert corpus.digests == dict.fromkeys(spellings, digest(data))
     assert sum(n for path, n in file_reads.items() if path.endswith("both.jsonl")) == 1
     # the limit counts each record once
@@ -283,9 +313,9 @@ def test_a_file_named_by_several_entries_is_read_once(tmp_path, file_reads):
     # the per-line oracle reads each distinct file once too, and agrees
     for limit in (None, 1, 3):
         fast = load_labeled_corpus(manifest, limit)
-        per_line = per_line_load_labeled_corpus(manifest, limit)
+        per_line, totals = per_line_load_labeled_corpus(manifest, limit)
         assert fast.per_language == per_line.per_language
-        assert fast.unit_totals == per_line.unit_totals
+        assert_same_totals(fast, totals)
         assert fast.digests == per_line.digests
 
 
@@ -375,12 +405,19 @@ def test_loader_matches_per_line_oracle_on_random_files(aa, bb, limit):
 class TestFromMultisets:
     def test_totals_consistent(self):
         corpus = LabeledCorpus.from_multisets({"aa": {b"ab": 2, b" c": 1}})
-        assert corpus.unit_totals["aa"][NormUnit.BYTES] == 6
-        assert corpus.unit_totals["aa"][NormUnit.WORDS] == 3
+        assert reference_unit_totals(corpus, NormUnit.BYTES) == {"aa": 6}
+        assert reference_unit_totals(corpus, NormUnit.WORDS) == {"aa": 3}
 
     def test_empty_rejected(self):
         with pytest.raises(CorpusError):
             LabeledCorpus.from_multisets({"aa": {}})
+
+    def test_has_no_lines(self, corpus):
+        """A labeled corpus keeps no record boundaries, so it has no line total."""
+        assert not hasattr(corpus, "unit_totals")
+        for labeled in (corpus, LabeledCorpus.from_multisets({"aa": {b"ab": 2}})):
+            with pytest.raises(ConfigError, match="no line totals"):
+                reference_unit_totals(labeled, NormUnit.LINES)
 
 
 class TestLoadParallelDev:

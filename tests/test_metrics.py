@@ -52,6 +52,9 @@ _REPORT_LINE = st.lists(
     min_size=1,
     max_size=8,
 ).map(b"".join)
+# A dev record as its loader reads it: no LF, but CRs anywhere inside.
+_CR_LINE = st.lists(st.sampled_from([b"ab", b"c", b" ", b"\r", b"\r\r", b"caf\xc3\xa9"]),
+                    min_size=1, max_size=6).map(b"".join)
 # Documents for the single-metric functions: report lines, the empty
 # document, whitespace-only documents and invalid UTF-8 on its own.
 _DOCS = st.lists(
@@ -442,6 +445,25 @@ class TestFullReport:
         with pytest.raises(DataError) as raised:
             full_report(MERGED, dev, renyi_alpha)
         assert str(raised.value) == str(expected.value)
+
+    @given(
+        lines_by_lang=st.integers(1, 3).flatmap(
+            lambda n_lines: st.lists(
+                st.lists(_CR_LINE, min_size=n_lines, max_size=n_lines), min_size=1, max_size=3
+            )
+        ),
+        model=st.sampled_from([IDENTITY, MERGED]),
+    )
+    def test_a_dev_record_is_one_line(self, lines_by_lang, model):
+        """A ``\\r`` inside a dev record does not end a line: the lines rate is
+        the record count over the tokens, per language and pooled."""
+        dev = dev_of({f"l{i}": lines for i, lines in enumerate(lines_by_lang)})
+        report = full_report(model, dev)
+        tokens = {lang: sum(map(model.token_count, dev.lines[lang])) for lang in dev.languages}
+        for lang in dev.languages:
+            assert report.per_language[lang]["cr_lines_ratio_of_sums"] == dev.n_lines / tokens[lang]
+        pooled = len(dev.languages) * dev.n_lines / sum(tokens.values())
+        assert report.global_metrics["cr_lines_ratio_of_sums"] == pooled
 
     def test_tokenizes_each_line_once(self, classical_run, dev, monkeypatch):
         model = TokenizerModel(classical_run[0].merges)

@@ -11,13 +11,12 @@ from parity_bpe import (
     load_labeled_corpus,
     load_parallel_dev,
 )
+from parity_bpe.corpus import reference_unit_totals
 from parity_bpe.synthetic import SyntheticLanguage
 
 
 def test_proportions_respected(tmp_path, synth_dir, corpus):
-    totals = {
-        lang: corpus.unit_totals[lang][NormUnit.BYTES] for lang in corpus.languages
-    }
+    totals = reference_unit_totals(corpus, NormUnit.BYTES)
     grand = sum(totals.values())
     for lang, expected in zip(("aa", "bb", "cc"), (0.80, 0.15, 0.05)):
         assert abs(totals[lang] / grand - expected) / expected < 0.02

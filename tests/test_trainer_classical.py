@@ -8,11 +8,11 @@ from parity_bpe import (
     LabeledCorpus,
     NormUnit,
     ParityConfig,
-    TrainerState,
     TrainLog,
     train_classical,
     train_no_dev,
 )
+from parity_bpe.trainer import TrainerState
 
 from .oracles import global_pair_counts, greedy_steps, sliding_pair_counts, tokenized_words
 

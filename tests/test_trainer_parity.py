@@ -14,19 +14,24 @@ from parity_bpe import (
     NormUnit,
     ParallelDevCorpus,
     ParityConfig,
-    SelectionWindow,
     TokenizerModel,
     TrainLog,
     compute_cr,
+    load_parallel_dev,
     train_classical,
     train_no_dev,
     train_parity,
 )
 from parity_bpe.cli import main
-from parity_bpe.parity import rank_languages
+from parity_bpe.parity import SelectionWindow, rank_languages
 from parity_bpe.trainer import MIN_PAIR_COUNT, TrainerState
 
-from .oracles import audit_selection_windows, global_pair_counts, lang_pair_counts
+from .oracles import (
+    audit_selection_windows,
+    global_pair_counts,
+    lang_pair_counts,
+    naive_parity_steps,
+)
 
 
 def dev_of(lines_by_lang: dict[str, list[bytes]]) -> ParallelDevCorpus:
@@ -94,6 +99,27 @@ class TestComputeCr:
     def test_parallel_lines_unit_identical_across_langs(self, dev):
         table = compute_cr(dev, TokenizerModel([]), NormUnit.LINES)
         assert len({table.unit_totals[lang] for lang in dev.languages}) == 1
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.lists(st.sampled_from([b"ab", b"c", b" ", b"\r"]), min_size=1, max_size=5)
+                 .map(b"".join), min_size=n, max_size=n), min_size=1, max_size=3)))
+    def test_lines_with_cr_count_one_each(self, lines_by_lang):
+        dev = dev_of({lang: lines for lang, lines in zip(("aa", "bb", "cc"), lines_by_lang)})
+        model = TokenizerModel([(b"a", b"b"), (b"\r", b"ab")])
+        table = compute_cr(dev, model, NormUnit.LINES)
+        assert table.unit_totals == dict.fromkeys(dev.languages, dev.n_lines)
+
+    def test_a_dev_record_with_cr_ties_its_aligned_line(self, tmp_path):
+        """Aligned one-line records of five bytes each have equal rates, so the
+        first parity step goes to the first code, not to the record with a CR."""
+        (tmp_path / "aa.txt").write_bytes(b"ab\rcd\r\n")
+        (tmp_path / "bb.txt").write_bytes(b"abxcd\n")
+        dev = load_parallel_dev(tmp_path, ["aa", "bb"])
+        table = compute_cr(dev, TokenizerModel([]), NormUnit.LINES)
+        assert table.cr("aa") == table.cr("bb") == 1 / 5
+        corpus = LabeledCorpus.from_multisets({"aa": {b"abab": 2}, "bb": {b"cdcd": 2}})
+        _, log = train_parity(corpus, dev, ParityConfig(total_merges=1, window_size=0))
+        assert log[0].lang == "aa"
 
     def test_labeled_corpus_bytes(self):
         corpus = LabeledCorpus.from_multisets({"aa": {b"abab": 2}})
@@ -375,3 +401,51 @@ def test_a_smaller_budget_trains_a_prefix(corpus, dev, mode):
     assert len(log) == 120
     assert short_model.merges == model.merges[:60]
     assert [step.to_record() for step in short_log] == [step.to_record() for step in log[:60]]
+
+
+LANGS = ("aa", "bb", "cc", "dd")
+ALPHABETS = (b"ab", b"abc", b"ab ", b"a b  c")
+# Drawn as plain data, mapped onto an alphabet and a word pool below.
+RAW_WORDS = st.lists(st.binary(min_size=1, max_size=8), min_size=2, max_size=6)
+WORD_COUNTS = st.lists(st.integers(0, 4), min_size=6, max_size=6)
+DEV_WORDS = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=3), min_size=3, max_size=3)
+
+
+@st.composite
+def parity_cases(draw):
+    """A small corpus, its dev lines and a config: words shared between
+    languages, dev-only words, and alphabets with and without spaces."""
+    alphabet = draw(st.sampled_from(ALPHABETS))
+    pool = list(dict.fromkeys(bytes(alphabet[b % len(alphabet)] for b in raw)
+                              for raw in draw(RAW_WORDS)))
+    n_train = draw(st.integers(1, len(pool)))  # the rest are dev-only
+    langs = LANGS[: draw(st.integers(1, 4))]
+    n_lines = draw(st.integers(1, 3))
+    multisets, dev_lines = {}, {}
+    for lang in langs:
+        top = draw(st.sampled_from([1, 4]))  # with every count 1, a language soon has no pair
+        counts = zip(pool[:n_train], draw(WORD_COUNTS))
+        multisets[lang] = {w: min(c, top) for w, c in counts if c} or {pool[0]: 1}
+        dev_lines[lang] = [b"".join(pool[i % len(pool)] for i in line)
+                           for line in draw(DEV_WORDS)[:n_lines]]
+    no_dev = draw(st.booleans())
+    unit = NormUnit.BYTES if no_dev else draw(st.sampled_from(list(NormUnit)))
+    total = draw(st.sampled_from(range(1, 13)))
+    config = ParityConfig(total, global_merges=draw(st.just(0) | st.sampled_from(range(total + 1))),
+                          window_size=draw(st.sampled_from([0, 1, 2, 3, 5])),
+                          alpha=draw(st.sampled_from([0.5, 1, 1.5, 2])), unit=unit)
+    return LabeledCorpus.from_multisets(multisets), dev_lines, config, no_dev
+
+
+@settings(max_examples=200, deadline=None)
+@given(parity_cases())
+def test_parity_training_matches_the_brute_force_trace(case):
+    """Every field of every step is the oracle's, which recounts everything each step."""
+    corpus, dev_lines, config, no_dev = case
+    if no_dev:
+        _, log = train_no_dev(corpus, config)
+    else:
+        _, log = train_parity(corpus, dev_of(dev_lines), config)
+    expected = naive_parity_steps(corpus, dev_lines, config, no_dev=no_dev)
+    assert [vars(step) for step in log] == expected
+    assert log.stopped_early == (len(expected) < config.total_merges)
