@@ -41,14 +41,15 @@ def merge_and_deltas(store, listed, a: int, b: int, c: int):
     word is listed under each pair it gains: an empty index slot becomes the
     bare id, a bare id of another word becomes a list of both, and a list
     gains the id unless it ends with it. Returns ``(changed, rewritten,
-    repl, dev_repl)``: the per-language training count deltas of the changed
-    pairs but (a, b), the number of words rewritten, and the per-language
-    training and dev replacements.
+    repl, dev_repl)``: one dict per language of the training count deltas of
+    the changed pairs but (a, b), the number of words rewritten, and the
+    per-language training and dev replacements. A word's deltas go only to
+    the dicts of the languages its training entries name, so a one-language
+    word touches one dict; a delta may be 0 where two words cancel.
     """
     n_langs = store.n_langs
     repl, dev_repl = [0] * n_langs, [0] * n_langs
-    changed: dict = {}
-    changed_get = changed.get
+    changed = [{} for _ in range(n_langs)]
     words, counts, dev_counts, index = store.words, store.counts, store.dev_counts, store.index
     rewritten = 0
     for wid in listed:
@@ -107,14 +108,12 @@ def merge_and_deltas(store, listed, a: int, b: int, c: int):
                     slot.append(wid)
             elif not d:  # a new pair cancelled an old one
                 continue
-            if entries:
-                acc = changed_get(pair)
-                if acc is None:
-                    acc = changed[pair] = [0] * n_langs
-                for li, cnt in entries:
-                    acc[li] += d * cnt
+            for li, cnt in entries:
+                table = changed[li]
+                table[pair] = table.get(pair, 0) + d * cnt
     # With a == b, as in "aaa", a replacement's neighbours count (a, b) too.
-    changed.pop((a, b), None)
+    for table in changed:
+        table.pop((a, b), None)
     return changed, rewritten, repl, dev_repl
 
 

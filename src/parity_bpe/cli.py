@@ -512,12 +512,17 @@ def cmd_compare(args) -> int:
         [("--csv", args.csv)], [("model", p) for p in args.models] + _dev_files(dev_dir, langs)
     )
     dev = load_parallel_dev(dev_dir, langs)
-    model_paths = sorted((Path(p) for p in args.models), key=lambda p: p.name)
+    given = sorted(args.models, key=lambda p: Path(p).name)
+    model_paths = [Path(p) for p in given]
+    # A column is headed by its model's file name, or by the path as given
+    # when another model has the same file name.
+    names = [p.name for p in model_paths]
+    headings = [g if names.count(name) > 1 else name for g, name in zip(given, names)]
     reports = {p: _report_for(p, dev, args) for p in model_paths}
 
-    sizes = {p: reports[p].provenance["vocab_size"] for p in model_paths}
-    if len(set(sizes.values())) > 1:
-        detail = ", ".join(f"{p.name}={s}" for p, s in sizes.items())
+    sizes = [reports[p].provenance["vocab_size"] for p in model_paths]
+    if len(set(sizes)) > 1:
+        detail = ", ".join(f"{h}={s}" for h, s in zip(headings, sizes))
         print(f"warning: vocabulary sizes differ ({detail})", file=sys.stderr)
 
     rows = [
@@ -534,7 +539,7 @@ def cmd_compare(args) -> int:
 
     name_width = max(len(r[0]) for r in rows)
     header = "metric".ljust(name_width) + "".join(
-        f"  {p.name:>18}" for p in model_paths
+        f"  {heading:>18}" for heading in headings
     )
     print(header)
     print("-" * len(header))
@@ -544,7 +549,7 @@ def cmd_compare(args) -> int:
     if args.csv:
         _write_csv(
             args.csv,
-            ["metric"] + [p.name for p in model_paths],
+            ["metric"] + headings,
             [[metric] + values for metric, values in rows],
         )
     return 0

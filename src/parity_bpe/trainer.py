@@ -12,9 +12,10 @@ one ``TrainerState.apply``: one ``_kernels.merge_and_deltas`` call, which
 visits the listed words, skips those that no longer hold the pair and
 rewrites the others, then one pass over the pair-count deltas it returns.
 Adjacent-pair counts come from the training entries only and are maintained
-incrementally per language, from the pairs beside each replacement only; a
-pair's counts are a tuple that a merge replaces, never mutates, and equal
-count tuples are one shared object.
+incrementally, from the pairs beside each replacement only, in one table per
+language that holds only the pairs occurring in it: a merge touches the
+tables of the languages its words occur in. The summed table of global
+selection is derived from them on its first use and kept from then on.
 
 Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
 right bytes), so ties break deterministically on the lexicographically
@@ -39,7 +40,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from operator import add, itemgetter, sub
+from operator import sub
 from pathlib import Path
 
 from . import _kernels
@@ -189,21 +190,16 @@ class _WordStore:
     safe because a visit without an ``(a, b)`` changes nothing, and after
     one visit a word holds no ``(a, b)``, so a stale or repeated id only
     costs a membership test; counts and totals come from the replacements
-    alone. ``pair_counts[pair]`` is the per-language occurrence count
-    weighted by training multiplicity, a tuple of ``n_langs`` ints, so a
-    dev-only word adds nothing to it. A merge replaces a changed pair's
-    tuple and never mutates one, and a pair whose counts all reach zero is
-    removed. Equal count tuples are one shared object: ``shared_counts``
-    maps each count tuple stored since its last rebuild to itself, and is
-    rebuilt from the live counts, each pointed at its rebuilt entry, once it
-    holds more than ``shared_limit``, twice its size at that rebuild. Most
-    pairs occur in one language with a small count, so there are far
-    fewer distinct count tuples than pairs. The cyclic garbage collector
-    never tracks a bare id, and stops tracking a tuple of ints at its first
-    collection, so neither table gives a full collection objects to walk.
-    ``token_totals`` and ``dev_totals`` are the per-language token totals of
-    the two texts and shrink by one per replacement. The store holds data
-    only: ``TrainerState.apply`` updates it, through one
+    alone. ``lang_counts[lang_index]`` maps each pair to its occurrence count
+    in that language, weighted by training multiplicity, and holds only
+    positive counts: a pair is in the tables of the languages it occurs in,
+    and leaves a table when its count there reaches zero. A dev-only word
+    adds to no table. ``total_counts`` is the summed table, None until the
+    global heap is first built; from then on it is kept beside the language
+    tables. The values are ints, which the cyclic garbage collector never
+    tracks. ``token_totals`` and ``dev_totals`` are the per-language token
+    totals of the two texts and shrink by one per replacement. The store
+    holds data only: ``TrainerState.apply`` updates it, through one
     ``_kernels.merge_and_deltas`` call and one pass over the deltas.
     """
 
@@ -213,11 +209,30 @@ class _WordStore:
         self.counts: list[tuple[tuple[int, int], ...]] = []
         self.dev_counts: list[tuple[tuple[int, int], ...]] | None = [] if with_dev else None
         self.index: dict[tuple[int, int], int | list[int]] = {}
-        self.pair_counts: dict[tuple[int, int], tuple[int, ...]] = {}
-        self.shared_counts: dict[tuple[int, ...], tuple[int, ...]] = {}
-        self.shared_limit = 0
+        self.lang_counts: list[dict[tuple[int, int], int]] = [{} for _ in range(n_langs)]
+        self.total_counts: dict[tuple[int, int], int] | None = None
         self.token_totals = [0] * n_langs
         self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
+
+    @property
+    def pair_counts(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """Each pair's counts as a tuple of one count per language, built on access.
+
+        A read-only view for code that reads the counts densely; the trainer
+        reads ``lang_counts`` and ``total_counts``.
+        """
+        dense: dict = {}
+        for li, table in enumerate(self.lang_counts):
+            for pair, count in table.items():
+                dense.setdefault(pair, [0] * self.n_langs)[li] = count
+        return {pair: tuple(vec) for pair, vec in dense.items()}
+
+
+def _add_counts(acc: dict, counts: dict) -> None:
+    """Add each count of ``counts`` to ``acc``, key by key."""
+    get = acc.get
+    for key, count in counts.items():
+        acc[key] = get(key, 0) + count
 
 
 def _entries_by_word(multisets: list[dict[bytes, int]], shared: dict) -> dict:
@@ -283,9 +298,7 @@ class TrainerState:
                 train.setdefault(word, ())
         words, counts, dev_counts, index = store.words, store.counts, store.dev_counts, store.index
         index_get = index.get
-        pair_counts = store.pair_counts
-        pair_counts_get = pair_counts.get
-        n_langs = store.n_langs
+        tables = store.lang_counts
         token_totals, dev_totals = store.token_totals, store.dev_totals
         for wid, word in enumerate(sorted(train)):
             tokens = tuple(word)
@@ -309,40 +322,21 @@ class TrainerState:
                         index[pair] = [slot, wid]
                 elif slot[-1] != wid:
                     slot.append(wid)
-                if entries:
-                    vec = pair_counts_get(pair)
-                    if vec is None:
-                        vec = pair_counts[pair] = [0] * n_langs
-                    for li, c in entries:
-                        vec[li] += c
-        # Accumulated in lists (a few hundred byte pairs), stored as tuples.
-        for pair, vec in pair_counts.items():
-            pair_counts[pair] = tuple(vec)
-        self._share_counts()
+                for li, c in entries:
+                    table = tables[li]
+                    table[pair] = table.get(pair, 0) + c
 
-    def _share_counts(self) -> None:
-        """Rebuild ``shared_counts`` from the live counts, and point each at its entry."""
-        store = self.train
-        pair_counts = store.pair_counts
-        shared: dict = {}
-        intern = shared.setdefault
-        for pair, vec in pair_counts.items():
-            pair_counts[pair] = intern(vec, vec)
-        store.shared_counts = shared
-        store.shared_limit = 2 * len(shared)
-
-    def _build_heap(self, heap: list, value_of) -> None:
-        """Fill an empty heap with one entry per pair that selection could pick."""
+    def _build_heap(self, heap: list, table: dict) -> None:
+        """Fill an empty heap with one entry per pair of ``table`` that selection could pick."""
         vocab = self.vocab
         least = MIN_PAIR_COUNT
-        for (a, b), vec in self.train.pair_counts.items():
-            count = value_of(vec)
+        for (a, b), count in table.items():
             if count >= least:
                 heap.append((-count, vocab[a], vocab[b], a, b))
         heapq.heapify(heap)
 
-    def _select(self, heap, value_of):
-        """Pop until an entry matches its pair's live count; that is the argmax.
+    def _select(self, heap, table: dict):
+        """Pop until an entry matches its pair's live count in ``table``; that is the argmax.
 
         Every selectable pair has an entry at or above its live count: each
         growth is pushed, a shrunk count keeps its higher entry, and a popped
@@ -350,11 +344,10 @@ class TrainerState:
         below its live count reaches the top, and as keys are unique per pair,
         an entry at its live count outranks every other pair's live key.
         """
-        pc = self.train.pair_counts
+        get = table.get
         while heap:
             negc, lb, rb, a, b = heapq.heappop(heap)
-            vec = pc.get((a, b))
-            current = 0 if vec is None else value_of(vec)
+            current = get((a, b), 0)
             if current == -negc:
                 return (a, b), current
             if MIN_PAIR_COUNT <= current < -negc:
@@ -363,30 +356,35 @@ class TrainerState:
 
     def select_global(self):
         """Best pair by summed count across languages, or None if exhausted."""
+        store = self.train
         if not self._global_built:
-            self._build_heap(self.global_heap, sum)
+            store.total_counts = total = {}
+            for table in store.lang_counts:
+                _add_counts(total, table)
+            self._build_heap(self.global_heap, total)
             self._global_built = True
-        return self._select(self.global_heap, sum)
+        return self._select(self.global_heap, store.total_counts)
 
     def select_for_lang(self, lang: str):
         """Best pair within one language's shard, or None if exhausted."""
         li = self.lang_index[lang]
-        value_of = itemgetter(li)
+        table = self.train.lang_counts[li]
         if li not in self._built_langs:
-            self._build_heap(self.lang_heaps[li], value_of)
+            self._build_heap(self.lang_heaps[li], table)
             self._built_langs.append(li)
-        return self._select(self.lang_heaps[li], value_of)
+        return self._select(self.lang_heaps[li], table)
 
     def apply(self, pair: tuple[int, int]) -> list[int]:
         """Record the merge, replace it in every word, and update counts and heaps.
 
         No (a, b) is left afterwards, and none can form again, so its index
-        slot and counts go first. One loop over the kernel's deltas then
-        replaces each changed pair's counts by the shared tuple of their new
-        value (removing a pair whose counts all reach zero) and pushes each
-        selectable count that grew into the heaps built so far; the table of
-        shared tuples is rebuilt if that outgrew its limit. Returns the
-        per-language replacement counts in the training text.
+        slot and counts go first. The kernel returns one delta table per
+        language; one loop over each adds its deltas to that language's
+        counts (removing a pair whose count reaches zero) and pushes each
+        selectable count that grew into the language's heap, if built. Once
+        the global heap is built, the summed deltas update the summed table
+        and heap the same way. Returns the per-language replacement counts in
+        the training text.
         """
         a, b = pair
         vocab = self.vocab
@@ -404,38 +402,49 @@ class TrainerState:
         listed = store.index.pop((a, b), ())
         if type(listed) is int:
             listed = (listed,)
-        pair_counts = store.pair_counts
-        pair_counts.pop((a, b), None)
+        for table in store.lang_counts:
+            table.pop((a, b), None)
+        total = store.total_counts
+        if total is not None:
+            total.pop((a, b), None)
         changed, _, repl, dev_repl = _kernels.merge_and_deltas(store, listed, a, b, canonical)
         # in place: run_merges holds these lists as its reference totals
         store.token_totals[:] = map(sub, store.token_totals, repl)
         if store.dev_totals is not None:
             store.dev_totals[:] = map(sub, store.dev_totals, dev_repl)
 
-        global_heap = self.global_heap if self._global_built else None
-        lang_heaps = [(li, self.lang_heaps[li]) for li in self._built_langs]
+        built = self._built_langs
+        summed = None
+        for li, deltas in enumerate(changed):
+            if not deltas:
+                continue
+            self._add_deltas(store.lang_counts[li], deltas,
+                             self.lang_heaps[li] if li in built else None)
+            if summed is None:
+                summed = deltas  # applied, so the sum can build up in it
+            elif total is not None:
+                _add_counts(summed, deltas)
+        if total is not None and summed:
+            self._add_deltas(total, summed, self.global_heap)
+        return repl
+
+    def _add_deltas(self, table: dict, deltas: dict, heap: list | None) -> None:
+        """Add count deltas to a count table, pushing each selectable count that grew."""
+        vocab = self.vocab
         least = MIN_PAIR_COUNT
         push = heapq.heappush
-        intern = store.shared_counts.setdefault
-        for key, dvec in changed.items():
-            vec = pair_counts.get(key)
-            new = tuple(dvec) if vec is None else tuple(map(add, vec, dvec))
-            if not any(new):
-                if vec is not None:
-                    del pair_counts[key]
+        get = table.get
+        for key, d in deltas.items():
+            if not d:
                 continue
-            pair_counts[key] = new = intern(new, new)
-            x, y = key
-            if global_heap is not None and sum(dvec) > 0:
-                total = sum(new)
-                if total >= least:
-                    push(global_heap, (-total, vocab[x], vocab[y], x, y))
-            for li, heap in lang_heaps:
-                if dvec[li] > 0 and new[li] >= least:
-                    push(heap, (-new[li], vocab[x], vocab[y], x, y))
-        if len(store.shared_counts) > store.shared_limit:
-            self._share_counts()
-        return repl
+            count = get(key, 0) + d
+            if count:
+                table[key] = count
+            else:
+                del table[key]
+            if d > 0 and heap is not None and count >= least:
+                x, y = key
+                push(heap, (-count, vocab[x], vocab[y], x, y))
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))

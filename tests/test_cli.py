@@ -1227,6 +1227,19 @@ class TestCompare:
         header = capsys.readouterr().out.splitlines()[0]
         assert header.index("a.bpe") < header.index("b.bpe") < header.index("c.bpe")
 
+    def test_shared_file_names_are_headed_by_their_paths(self, tmp_path, synth_dir, capsys):
+        a, b = tmp_path / "a" / "model.bpe", tmp_path / "b" / "model.bpe"
+        unique = tmp_path / "c.bpe"
+        for p in (a, b, unique):
+            p.parent.mkdir(exist_ok=True)
+            TokenizerModel([(b"a", b"b")]).save(p)
+        csv_path = tmp_path / "cmp.csv"
+        assert run(["compare", b, unique, a, "--dev", synth_dir / "dev", "--csv", csv_path]) == 0
+        header = capsys.readouterr().out.splitlines()[0].split()
+        # by file name, then in the order given; only the shared name is a path
+        assert header == ["metric", "c.bpe", str(b), str(a)]
+        assert csv_path.read_text().splitlines()[0] == f"metric,c.bpe,{b},{a}"
+
     def test_reports_differ_only_in_model_fields(self, tmp_path, synth_dir):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         m1, m2 = tmp_path / "m1.bpe", tmp_path / "m2.bpe"

@@ -18,19 +18,29 @@ def test_overlapping_pairs_counted_positionally():
     assert _kernels.count_pairs((1, 1, 1)) == {(1, 1): 2}
 
 
+def _merge_in_store(tokens, a, b, c, n_langs, entries):
+    """The training kernel on a store of one word with training ``entries``.
+
+    Returns the word afterwards, the per-language replacement counts and
+    pair deltas, and the store's index, which starts empty, as the kernel
+    leaves them.
+    """
+    store = _WordStore(n_langs, with_dev=False)
+    store.words.append(tokens)
+    store.counts.append(entries)
+    changed, rewritten, repl, _ = _kernels.merge_and_deltas(store, [0], a, b, c)
+    assert rewritten == (max(repl) > 0)
+    return store.words[0], repl, changed, store.index
+
+
 def _merge_one_word(tokens, a, b, c):
     """The training kernel on a store of one word, counted once in one language.
 
     Returns the word afterwards, its replacement count, its pair deltas and
-    the store's index, which starts empty, as the kernel leaves them.
+    the store's index.
     """
-    store = _WordStore(1, with_dev=False)
-    store.words.append(tokens)
-    store.counts.append(((0, 1),))
-    changed, rewritten, repl, _ = _kernels.merge_and_deltas(store, [0], a, b, c)
-    assert rewritten == (repl[0] > 0)
-    deltas = {pair: dvec[0] for pair, dvec in changed.items()}
-    return store.words[0], repl[0], deltas, store.index
+    new, repl, changed, index = _merge_in_store(tokens, a, b, c, 1, ((0, 1),))
+    return new, repl[0], changed[0], index
 
 
 def test_overlapping_merge_is_leftmost_nonoverlapping():
@@ -64,19 +74,23 @@ def _recount_merge(tokens, a, b, c):
 
 # Ids 0-3 for tokens and the pair, 0-4 for the result: a == b, runs such as
 # abab, and a result already in the word (or equal to a or b) all come up.
+# The word is also counted in two of three languages, ``counts`` times each,
+# all but the language ``absent``.
 @settings(max_examples=500, deadline=None)
 @given(
     st.lists(st.integers(0, 3), max_size=14).map(tuple),
     st.integers(0, 3),
     st.integers(0, 3),
     st.integers(0, 4),
+    st.integers(0, 2),
+    st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(lambda m: m[0] != m[1]),
 )
-@example((0, 1, 0, 1), 0, 1, 4)  # abab
-@example((0, 1, 0, 1, 0), 0, 1, 4)
-@example((2, 2, 2, 2, 2), 2, 2, 4)  # a == b
-@example((4, 0, 1, 4), 0, 1, 4)  # c beside the pair
-@example((0, 1, 0, 1), 0, 1, 0)  # c == a
-def test_merge_and_deltas_matches_recount(tokens, a, b, c):
+@example((0, 1, 0, 1), 0, 1, 4, 0, (1, 2))  # abab
+@example((0, 1, 0, 1, 0), 0, 1, 4, 1, (3, 1))
+@example((2, 2, 2, 2, 2), 2, 2, 4, 2, (2, 5))  # a == b
+@example((4, 0, 1, 4), 0, 1, 4, 0, (1, 4))  # c beside the pair
+@example((0, 1, 0, 1), 0, 1, 0, 1, (5, 2))  # c == a
+def test_merge_and_deltas_matches_recount(tokens, a, b, c, absent, counts):
     new, replaced, deltas, index = _merge_one_word(tokens, a, b, c)
     expected_new, expected_replaced, expected = _recount_merge(tokens, a, b, c)
     expected.pop((a, b), None)  # the store drops the merged pair's counts
@@ -87,6 +101,16 @@ def test_merge_and_deltas_matches_recount(tokens, a, b, c):
     gained = {pair for pair, d in expected.items() if d > 0}
     assert set(index) - {(a, b)} == gained
     assert all(listed == 0 for listed in index.values())
+
+    # in two languages, each language's deltas scale by its count, and the
+    # language the word is not in gets none
+    entries = tuple(zip((li for li in range(3) if li != absent), counts))
+    new, repl, changed, _ = _merge_in_store(tokens, a, b, c, 3, entries)
+    assert new == expected_new
+    for li, count in entries:
+        assert changed[li] == {pair: d * count for pair, d in expected.items()}
+        assert repl[li] == expected_replaced * count
+    assert changed[absent] == {} and repl[absent] == 0
 
 
 def test_encode_applies_by_rank():

@@ -10,17 +10,30 @@ scratch after every merge.
 
 import gc
 from collections import Counter
-from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parity_bpe import LabeledCorpus, ParityConfig, train_parity
+from parity_bpe import (
+    LabeledCorpus,
+    ParityConfig,
+    load_labeled_corpus,
+    load_parallel_dev,
+    train_classical,
+    train_parity,
+)
 from parity_bpe import _kernels, trainer
 from parity_bpe.trainer import TrainerState
 
-from .oracles import global_pair_counts, lang_pair_counts, listed_ids, replace_pair, tokenized_words
+from .oracles import (
+    global_pair_counts,
+    lang_pair_counts,
+    listed_ids,
+    replace_pair,
+    sliding_pair_counts,
+    tokenized_words,
+)
 
 LANGS = ("aa", "bb", "cc")
 
@@ -124,15 +137,15 @@ def _check(state, multisets, dev_multisets):
     for heap in (state.global_heap, *state.lang_heaps):
         assert all(-entry[0] >= trainer.MIN_PAIR_COUNT for entry in heap)
     # a built heap holds an entry at or above each count its selection could pick
-    built = [(state.global_heap, sum)] if state._global_built else []
-    built += [(state.lang_heaps[li], itemgetter(li)) for li in state._built_langs]
-    for heap, value_of in built:
+    built = [(state.global_heap, state.train.total_counts)] if state._global_built else []
+    built += [(state.lang_heaps[li], state.train.lang_counts[li]) for li in state._built_langs]
+    for heap, table in built:
         top = {}
         for negc, _, _, a, b in heap:
             top[a, b] = max(top.get((a, b), 0), -negc)
-        for pair, vec in state.train.pair_counts.items():
-            if value_of(vec) >= trainer.MIN_PAIR_COUNT:
-                assert top.get(pair, 0) >= value_of(vec)
+        for pair, count in table.items():
+            if count >= trainer.MIN_PAIR_COUNT:
+                assert top.get(pair, 0) >= count
     # the index lists every word under each pair it holds, and names only words
     index = state.train.index
     for wid, tokens in enumerate(state.train.words):
@@ -140,17 +153,27 @@ def _check(state, multisets, dev_multisets):
             assert wid in listed_ids(index, pair)
     n_words = len(state.train.words)
     assert all(0 <= wid < n_words for pair in index for wid in listed_ids(index, pair))
-    _check_shared_counts(state.train)
+    _check_tables(state)
 
 
-def _check_shared_counts(store):
-    """Equal live count tuples are one object, the table's, and the table keeps its bound."""
-    live = list(store.pair_counts.values())
-    assert len(set(map(id, live))) == len(set(live))
-    shared = store.shared_counts
-    assert all(shared.get(vec) is vec for vec in live)
-    # at most twice its size at the last rebuild, which held only live counts
-    assert len(shared) <= store.shared_limit <= 2 * len(shared)
+def _check_tables(state):
+    """Each language's count table is a recount of that language's stored
+    words and holds positive counts only; once the global heap is built, the
+    summed table is the sum of the language tables, and None before."""
+    store = state.train
+    for li, table in enumerate(store.lang_counts):
+        words = [
+            (tokens, count)
+            for tokens, entries in zip(store.words, store.counts)
+            for lang, count in entries
+            if lang == li
+        ]
+        assert table == dict(sliding_pair_counts(words))
+        assert all(count > 0 for count in table.values())
+    if state._global_built:
+        assert store.total_counts == dict(sum(map(Counter, store.lang_counts), Counter()))
+    else:
+        assert store.total_counts is None
 
 
 def _best(pairs: Counter):
@@ -223,9 +246,27 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     _check(state, multisets, dev_multisets)
 
 
+@pytest.mark.parametrize("mode", ["classical", "parity", "hybrid"])
+def test_count_tables_match_recount_after_every_merge(small_synth_dir, mode):
+    corpus = load_labeled_corpus(small_synth_dir / "manifest.json")
+    checked = []
+
+    def check(state, record):
+        _check_tables(state)
+        checked.append(record.step)
+
+    if mode == "classical":
+        train_classical(corpus, 150, on_step=check)
+    else:
+        dev = load_parallel_dev(small_synth_dir / "dev", list(corpus.languages))
+        config = ParityConfig(150, global_merges=75 if mode == "hybrid" else 0, window_size=0)
+        train_parity(corpus, dev, config, on_step=check)
+    assert checked == list(range(1, 151))
+
+
 def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
-    """After a run, each pair's counts are an untracked tuple, shared with equal
-    counts, and a one-word slot a bare id."""
+    """After a run, each count is an int, which the collector never tracks, and
+    a one-word slot a bare id."""
     seen = []
     config = ParityConfig(200, global_merges=50, window_size=0)
     train_parity(corpus, dev, config, on_step=lambda state, record: seen.append(state))
@@ -233,13 +274,13 @@ def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
     assert state._global_built and state._built_langs  # both kinds of step ran
     store = state.train
     gc.collect()
-    for vec in store.pair_counts.values():
-        assert not gc.is_tracked(vec)
-        assert type(vec) is tuple and len(vec) == store.n_langs
-        assert all(type(x) is int for x in vec)
+    assert len(store.lang_counts) == store.n_langs
+    for table in (*store.lang_counts, store.total_counts):
+        assert table and all(type(count) is int for count in table.values())
+        assert not any(map(gc.is_tracked, table.values()))
     assert {type(slot) for slot in store.index.values()} == {int, list}
     assert all(len(slot) >= 2 for slot in store.index.values() if type(slot) is list)
-    _check_shared_counts(store)
+    _check_tables(state)
 
 
 def _state_of(*words):
@@ -254,7 +295,7 @@ def test_a_stale_bare_id_is_skipped(monkeypatch):
     store = state.train
     a, b, c = b"abc"
     state.apply((a, b))  # the word loses (c, a) and stays listed under it
-    assert store.index[(c, a)] == ids[b"cab"] and (c, a) not in store.pair_counts
+    assert store.index[(c, a)] == ids[b"cab"] and (c, a) not in store.lang_counts[0]
     word = store.words[ids[b"cab"]]
     calls = []
     merge_and_deltas = _kernels.merge_and_deltas
@@ -266,7 +307,7 @@ def test_a_stale_bare_id_is_skipped(monkeypatch):
 
     monkeypatch.setattr(_kernels, "merge_and_deltas", record)
     assert state.apply((c, a)) == [0]
-    assert calls == [((ids[b"cab"],), {})]  # one visit, no deltas
+    assert calls == [((ids[b"cab"],), [{}])]  # one visit, no deltas
     assert store.words[ids[b"cab"]] is word and (c, a) not in store.index
 
 
@@ -277,12 +318,12 @@ def test_a_word_gaining_a_pair_twice_stays_a_bare_id():
     store = state.train
     a, b, c = b"abc"
     assert store.index[(c, c)] == ids[b"ccabc"]
-    assert store.pair_counts == {(c, c): (1,), (c, a): (1,), (a, b): (1,), (b, c): (1,)}
+    assert store.lang_counts == [{(c, c): 1, (c, a): 1, (a, b): 1, (b, c): 1}]
     changed, _, repl, _ = _kernels.merge_and_deltas(store, (ids[b"ccabc"],), a, b, c)
     assert store.words[ids[b"ccabc"]] == (c, c, c, c) and repl == [1]
     assert store.index[(c, c)] == ids[b"ccabc"]
-    # folded into the counts above, with (a, b) gone: {(c, c): (3,)}
-    assert changed == {(c, c): [2], (c, a): [-1], (b, c): [-1]}
+    # folded into the counts above, with (a, b) gone: [{(c, c): 3}]
+    assert changed == [{(c, c): 2, (c, a): -1, (b, c): -1}]
 
 
 def test_a_second_word_turns_the_slot_into_a_list():
@@ -294,15 +335,15 @@ def test_a_second_word_turns_the_slot_into_a_list():
     state.apply((a, b))
     assert store.index[(x, 256)] == [ids[b"xab"], ids[b"xabab"]]
     assert store.index[(256, 256)] == ids[b"xabab"]
-    assert store.pair_counts == {(x, 256): (2,), (256, 256): (1,)}
+    assert store.lang_counts == [{(x, 256): 2, (256, 256): 1}]
 
 
 def test_a_run_of_a_equal_pair_leaves_no_count_of_it():
     state, ids = _state_of(b"aaa")
     store = state.train
     a = ord("a")
-    assert store.pair_counts == {(a, a): (2,)} and store.index == {(a, a): ids[b"aaa"]}
+    assert store.lang_counts == [{(a, a): 2}] and store.index == {(a, a): ids[b"aaa"]}
     state.apply((a, a))
     assert store.words[ids[b"aaa"]] == (256, a)
-    assert store.pair_counts == {(256, a): (1,)}
+    assert store.lang_counts == [{(256, a): 1}]
     assert store.index == {(256, a): ids[b"aaa"]}
