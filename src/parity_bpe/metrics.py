@@ -66,18 +66,21 @@ class GoldSegmentation:
 def _doc_rows(model: TokenizerModel, docs: Sequence[bytes]) -> tuple[Counter, list[tuple], bool]:
     """The counts of the token ids of ``docs``, one ``(tokens, bytes, chars,
     lines, words)`` row per document, and whether a chars count fell back to
-    bytes. Each document is tokenized once, by ``encode_ids``; nothing raises."""
-    counts: Counter = Counter()
+    bytes. Each document is pre-tokenized once: its pre-tokens give its words
+    column and, through ``pretoken_ids``, its token ids. The ids of all the
+    documents are counted at once, at the end; nothing raises."""
+    all_ids: list[int] = []
     rows = []
     fell_back = False
     for doc in docs:
-        ids = model.encode_ids(doc)
-        counts.update(ids)
+        words = pretokenize(doc)
+        ids = model.pretoken_ids(words)
+        all_ids += ids
         chars, fallback = char_count(doc)
         fell_back = fell_back or fallback
         # the unit_length of each unit, from the one char_count
-        rows.append((len(ids), len(doc), chars, line_count(doc), len(pretokenize(doc))))
-    return counts, rows, fell_back
+        rows.append((len(ids), len(doc), chars, line_count(doc), len(words)))
+    return Counter(all_ids), rows, fell_back
 
 
 # The units of a row's columns after its token count, in row order.
@@ -319,8 +322,10 @@ def full_report(
 ) -> MetricReport:
     """All intrinsic metrics per language and pooled over the parallel corpus.
 
-    Each line is tokenized once; the pooled metrics come from the per-language
-    counts and rows in language order, the order of the pooled lines.
+    Each line is pre-tokenized once, and its token ids are looked up from
+    those pre-tokens (see ``_doc_rows``); the pooled metrics come from the
+    per-language counts and rows in language order, the order of the pooled
+    lines.
 
     The fairness Gini uses tokens per aligned line as the per-language cost,
     which normalizes by content rather than script.

@@ -97,11 +97,12 @@ class _WordCache(dict):
     """Pre-token -> ``compute(pre-token)``, computed on first lookup.
 
     ``held`` is the summed ``sys.getsizeof`` of the keys and values stored.
-    A miss computes its value first; if storing it would take ``held`` past
-    :data:`WORD_CACHE_BYTES`, the cache is cleared before the store, and an
-    entry larger than the budget on its own is returned but never stored.
-    So the keys and values never hold more than the budget; the dict's own
-    table, not counted, adds at most about 55 bytes per entry.
+    A miss computes its value first. An entry larger than
+    :data:`WORD_CACHE_BYTES` on its own is returned and neither stored nor
+    allowed to clear the cache; otherwise, if storing it would take ``held``
+    past the budget, the cache is cleared before the store. So the keys and
+    values never hold more than the budget; the dict's own table, not
+    counted, adds at most about 55 bytes per entry.
     """
 
     __slots__ = ("_compute", "held")
@@ -117,10 +118,10 @@ class _WordCache(dict):
         # without getsizeof's argument parsing (about 0.1 us a miss).
         size = word.__sizeof__() + getsizeof(value)
         if self.held + size > WORD_CACHE_BYTES:
-            self.clear()
-            self.held = 0
             if size > WORD_CACHE_BYTES:
                 return value
+            self.clear()
+            self.held = 0
         self[word] = value
         self.held += size
         return value
@@ -176,10 +177,24 @@ class TokenizerModel:
         return len(self.vocabulary)
 
     def encode_ids(self, text: bytes) -> list[int]:
-        """Tokenize ``text`` into canonical token ids."""
+        """Tokenize ``text`` into canonical token ids: :meth:`pretoken_ids` of
+        its pre-tokens, with the loop inline, as this is the per-line call."""
         out: list[int] = []
         cache = self._word_cache
         for word in pretokenize(text):
+            out.extend(cache[word])
+        return out
+
+    def pretoken_ids(self, words) -> list[int]:
+        """The canonical token ids of the pre-tokens ``words``, in order.
+
+        Each pre-token's ids come from the model's id cache, so a caller that
+        has already pre-tokenized a text gets its :meth:`encode_ids` without
+        pre-tokenizing it again.
+        """
+        out: list[int] = []
+        cache = self._word_cache
+        for word in words:
             out.extend(cache[word])
         return out
 
@@ -299,14 +314,21 @@ class TokenizerModel:
         if len(lines) < 2 or lines[1] != "merges:":
             raise ModelFormatError(f"{path}: missing 'merges:' section")
         merges = []
+        # Operand texts repeat (a 2000-merge model holds about 170 distinct
+        # texts among its 4,000), so each distinct text is unescaped once. A
+        # malformed one is never stored, so it raises at its first line.
+        spans: dict[str, bytes] = {}
         for lineno, line in enumerate(lines[2:], start=3):
             parts = line.split("\t")
             if len(parts) != 2:
                 raise ModelFormatError(f"{path}:{lineno}: malformed merge line {line!r}")
-            try:
-                merges.append((unescape_token(parts[0]), unescape_token(parts[1])))
-            except ModelFormatError as exc:
-                raise ModelFormatError(f"{path}:{lineno}: {exc}") from None
+            for part in parts:
+                if part not in spans:
+                    try:
+                        spans[part] = unescape_token(part)
+                    except ModelFormatError as exc:
+                        raise ModelFormatError(f"{path}:{lineno}: {exc}") from None
+            merges.append((spans[parts[0]], spans[parts[1]]))
         try:
             model = cls(merges)
         except ModelFormatError as exc:

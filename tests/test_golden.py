@@ -3,7 +3,9 @@
 The hashes were taken from a run of the trainer before its per-word counts
 became sparse and its heaps lazy; any change to what is learned, or to how
 the model and log are written, shows up here as a hash mismatch. A run
-under two hash seeds must also write the same model, log and meta.
+under two hash seeds must also write the same model, log and meta. What the
+golden classical and parity models report (``full_report``, ``eval --csv``,
+``compare``) and encode on the fixture dev set is pinned the same way.
 """
 
 import hashlib
@@ -120,3 +122,70 @@ def test_training_does_not_depend_on_the_hash_seed(synth_dir, tmp_path):
     assert sorted(written[0]) == ["m.bpe", "m.bpe.log.jsonl", "m.bpe.meta.json"]
     assert written[0]["m.bpe.log.jsonl"].count(b"\n") == 300
     assert written[0] == written[1]
+
+
+# What the golden classical and parity models report and encode on the fixture
+# dev set: sha256 of each output, taken before ``full_report`` pre-tokenized
+# each line once and before ``TokenizerModel.load`` parsed each text once.
+# report -> ``full_report(...).to_json()`` with the provenance below;
+# eval_csv -> ``eval --csv``; ids, tokens -> ``encode --format`` of the dev lines.
+GOLDEN_OUTPUTS = {
+    "classical": {
+        "report": "09493c91f7a3efc7df8744217faf6680d9daec42dbbb29902fcba986357aa858",
+        "eval_csv": "b1112407614ad7b9e6020a06000c09f3c02d1dfd2871ee42863916b34bf94d15",
+        "ids": "dfee8e6813d0f8c031b8aabf56d2421fedcbf569dba6c4f97b13809b35124b73",
+        "tokens": "021986f2a142e5bc6da5be845117fc4d1c642462d9ff3775a1c3d2061b88bdac",
+    },
+    "parity": {
+        "report": "47854d3aa159310ffd29b0b5d917b3c3accbae1310064883cd1e98f51a8598a4",
+        "eval_csv": "7fdc8611c13915b904bc8ab005cd12445c4fb539c8792b6dd2efd980b8b45e21",
+        "ids": "e5dad62bb28cb039e86a4bedf8bda457e5f4d35ecca28afd6e7a238c3b4911dd",
+        "tokens": "aa136564239d2ce9c33d5074c164714c946bcd7498be94029847a6518cc24251",
+    },
+}
+# ``compare classical.bpe parity.bpe``: its stdout and its ``--csv``
+GOLDEN_COMPARE = {
+    "stdout": "e74be3b1025298c3019b1c7d1a7a350623102cffb56b0b1315d2458a8600c17c",
+    "csv": "011b95da10f531ff9f8f080bc7cc4e5f549a7b0968da08fd9237b40b27c698f3",
+}
+PROVENANCE = {"model": "golden"}
+
+
+def _sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def golden_models(classical_run, parity_run, tmp_path_factory):
+    out = tmp_path_factory.mktemp("golden_models")
+    for name, (model, _) in (("classical", classical_run), ("parity", parity_run)):
+        model.save(out / f"{name}.bpe")
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_report_and_encode_bytes_are_pinned(name, dev, synth_dir, golden_models, tmp_path):
+    model_path = golden_models / f"{name}.bpe"
+    model = parity_bpe.TokenizerModel.load(model_path)
+    dev_dir = synth_dir / "dev"
+    got = {"report": _sha256_bytes(
+        parity_bpe.full_report(model, dev, provenance=PROVENANCE).to_json().encode())}
+    assert main(["eval", "--model", str(model_path), "--dev", str(dev_dir),
+                 "--out", str(tmp_path / "report.json"), "--csv", str(tmp_path / "e.csv")]) == 0
+    got["eval_csv"] = _sha256(tmp_path / "e.csv")
+    lines = tmp_path / "dev.txt"
+    lines.write_bytes(b"".join((dev_dir / f"{lang}.txt").read_bytes() for lang in dev.languages))
+    for fmt in ("ids", "tokens"):
+        assert main(["encode", "--model", str(model_path), "--format", fmt,
+                     "--input", str(lines), "--output", str(tmp_path / fmt)]) == 0
+        got[fmt] = _sha256(tmp_path / fmt)
+    assert got == GOLDEN_OUTPUTS[name]
+
+
+def test_compare_bytes_are_pinned(synth_dir, golden_models, tmp_path, capsys):
+    assert main(["compare", str(golden_models / "classical.bpe"),
+                 str(golden_models / "parity.bpe"), "--dev", str(synth_dir / "dev"),
+                 "--csv", str(tmp_path / "c.csv")]) == 0
+    got = {"stdout": _sha256_bytes(capsys.readouterr().out.encode()),
+           "csv": _sha256(tmp_path / "c.csv")}
+    assert got == GOLDEN_COMPARE

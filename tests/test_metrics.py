@@ -15,12 +15,16 @@ from parity_bpe import (
     UnigramDistribution,
     avg_token_rank,
     compression_rate,
+    corpus,
     fertility,
     full_report,
     gini,
     load_gold_tsv,
+    metrics,
     morph_boundary_scores,
+    pretokenize,
     renyi_entropy,
+    tokenizer,
     type_token_ratio,
     unit_length,
     vocab_utilization,
@@ -466,10 +470,18 @@ class TestFullReport:
         assert report.global_metrics["cr_lines_ratio_of_sums"] == pooled
 
     def test_tokenizes_each_line_once(self, classical_run, dev, monkeypatch):
+        """Each dev line is pre-tokenized once, in corpus order, and its ids
+        come from those pre-tokens, never from ``encode_ids`` or ``token_count``."""
         model = TokenizerModel(classical_run[0].merges)
-        encode_ids = model.encode_ids
         seen = []
-        monkeypatch.setattr(model, "encode_ids", lambda doc: seen.append(doc) or encode_ids(doc))
-        monkeypatch.setattr(model, "token_count", None)  # a call would fail
+
+        def counting(doc):
+            seen.append(doc)
+            return pretokenize(doc)
+
+        for module in (corpus, metrics, tokenizer):
+            monkeypatch.setattr(module, "pretokenize", counting)
+        monkeypatch.setattr(model, "encode_ids", None)  # a call would fail
+        monkeypatch.setattr(model, "token_count", None)
         full_report(model, dev)
         assert seen == [line for lang in dev.languages for line in dev.lines[lang]]

@@ -197,8 +197,8 @@ class TestWordCache:
                     assert value == expected
                     assert cache.held == _held(cache) <= budget
                     size = getsizeof(word) + getsizeof(value)
-                    if size > budget:  # returned, not stored, and the cache cleared
-                        assert not cache and cache.held == 0
+                    if size > budget:  # returned, not stored, and the cache left as it was
+                        assert cache == before and cache.held == held
                     elif held + size > budget:  # a miss that would pass the budget starts over
                         assert cache == {word: value}
                         cleared += 1
@@ -211,6 +211,23 @@ class TestWordCache:
             assert stored == 0
         else:
             assert stored == 2 * 180 and cleared > 0
+
+    def test_an_entry_above_the_budget_leaves_the_cache_as_it_was(self, classical_run,
+                                                                   monkeypatch):
+        """With a 2,000-byte budget, three cached words stay cached when a
+        600-byte pre-token, whose entry alone is above the budget, is looked up."""
+        monkeypatch.setattr(tokenizer, "WORD_CACHE_BYTES", 2000)
+        model = TokenizerModel(classical_run[0].merges)
+        rng = random.Random(3)
+        long_word = b"x" + bytes(b for b in rng.randbytes(800) if not chr(b).isspace())[:599]
+        assert pretokenize(long_word) == [long_word]
+        for cache in (model._word_cache, model.text_cache("ids")):
+            for word in (b" aa", b" bb", b" cc"):
+                cache[word]
+            before, held = dict(cache), cache.held
+            value = cache[long_word]
+            assert getsizeof(long_word) + getsizeof(value) > 2000
+            assert cache == before and cache.held == held == _held(cache)
 
     def test_long_pretokens_stay_within_the_budget(self, classical_run, monkeypatch):
         """200 distinct 4 KB whitespace-free pre-tokens never hold more than a
@@ -350,6 +367,64 @@ class TestSerialization:
         path.write_text("parity-bpe v1\nmerges:\na\tb\na\tb\n")
         with pytest.raises(ModelFormatError, match="duplicate"):
             TokenizerModel.load(path)
+
+    @pytest.mark.parametrize("merges, message", [
+        ([(b"", b"a")], "merge 0: empty operand"),
+        ([(b"a", b"")], "merge 0: empty operand"),
+        ([(b"", b"zz")], "merge 0: empty operand"),
+        ([(b"zz", b"")], "merge 0: operand not producible: 'zz'"),
+        ([(b"a", b"b"), (b"a", b"\xff\xfe")],
+         "merge 1: operand not producible: " + repr(escape_token(b"\xff\xfe"))),
+        ([(b"a", b"b"), (b"ab", b"a"), (b"a", b"b")], "merge 2: duplicate pair 'a' + 'b'"),
+        ([(b" ", b" "), (b"\t", b" "), (b"  ", b" "), (b" ", b" ")],
+         "merge 3: duplicate pair " + " + ".join([repr(escape_token(b" "))] * 2)),
+    ])
+    def test_constructor_errors_name_the_merge(self, tmp_path, merges, message):
+        with pytest.raises(ModelFormatError) as exc:
+            TokenizerModel(merges)
+        assert str(exc.value) == message
+        path = tmp_path / "bad.bpe"
+        path.write_text("parity-bpe v1\nmerges:\n" + "".join(
+            f"{escape_token(left)}\t{escape_token(right)}\n" for left, right in merges))
+        with pytest.raises(ModelFormatError) as exc:
+            TokenizerModel.load(path)
+        assert str(exc.value) == f"{path}: {message}"
+
+    def test_a_malformed_text_is_reported_at_its_first_line(self, tmp_path):
+        path = tmp_path / "bad.bpe"
+        path.write_text("parity-bpe v1\nmerges:\na\tb\n\\x4g\tb\na\t\\x4g\n\\x4g\t\\x4g\n")
+        with pytest.raises(ModelFormatError) as exc:
+            TokenizerModel.load(path)
+        bad = "\\x4g"
+        assert str(exc.value) == f"{path}:4: malformed escape in token {bad!r}"
+
+    def test_a_malformed_text_after_repeats_of_valid_ones(self, tmp_path):
+        """Line 2,003 holds ``\\x2``, a prefix of ``\\x20``, after 2,000
+        valid lines that hold ``\\x20`` and ``a`` about a thousand times each."""
+        chain = [(b"a" * k, b"a") for k in range(1, 1001)]
+        spaced = [(b" ", b"a" * k) for k in range(1, 1001)]
+        path = tmp_path / "bad.bpe"
+        TokenizerModel(chain + spaced).save(path)
+        with open(path, "a", encoding="ascii") as fh:
+            fh.write("\\x2\ta\n\\x20\ta\n")
+        with pytest.raises(ModelFormatError) as exc:
+            TokenizerModel.load(path)
+        bad = "\\x2"
+        assert str(exc.value) == f"{path}:2003: malformed escape in token {bad!r}"
+
+    def test_repeated_escaped_operands_roundtrip(self, tmp_path):
+        """Operands that share an escaped text load as equal spans, and the
+        model loads with the merges and vocabulary it was saved with."""
+        merges = [(b" ", b"a"), (b" ", b" "), (b"  ", b" "), (b" ", b"\xc3"), (b"\xc3", b"\xa9"),
+                  (b" \xc3", b"\xa9"), (b"\xc3\xa9", b" "), (b" a", b" "), (b"\t", b"\t")]
+        model = TokenizerModel(merges)
+        path = tmp_path / "m.bpe"
+        model.save(path)
+        assert path.read_text(encoding="ascii").count("\\x20") == 11
+        loaded = TokenizerModel.load(path)
+        assert loaded.merges == model.merges == tuple(merges)
+        assert loaded.id_to_bytes == model.id_to_bytes
+        assert loaded.encode_ids(b"a \xc3\xa9  a\t\t") == model.encode_ids(b"a \xc3\xa9  a\t\t")
 
     def test_file_is_diffable_text(self, tmp_path):
         model = TokenizerModel([(b" ", b"a"), (b"\xc3", b"\xa9")])

@@ -1,10 +1,12 @@
 """Every function the benchmark's tracer hooks exists under its dotted name,
-the hooks that read the trainer's state still run, and training still calls
-the hooked functions of its merge loop.
+the hooks that read the trainer's state still run, training still calls
+the hooked functions of its merge loop, and a traced report pre-tokenizes
+each dev line once.
 
 A renamed or moved target would otherwise only turn its per-layer metric
 ``absent`` in a traced benchmark run, a target no longer called would only
-read 0 there, and a reshaped state would only show as a hook error.
+read 0 there, a reshaped state would only show as a hook error, and a second
+pre-tokenization of each dev line would only inflate ``corpus.pretokenize_calls``.
 """
 
 import pytest
@@ -36,3 +38,17 @@ def test_trainer_hooks_run(corpus, dev):
     assert tracer.counts["trainer.heap_entries"] > 0
     for layer in ("kernels.merge_and_deltas", "trainer.select", "trainer.apply"):
         assert tracer.stats[layer][0] > 0, layer
+
+
+def test_a_traced_report_pretokenizes_each_dev_line_once(classical_run, dev):
+    """``corpus.pretokenize_calls`` counts one call per dev line under ``full_report``."""
+    model = parity_bpe.TokenizerModel(classical_run[0].merges)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        parity_bpe.full_report(model, dev)
+    finally:
+        tracer.uninstall()
+    assert tracer.hook_errors == {}
+    assert tracer.stats["metrics.full_report"][0] == 1
+    assert tracer.stats["corpus.pretokenize"][0] == dev.n_lines * len(dev.languages)
