@@ -6,6 +6,8 @@ replaced only once it is completely written; a train meta implies the model
 and log of the same run.
 All outputs embed provenance (config hash plus input digests) sufficient to
 re-run the command.
+A train or eval --config file is read as the flags it names, placed before
+the command line's own: argparse is the one parser of every flag value.
 """
 
 from __future__ import annotations
@@ -120,20 +122,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
-def _extract_config_path(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config" and i + 1 < len(argv):
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="parity-bpe", description=__doc__)
     sub = parser.add_subparsers(dest="command", metavar="command")
 
-    train = sub.add_parser("train", parents=[], help="learn a merge list from a labeled corpus")
+    train = sub.add_parser("train", help="learn a merge list from a labeled corpus")
     train.add_argument("--corpus", help="manifest.json of the labeled training corpus")
     train.add_argument("--merges", type=int, help="total merge budget")
     mode = train.add_mutually_exclusive_group()
@@ -215,14 +208,6 @@ def build_parser() -> _Parser:
     synth.add_argument("--config", default=None, help="JSON synthetic spec")
     synth.set_defaults(func=cmd_synth)
 
-    parser.subcommands = {
-        "train": train,
-        "encode": encode,
-        "decode": decode,
-        "eval": evaluate,
-        "compare": compare,
-        "synth": synth,
-    }
     return parser
 
 
@@ -238,8 +223,6 @@ def cmd_train(args) -> int:
     merges = _require(args, "merges")
     if not (args.classical or args.parity or args.no_dev):
         raise ConfigError("choose a mode: --classical or --parity [--no-dev]")
-    if args.classical and args.parity:  # a config can set both
-        raise ConfigError("choose one mode: --classical or --parity")
     if args.classical and args.no_dev:
         raise ConfigError("--no-dev only applies to --parity")
     if args.classical:
@@ -588,67 +571,75 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
-    return {a.dest: a for a in parser._actions if a.dest != "help"}
+def _config_argv(subparser: argparse.ArgumentParser, path: str) -> list[str]:
+    """The flags a ``--config`` JSON object names, as a user would type them.
 
-
-def _check_config_value(action: argparse.Action, value) -> None:
-    """Reject a ``--config`` value that no command line could give ``action``.
-
-    A string is converted by argparse as a command-line value is, so it must
-    be one an argv could hold and, for a flag with choices, one of them. A
-    switch takes true or false, an int flag an int and a float flag a number.
-    Null means "not given", so it fits only a flag whose default is None.
+    A key is a flag's name, with dashes or underscores. A string or a number
+    gives ``--flag=value``, for argparse to convert by the flag's type and
+    check against its choices as any argv value. A switch takes true (the
+    bare switch) or false (nothing). Null is "not given", so it fits only a
+    flag whose default is None. Any other value raises ``ConfigError``.
     """
-    if value is None:
-        ok = action.default is None
-    elif action.nargs == 0:  # a switch such as --classical
-        ok = isinstance(value, bool)
-    elif isinstance(value, str):
-        try:
-            os.fsencode(value)
-            ok = "\0" not in value and (not action.choices or value in action.choices)
-        except UnicodeEncodeError:
-            ok = False
-    elif action.type is int:
-        ok = type(value) is int
-    elif action.type is float:
-        ok = type(value) in (int, float)
-    else:
-        ok = False
-    if not ok:
-        raise ConfigError(
-            f"config: invalid value for {action.option_strings[0]}: {json.dumps(value)}"
-        )
+    try:
+        config = json.loads(Path(path).read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise DataError(f"config file not found: {path}") from None
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or too deep
+        raise DataError(f"malformed config {path}: {exc}") from None
+    if not isinstance(config, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    config = {key.replace("-", "_"): value for key, value in config.items()}
+    actions = {a.dest: a for a in subparser._actions if a.dest != "help"}
+    unknown = set(config) - set(actions)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for dest, value in config.items():
+        action = actions[dest]
+        flag = action.option_strings[0]
+        if action.nargs == 0:  # a switch such as --classical
+            ok = isinstance(value, bool)
+            tokens += [flag] if value is True else []
+        elif value is None:
+            ok = action.default is None
+        else:
+            ok = type(value) in (int, float) or isinstance(value, str) and _argv_can_hold(value)
+            tokens.append(f"{flag}={value}")
+        if not ok:
+            raise ConfigError(f"config: invalid value for {flag}: {json.dumps(value)}")
+    return tokens
+
+
+def _argv_can_hold(text: str) -> bool:
+    try:
+        return b"\0" not in os.fsencode(text)
+    except UnicodeEncodeError:
+        return False
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """``argv`` parsed, with a ``train`` or ``eval`` ``--config`` read as the flags it names.
+
+    The config's flags go right after the command name, before the command
+    line's own, and argv is parsed again. So argparse alone finds the config
+    path (the last ``--config``, or any prefix of it that argparse accepts),
+    converts and checks each value, and lets the command line's flags win.
+    ``synth`` reads its ``--config`` as a ``SyntheticSpec`` instead.
+    """
+    args = parser.parse_args(argv)
+    if args.command in ("train", "eval") and args.config:
+        (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        at = argv.index(args.command) + 1  # only -h, which exits, can come before it
+        flags = _config_argv(commands.choices[args.command], args.config)
+        args = parser.parse_args(argv[:at] + flags + argv[at:])
+    return args
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     try:
-        command = next((a for a in argv if not a.startswith("-")), None)
-        config_path = _extract_config_path(argv)
-        # train and eval take flag defaults from --config; synth reads a
-        # SyntheticSpec from it, and the other commands have no --config
-        if config_path and command in ("train", "eval"):
-            subparser = parser.subcommands[command]
-            try:
-                overrides = json.loads(Path(config_path).read_text(encoding="utf-8"))
-            except FileNotFoundError:
-                raise DataError(f"config file not found: {config_path}") from None
-            except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON or too deep
-                raise DataError(f"malformed config {config_path}: {exc}") from None
-            if not isinstance(overrides, dict):
-                raise ConfigError(f"config {config_path} must be a JSON object")
-            overrides = {k.replace("-", "_"): v for k, v in overrides.items()}
-            actions = _config_actions(subparser)
-            unknown = set(overrides) - set(actions)
-            if unknown:
-                raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-            for dest, value in overrides.items():
-                _check_config_value(actions[dest], value)
-            subparser.set_defaults(**overrides)
-        args = parser.parse_args(argv)
+        args = _parse_args(parser, argv)
         if not getattr(args, "func", None):
             parser.print_help()
             return 1

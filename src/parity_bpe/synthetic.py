@@ -21,7 +21,7 @@ import json
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import islice, product, repeat, starmap
 from pathlib import Path
 
@@ -89,6 +89,11 @@ class SyntheticSpec:
                 "dev_lines and vocab_size must be integers; total_train_bytes, "
                 "zipf_exponent and proportions must be numbers"
             )
+        try:  # an int too large for a float overflows where generation meets one
+            for v in (self.total_train_bytes, *self.proportions):
+                float(v)
+        except OverflowError:
+            raise ConfigError("total_train_bytes and proportions must fit in a float") from None
         if not self.languages:
             raise ConfigError("synthetic spec lists no languages")
         if len(self.proportions) != len(self.languages):
@@ -152,6 +157,9 @@ class SyntheticSpec:
             raise DataError(f"malformed synthetic spec {path}: {exc}") from None
         if not isinstance(data, dict) or "proportions" not in data:
             raise ConfigError(f"synthetic spec {path} must be a JSON object with 'proportions'")
+        unknown = data.keys() - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"synthetic spec {path}: unknown config keys: {sorted(unknown)}")
         langs, proportions = data.get("languages", []), data["proportions"]
         if not isinstance(langs, list) or not isinstance(proportions, list):
             raise ConfigError(f"synthetic spec {path}: languages and proportions must be lists")
@@ -168,11 +176,8 @@ class SyntheticSpec:
                 f"synthetic spec {path}: a language is a code or an object with string "
                 "'code' and 'alphabet'"
             )
-        for key in ("dev_lines", "total_train_bytes", "vocab_size", "zipf_exponent"):
-            if key in data:
-                setattr(spec, key, data[key])
-        if "words_per_line" in data:
-            spec.words_per_line = data["words_per_line"]
+        for key in data.keys() - {"languages", "proportions"}:
+            setattr(spec, key, data[key])  # validate checks each value
         return spec
 
 

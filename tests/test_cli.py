@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -72,6 +73,14 @@ BAD_INPUT_FILES = {
     },
     "spec_code_nul.json": json.dumps({"proportions": [1], "languages": ["a\0b"]}),
     "spec_code_empty.json": json.dumps({"proportions": [1], "languages": [""]}),
+    # numbers too large for a float, and a misspelt key
+    "config_alpha_huge.json": json.dumps({"alpha": 10**400}),
+    "spec_train_bytes_huge.json": json.dumps(
+        {"proportions": [1.0], "languages": ["aa"], "total_train_bytes": 10**400}
+    ),
+    "spec_proportion_huge.json": json.dumps({"proportions": [10**400], "languages": ["aa"]}),
+    "spec_unknown_key.json": json.dumps({"languages": ["aa", "bb"], "proportions": [0.5, 0.5],
+                                         "dev_line": 3, "vocab_sise": 50, "train_bytes": 2000}),
     **{
         f"spec_zipf_{name}.json": json.dumps(
             {"proportions": [1], "languages": ["aa"], "zipf_exponent": value}
@@ -142,6 +151,11 @@ BAD_INPUT_ARGV = {
     "synth-code-two-levels-up": _SYNTH + ["--langs", "../../esc"],
     "synth-code-slash": _SYNTH + ["--langs", "en/us"],
     "synth-code-empty": _SYNTH + ["--config", "{tmp}/spec_code_empty.json"],
+    # a --config number too large for a float, and a spec key that names no field
+    "train-config-alpha-huge": _PARITY_TRAIN + ["--config", "{tmp}/config_alpha_huge.json"],
+    "synth-config-train-bytes-huge": _SYNTH + ["--config", "{tmp}/spec_train_bytes_huge.json"],
+    "synth-config-proportion-huge": _SYNTH + ["--config", "{tmp}/spec_proportion_huge.json"],
+    "synth-config-unknown-key": _SYNTH + ["--config", "{tmp}/spec_unknown_key.json"],
 }
 
 
@@ -516,11 +530,11 @@ class TestTrain:
                   "--dev", synth_dir / "dev"]
         config = tmp_path / "run.json"
         config.write_text(json.dumps(
-            {"merges": 20, "window": 3, "alpha": 1.5, "hybrid-split": "0.5", "unit": "lines"}
+            {"merges": 20, "window": 3, "alpha": 3, "hybrid-split": 0, "unit": "lines"}
         ))
         assert run(common + ["--config", config, "--model-out", tmp_path / "a.bpe"]) == 0
-        assert run(common + ["--merges", "20", "--window", "3", "--alpha", "1.5",
-                             "--hybrid-split", "0.5", "--unit", "lines",
+        assert run(common + ["--merges", "20", "--window", "3", "--alpha", "3",
+                             "--hybrid-split", "0", "--unit", "lines",
                              "--model-out", tmp_path / "b.bpe"]) == 0
         metas = [json.loads((tmp_path / f"{name}.bpe.meta.json").read_text()) for name in "ab"]
         assert metas[0]["config"] == metas[1]["config"]
@@ -531,6 +545,22 @@ class TestTrain:
         config.write_text(json.dumps({"mystery": 1}))
         assert run(["train", "--config", config]) == 1
         assert "unknown config keys" in capsys.readouterr().err
+
+    def test_config_flag_abbreviated(self, tmp_path, small_synth_dir):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"merges": 7}))
+        assert run(["train", "--classical", "--corpus", small_synth_dir / "manifest.json",
+                    "--model-out", tmp_path / "m.bpe", "--conf", config]) == 0
+        assert len(TokenizerModel.load(tmp_path / "m.bpe").merges) == 7
+
+    def test_last_config_wins(self, tmp_path, small_synth_dir):
+        configs = [tmp_path / "a.json", tmp_path / "b.json"]
+        for path, merges in zip(configs, (7, 9)):
+            path.write_text(json.dumps({"merges": merges}))
+        assert run(["train", "--classical", "--corpus", small_synth_dir / "manifest.json",
+                    "--model-out", tmp_path / "m.bpe",
+                    "--config", configs[0], f"--config={configs[1]}"]) == 0
+        assert len(TokenizerModel.load(tmp_path / "m.bpe").merges) == 9
 
 
 class TestEncodeDecode:
@@ -1167,6 +1197,21 @@ class TestEval:
         assert report.provenance["languages"] == meant.split(",")
 
 
+    # 10**400 is too large for a float: --renyi-alpha reads it as inf
+    @pytest.mark.parametrize("alpha", [3, 10**400], ids=["int", "huge-int"])
+    def test_config_renyi_alpha_resolves_as_flag(self, tmp_path, small_synth_dir, alpha):
+        model_path, dev = tmp_path / "m.bpe", small_synth_dir / "dev"
+        TokenizerModel([]).save(model_path)
+        config = tmp_path / "eval.json"
+        config.write_text(json.dumps({"renyi_alpha": alpha}))
+        assert run(["eval", "--model", model_path, "--dev", dev, "--config", config,
+                    "--out", tmp_path / "a.json"]) == 0
+        assert run(["eval", "--model", model_path, "--dev", dev, "--renyi-alpha", str(alpha),
+                    "--out", tmp_path / "b.json"]) == 0
+        reports = [(tmp_path / name).read_bytes() for name in ("a.json", "b.json")]
+        assert reports[0] == reports[1]
+        assert MetricReport.from_json(reports[0].decode()).provenance["config_hash"]
+
     @pytest.mark.parametrize("alpha", ["nan", "0", "-1"])
     def test_bad_renyi_order_is_usage_error(self, tmp_path, synth_dir, monkeypatch, capsys, alpha):
         calls = _forbid_loading(monkeypatch)
@@ -1343,6 +1388,59 @@ class TestSynth:
         assert "cannot name a file" in capsys.readouterr().err
         # nothing under --out ({tmp}/corpus) or beside it
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize("name, message", [
+        ("synth-config-unknown-key",
+         "unknown config keys: ['dev_line', 'train_bytes', 'vocab_sise']"),
+        ("synth-config-train-bytes-huge", "must fit in a float"),
+        ("synth-config-proportion-huge", "must fit in a float"),
+    ])
+    def test_bad_spec_writes_nothing(self, name, message, tmp_path, capsys):
+        for file_name, content in BAD_INPUT_FILES.items():
+            (tmp_path / file_name).write_text(content)
+        before = sorted(tmp_path.rglob("*"))
+        assert run([arg.format(tmp=tmp_path) for arg in BAD_INPUT_ARGV[name]]) == 1
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
+def _config_key_cases():
+    """(command, flag, value) for each --config-able flag of train and eval, and
+    each kind of value it takes: a string, an int, an int for a float flag, a
+    float, or true for a switch."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    for command in ("train", "eval"):
+        for action in commands.choices[command]._actions:
+            if action.dest in ("help", "config"):
+                continue
+            flag = action.option_strings[0]
+            if action.nargs == 0:
+                values = [True]
+            elif action.type is int:
+                values = ["7", 7]
+            elif action.type is float:
+                values = ["0.25", 7, 0.25]
+            else:
+                values = [sorted(action.choices)[0] if action.choices else "a value"]
+            for value in values:
+                yield pytest.param(command, flag, value, id=f"{command} {flag}={value!r}")
+
+
+@pytest.mark.parametrize("command, flag, value", list(_config_key_cases()))
+def test_config_key_parses_as_its_flag(command, flag, value, tmp_path):
+    """A config key gives the Namespace its flag gives on the command line."""
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({flag[2:]: value}))
+    parser = cli.build_parser()
+    typed = [flag] if value is True else [flag, str(value)]
+    from_config = cli._parse_args(parser, [command, "--config", str(config)])
+    from_argv = parser.parse_args([command, "--config", str(config), *typed])
+    assert vars(from_config) == vars(from_argv)
+    # == alone would take 7 for 7.0
+    assert {k: type(v) for k, v in vars(from_config).items()} == {
+        k: type(v) for k, v in vars(from_argv).items()
+    }
 
 
 class TestUsage:

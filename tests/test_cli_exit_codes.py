@@ -105,6 +105,7 @@ COMMANDS = {
 _JSON_SCALARS = st.one_of(
     st.text(st.characters(exclude_characters="/{}", exclude_categories=()), max_size=6),
     st.integers(),
+    st.sampled_from([10**399, -(10**399)]),  # 400 digits: too large for a float
     st.floats(),
     st.just(math.nan),
     st.booleans(),
@@ -146,7 +147,7 @@ def _argv(draw):
         for switch in _SWITCHES[command]:
             if not draw(st.integers(0, 3)):
                 config[switch[2:].replace("-", "_")] = draw(st.one_of(st.booleans(), _JSON_VALUES))
-        argv[1:1] = ["--config", "{config}"]  # first, so main() reads this one
+        argv += ["--config", "{config}"]  # last, so argparse reads this one
     return argv, config
 
 
