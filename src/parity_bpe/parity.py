@@ -1,11 +1,14 @@
 """Min-max merge learning: drive each merge from the worst-compressed language.
 
 At every parity step the language with the lowest compression rate on the
-reference corpus is selected (optionally rate-limited by a moving window),
-and the best pair inside that language's training shard is merged. This
-module supplies that choice, as a picker for ``trainer.run_merges``: the
-loop shared with classical training, which also runs the hybrid prelude's
-global steps and applies and logs every merge.
+reference corpus is selected, and the best pair inside that language's
+training shard is merged. An optional moving window of the last W parity
+picks ranks a language that already holds ``floor(alpha * W / L)`` of them
+after every other, and picking it anyway is logged as a fallback. A language
+whose shard has no pair left is skipped for the next in rank. This module
+supplies that choice, as a picker for ``trainer.run_merges``: the loop
+shared with classical training, which also runs the hybrid prelude's global
+steps and applies and logs every merge.
 """
 
 from __future__ import annotations
@@ -28,9 +31,12 @@ class ParityConfig:
     """Knobs for min-max training.
 
     ``global_merges`` is the hybrid prelude length (0 for pure parity
-    training); ``window_size`` 0 disables moving-window balancing.
-    ``train_no_dev`` measures compression rates on the training corpus,
-    so it requires the bytes ``unit``.
+    training). ``window_size`` W and ``alpha`` bound how often one language
+    is picked: a language already holding ``floor(alpha * W / L)`` of the last
+    W parity picks (L languages, ``alpha`` read as the decimal it prints as)
+    ranks after every other; W 0 disables the bound. ``train_no_dev``
+    measures compression rates on the training corpus, so it requires the
+    bytes ``unit``.
     """
 
     total_merges: int
@@ -45,46 +51,12 @@ class ParityConfig:
             raise ConfigError(
                 f"global merges must be in [0, {self.total_merges}], got {self.global_merges}"
             )
-        if not 0 <= self.window_size <= sys.maxsize:  # the window is a bounded deque
+        if not 0 <= self.window_size <= sys.maxsize:
             raise ConfigError(f"window size must be in [0, {sys.maxsize}], got {self.window_size}")
         if not math.isfinite(self.alpha):
             raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
-        if self.alpha_fraction <= 0:
+        if not self.alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {self.alpha!r}")
-
-    @property
-    def alpha_fraction(self) -> Fraction:
-        # str() keeps decimal CLI values exact (Fraction("1.5") == 3/2).
-        return Fraction(str(self.alpha))
-
-    def quota(self, n_langs: int) -> Fraction | None:
-        """Window occupancy bound per language; None when the window is off."""
-        if self.window_size == 0:
-            return None
-        return self.alpha_fraction * self.window_size / n_langs
-
-
-class SelectionWindow:
-    """Ring buffer of the most recent language selections.
-
-    A running count per language is kept beside the buffer, so ``count`` is
-    O(1) rather than a scan of the window.
-    """
-
-    def __init__(self, size: int):
-        self.size = size
-        self._recent: deque[str] = deque(maxlen=max(size, 0))
-        self._counts: Counter = Counter()
-
-    def push(self, lang: str) -> None:
-        if self.size > 0:
-            if len(self._recent) == self.size:
-                self._counts[self._recent[0]] -= 1
-            self._recent.append(lang)
-            self._counts[lang] += 1
-
-    def count(self, lang: str) -> int:
-        return self._counts[lang]
 
 
 @dataclass
@@ -134,23 +106,6 @@ def compute_cr(
     return CRTable(unit, tuple(dev.languages), reference_unit_totals(dev, unit), token_totals)
 
 
-def rank_languages(
-    crs: dict[str, float], window: SelectionWindow, quota: Fraction | None
-) -> list[tuple[str, bool]]:
-    """Languages in selection order, each with its fallback flag.
-
-    Languages within the window quota come first, then the excluded ones
-    (fallback True), each group by ascending (CR, code). A language is
-    excluded when selecting it would push its occupancy of the moving window
-    (current selection included) above the quota. The trainer takes the
-    first language that still has a pair to merge.
-    """
-    # An occupancy is an integer, so it passes the quota when it passes its floor.
-    limit = math.inf if quota is None else math.floor(quota)
-    ranked = sorted((window.count(lang) + 1 > limit, crs[lang], lang) for lang in crs)
-    return [(lang, fallback) for fallback, _, lang in ranked]
-
-
 def _run_minmax(
     state: TrainerState,
     config: ParityConfig,
@@ -158,22 +113,34 @@ def _run_minmax(
     token_totals: list[int],
     on_step,
 ) -> tuple[TokenizerModel, TrainLog]:
-    """Min-max training over a live reference token-total vector."""
+    """Min-max training over a live reference token-total vector.
+
+    Each parity step takes the first language in (over quota, CR, code)
+    order whose shard has a pair to merge.
+    """
     langs = state.langs
     # CRTable rejects a zero unit or token total, which the picker divides by.
     CRTable(config.unit, tuple(langs), unit_totals, dict(zip(langs, token_totals)))
     units = [unit_totals[lang] for lang in langs]
-    window = SelectionWindow(config.window_size)
-    quota = config.quota(len(langs))
+    window = config.window_size
+    # Occupancies are integers, so one more pick passes alpha * W / L exactly
+    # when the occupancy reaches this floor; str() keeps a decimal alpha exact.
+    limit = math.floor(Fraction(str(config.alpha)) * window / len(langs)) if window else math.inf
+    recent: deque[str] = deque()  # the last W parity picks
+    occupancy: Counter = Counter()
 
     def pick(state: TrainerState):
         snapshot = {lang: u / t for lang, u, t in zip(langs, units, token_totals)}
         skipped: list[str] = []
-        for lang, fallback in rank_languages(snapshot, window, quota):
+        ranked = sorted((occupancy[lang] >= limit, snapshot[lang], lang) for lang in langs)
+        for over, _, lang in ranked:
             sel = state.select_for_lang(lang)
             if sel is not None:
-                window.push(lang)
-                return sel, dict(mode="parity", lang=lang, fallback=fallback,
+                recent.append(lang)
+                occupancy[lang] += 1
+                if len(recent) > window:
+                    occupancy[recent.popleft()] -= 1
+                return sel, dict(mode="parity", lang=lang, fallback=over,
                                  skipped=skipped, cr_snapshot=snapshot)
             skipped.append(lang)
         return None, None
@@ -194,9 +161,11 @@ def train_parity(
     if missing:
         raise CorpusError(f"dev corpus missing languages: {missing}")
 
+    # The log's totals cover the training languages; a dev-only one is not measured.
+    dev = ParallelDevCorpus(train.languages, dev.lines)
     dev_words = {
         lang: Counter(chain.from_iterable(map(pretokenize, dev.lines[lang])))
-        for lang in train.languages
+        for lang in dev.languages
     }
     unit_totals = reference_unit_totals(dev, config.unit)
     state = TrainerState(train, dev_words=dev_words)

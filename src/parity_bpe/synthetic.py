@@ -35,6 +35,11 @@ _ALPHABET_POOL = (
     "!#$%&'()*+,-./:;<=>?@"
 )
 _ALPHABET_SIZE = 13
+# Ceilings far above any desk-scale corpus: a spec above one is rejected
+# before the word inventory, the dev messages or the training files are built.
+MAX_VOCAB_SIZE = 10**6
+MAX_DEV_LINES = 10**6
+MAX_TRAIN_BYTES = 10**10
 
 
 @dataclass
@@ -125,8 +130,16 @@ class SyntheticSpec:
                     raise ConfigError(
                         f"overlapping alphabets: {code_a!r} and {code_b!r} share bytes"
                     )
-        if self.dev_lines < 0 or self.vocab_size < 2 or self.total_train_bytes <= 0:
+        # not > 0 also rejects a nan total, which would write no training text
+        if self.dev_lines < 0 or self.vocab_size < 2 or not self.total_train_bytes > 0:
             raise ConfigError("dev_lines, vocab_size, and total_train_bytes must be positive")
+        for name, value, ceiling in [
+            ("dev_lines", self.dev_lines, MAX_DEV_LINES),
+            ("vocab_size", self.vocab_size, MAX_VOCAB_SIZE),
+            ("total_train_bytes", self.total_train_bytes, MAX_TRAIN_BYTES),
+        ]:
+            if value > ceiling:
+                raise ConfigError(f"{name} must be at most {ceiling}")
         pair = self.words_per_line
         if not (
             isinstance(pair, (tuple, list)) and len(pair) == 2

@@ -269,9 +269,6 @@ class TrainerState:
             raise CorpusError("empty corpus: no pre-tokens")
         dev_sets = None
         if dev_words is not None:
-            missing = [l for l in self.langs if l not in dev_words]
-            if missing:
-                raise CorpusError(f"dev corpus missing languages: {missing}")
             dev_sets = [dev_words[l] for l in self.langs]
         # The one word store, training and dev words alike; the benchmark's
         # tracer reads its pair counts under this name.

@@ -29,7 +29,7 @@ from parity_bpe import (
     load_parallel_dev,
     pretokenize,
 )
-from parity_bpe import cli, tokenizer
+from parity_bpe import cli, synthetic, tokenizer
 from parity_bpe.cli import main
 from parity_bpe.tokenizer import escape_token
 from parity_bpe.trainer import LogWriter
@@ -79,6 +79,9 @@ BAD_INPUT_FILES = {
         {"proportions": [1.0], "languages": ["aa"], "total_train_bytes": 10**400}
     ),
     "spec_proportion_huge.json": json.dumps({"proportions": [10**400], "languages": ["aa"]}),
+    "spec_train_bytes_nan.json": json.dumps(
+        {"proportions": [1], "languages": ["aa"], "total_train_bytes": math.nan}
+    ),
     "spec_unknown_key.json": json.dumps({"languages": ["aa", "bb"], "proportions": [0.5, 0.5],
                                          "dev_line": 3, "vocab_sise": 50, "train_bytes": 2000}),
     **{
@@ -156,6 +159,12 @@ BAD_INPUT_ARGV = {
     "synth-config-train-bytes-huge": _SYNTH + ["--config", "{tmp}/spec_train_bytes_huge.json"],
     "synth-config-proportion-huge": _SYNTH + ["--config", "{tmp}/spec_proportion_huge.json"],
     "synth-config-unknown-key": _SYNTH + ["--config", "{tmp}/spec_unknown_key.json"],
+    # one above each size ceiling: rejected before any inventory, message or file is built
+    "synth-vocab-size-over-ceiling": _SYNTH + ["--vocab-size", str(synthetic.MAX_VOCAB_SIZE + 1)],
+    "synth-dev-lines-over-ceiling": _SYNTH + ["--dev-lines", str(synthetic.MAX_DEV_LINES + 1)],
+    "synth-train-bytes-over-ceiling":
+        _SYNTH + ["--train-bytes", str(synthetic.MAX_TRAIN_BYTES + 1)],
+    "synth-config-train-bytes-nan": _SYNTH + ["--config", "{tmp}/spec_train_bytes_nan.json"],
 }
 
 
@@ -1394,6 +1403,11 @@ class TestSynth:
          "unknown config keys: ['dev_line', 'train_bytes', 'vocab_sise']"),
         ("synth-config-train-bytes-huge", "must fit in a float"),
         ("synth-config-proportion-huge", "must fit in a float"),
+        ("synth-vocab-size-over-ceiling", f"vocab_size must be at most {synthetic.MAX_VOCAB_SIZE}"),
+        ("synth-dev-lines-over-ceiling", f"dev_lines must be at most {synthetic.MAX_DEV_LINES}"),
+        ("synth-train-bytes-over-ceiling",
+         f"total_train_bytes must be at most {synthetic.MAX_TRAIN_BYTES}"),
+        ("synth-config-train-bytes-nan", "total_train_bytes must be positive"),
     ])
     def test_bad_spec_writes_nothing(self, name, message, tmp_path, capsys):
         for file_name, content in BAD_INPUT_FILES.items():

@@ -1,5 +1,5 @@
 from collections import Counter
-from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +23,6 @@ from parity_bpe import (
     train_parity,
 )
 from parity_bpe.cli import main
-from parity_bpe.parity import SelectionWindow, rank_languages
 from parity_bpe.trainer import MIN_PAIR_COUNT, TrainerState
 
 from .oracles import (
@@ -69,12 +68,19 @@ class TestParityConfig:
                 ParityConfig(total_merges=10, unit=NormUnit.LINES),
             )
 
-    def test_quota_exact_rational(self):
-        config = ParityConfig(total_merges=10, window_size=6, alpha=2)
-        assert config.quota(3) == Fraction(4)
-        config = ParityConfig(total_merges=10, window_size=100, alpha=1.5)
-        assert config.quota(7) == Fraction(3, 2) * 100 / 7
-
+    def test_quota_is_the_floor_of_the_exact_decimal(self):
+        """alpha 1.4 with W 45 over 3 languages gives a limit of 21 picks; the
+        float product 1.4 * 45 / 3 is 20.999..., whose floor would be 20."""
+        words = [bytes(p) for p in product(b"abcdef", repeat=2)]
+        corpus = LabeledCorpus.from_multisets({
+            "aa": dict.fromkeys(words, 3),
+            "bb": {b"XYXY": 5, b"ZWZW": 5},
+            "cc": {b"1212": 5, b"3434": 5},
+        })
+        # aa's one dev line holds every word, so aa stays the worst compressed
+        dev = dev_of({"aa": [b" ".join(words)], "bb": [b"XYXY"], "cc": [b"1212"]})
+        _, log = train_parity(corpus, dev, ParityConfig(22, window_size=45, alpha=1.4))
+        assert [(s.lang, s.fallback) for s in log] == [("aa", False)] * 21 + [("bb", False)]
 
 class TestComputeCr:
     def test_identity_bytes_is_one(self, dev):
@@ -131,65 +137,6 @@ class TestComputeCr:
     def test_zero_unit_total_rejected(self):
         with pytest.raises(DataError, match="zero"):
             CRTable(NormUnit.LINES, ("aa",), {"aa": 0}, {"aa": 5})
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.integers(0, 6), st.lists(st.sampled_from(["aa", "bb", "cc"]), max_size=30))
-def test_window_count_matches_its_contents(size, pushes):
-    window = SelectionWindow(size)
-    for i, lang in enumerate(pushes):
-        window.push(lang)
-        recent = pushes[max(0, i + 1 - size) : i + 1] if size else []
-        for code in ("aa", "bb", "cc"):
-            assert window.count(code) == recent.count(code)
-
-
-@settings(max_examples=200, deadline=None)
-@given(st.none() | st.fractions(min_value=0, max_value=8, max_denominator=7).filter(bool),
-       st.lists(st.sampled_from(["aa", "bb", "cc"]), max_size=12))
-def test_fallback_flags_an_occupancy_above_the_quota(quota, pushes):
-    """The integer limit flags what the exact comparison with the quota does."""
-    window = SelectionWindow(12)
-    for lang in pushes:
-        window.push(lang)
-    flags = dict(rank_languages({"aa": 1.0, "bb": 2.0, "cc": 3.0}, window, quota))
-    for lang, fallback in flags.items():
-        assert fallback == (quota is not None and window.count(lang) + 1 > quota)
-
-
-class TestSelectLanguage:
-    CONFIG = ParityConfig(total_merges=10, window_size=6, alpha=2)
-
-    def test_argmin(self):
-        window = SelectionWindow(6)
-        lang, fallback = rank_languages(
-            {"en": 3.0, "de": 2.5, "sw": 1.8}, window, self.CONFIG.quota(3)
-        )[0]
-        assert (lang, fallback) == ("sw", False)
-
-    def test_over_quota_excluded(self):
-        window = SelectionWindow(6)
-        for _ in range(4):
-            window.push("sw")
-        ranked = rank_languages({"en": 3.0, "de": 2.5, "sw": 1.8}, window, self.CONFIG.quota(3))
-        assert ranked[0] == ("de", False)
-        # the excluded language stays a candidate, after every allowed one
-        assert ranked == [("de", False), ("en", False), ("sw", True)]
-
-    def test_all_excluded_falls_back_to_argmin(self):
-        config = ParityConfig(total_merges=10, window_size=2, alpha=0.5)
-        window = SelectionWindow(2)
-        window.push("en")
-        window.push("de")
-        # quota = 0.5*2/2 = 0.5; count+1 > quota for every language
-        lang, fallback = rank_languages({"en": 3.0, "de": 2.5}, window, config.quota(2))[0]
-        assert (lang, fallback) == ("de", True)
-
-    def test_tie_breaks_on_language_code(self):
-        window = SelectionWindow(0)
-        config = ParityConfig(total_merges=10, window_size=0)
-        lang, _ = rank_languages({"bb": 1.0, "aa": 1.0}, window, config.quota(2))[0]
-        assert lang == "aa"
 
 
 class TestTrainParity:
@@ -272,6 +219,12 @@ class TestTrainParity:
         config = ParityConfig(total_merges=5, window_size=0)
         with pytest.raises(CorpusError, match="missing languages"):
             train_parity(corpus, dev, config)
+
+    def test_dev_only_language_is_not_measured(self):
+        corpus = LabeledCorpus.from_multisets({"aa": {b"abab": 2}, "bb": {b"cdcd": 2}})
+        dev = dev_of({"aa": [b"ab"], "bb": [b"cd cd"], "zz": [b"zz"]})
+        _, log = train_parity(corpus, dev, ParityConfig(total_merges=3, window_size=0))
+        assert log.unit_totals.keys() == log.token_totals.keys() == {"aa", "bb"}
 
     def test_early_stop_when_no_language_has_pairs(self):
         corpus = LabeledCorpus.from_multisets({"aa": {b"ab": 1}, "bb": {b"cd": 1}})
