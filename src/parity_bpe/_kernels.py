@@ -4,18 +4,20 @@ Pair counting is positional (overlapping adjacencies each count), merge
 replacement is leftmost-first and non-overlapping (one training call per
 merge), and encoding repeatedly applies the lowest-ranked merge present.
 
-Encoding a pre-token of ``n`` ids takes O(n log n) here: a min-heap holds
-one key per adjacent pair in the table, ordered by rank and then position,
-so each merge costs a few heap operations instead of a rescan of the whole
-pre-token (the approach of tiktoken's ``_byte_pair_merge`` and Hugging Face
-``Word::merge_all``; van Antwerpen and Neubeck 2024 give linear-time
-variants). The queue serves every length; on the 3-6 ids of a dictionary
-word it is about a microsecond slower than a rescan, a cost the word cache
-pays once per distinct word.
+A trainer word is a str with one code point per token, its id plus
+``CODE_OFFSET``, and a pair's key the str of its two codes, so a merge tests
+and rewrites words with C-level str operations. The bytes are U+0100-U+01FF,
+so a word is two bytes per token from its build on and never widens.
 
-A merge whose result has an earlier canonical id can create a pair of lower
-rank than the one being applied; such a pair waits until every occurrence
-of the current rank is merged, exactly as a rescan would find it only on
+Encoding a pre-token of ``n`` ids takes O(n log n): a min-heap holds one key
+per adjacent pair in the table, ordered by rank and then position, so each
+merge costs a few heap operations instead of a rescan (as in tiktoken's
+``_byte_pair_merge`` and Hugging Face ``Word::merge_all``; van Antwerpen and
+Neubeck 2024 give linear-time variants). On the 3-6 ids of a dictionary word
+it is about a microsecond slower than a rescan, which the word cache pays
+once per distinct word. A merge whose result has an earlier canonical id can
+create a pair of lower rank than the one being applied; it waits until every
+occurrence of the current rank is merged, as a rescan would find it only on
 its next pass.
 
 Callers reach these through the module (``_kernels.encode_ids(...)``): the
@@ -27,6 +29,20 @@ from __future__ import annotations
 from collections import Counter
 from heapq import heapify, heappop, heappush
 
+CODE_OFFSET = 256
+BYTE_CODES = {i: i + CODE_OFFSET for i in range(256)}  # ``str.translate`` of latin-1 text
+MAX_TOKEN_ID = 0x10FFFF - CODE_OFFSET  # the largest id a code point can carry
+
+
+def token_codes(ids) -> str:
+    """The code str of a token-id sequence: a word, or a pair's key."""
+    return "".join([chr(i + CODE_OFFSET) for i in ids])
+
+
+def token_ids(codes: str) -> tuple[int, ...]:
+    """The token ids of a code str."""
+    return tuple([ord(code) - CODE_OFFSET for code in codes])
+
 
 def count_pairs(tokens) -> dict:
     """Positional counts of adjacent token-id pairs in one word."""
@@ -36,84 +52,75 @@ def count_pairs(tokens) -> dict:
 def merge_and_deltas(store, listed, a: int, b: int, c: int):
     """Replace (a, b) with c in the ``listed`` words of a trainer ``_WordStore``.
 
-    A word without an occurrence keeps its tuple. Only the pairs beside a
-    replacement are counted, a pair between two replacements once, and a
-    word is listed under each pair it gains: an empty index slot becomes the
-    bare id, a bare id of another word becomes a list of both, and a list
-    gains the id unless it ends with it. Returns ``(changed, rewritten,
-    repl, dev_repl)``: one dict per language of the training count deltas of
-    the changed pairs but (a, b), the number of words rewritten, and the
-    per-language training and dev replacements. A word's deltas go only to
-    the dicts of the languages its training entries name, so a one-language
-    word touches one dict; a delta may be 0 where two words cancel.
+    ``pair in word`` tests a word and ``word.split(pair)`` cuts it at each
+    occurrence, leftmost-first and non-overlapping; joined by c, the pieces
+    are the new word. The pairs beside each replacement are read off the ends
+    of the pieces, one between two replacements once: the word loses (x, a)
+    and (b, y) and gains (x, c) and (c, y), ±count to the delta table of each
+    language its training entries name, and is listed under each key it
+    gains (even one it also loses): an empty slot becomes the bare id, a bare
+    id of another word a list of both, and a list gains the id unless it ends
+    with it. Returns ``(changed, rewritten, repl, dev_repl)``: the delta
+    tables by pair key, without (a, b) and where a delta may be 0; the number
+    of words rewritten; and the per-language training and dev replacements.
     """
     n_langs = store.n_langs
     repl, dev_repl = [0] * n_langs, [0] * n_langs
     changed = [{} for _ in range(n_langs)]
     words, counts, dev_counts, index = store.words, store.counts, store.dev_counts, store.index
+    index_get = index.get
+    ca, cb, cc = chr(a + CODE_OFFSET), chr(b + CODE_OFFSET), chr(c + CODE_OFFSET)
+    pair = ca + cb
+    join = cc.join
     rewritten = 0
     for wid in listed:
-        tokens = words[wid]
-        if a not in tokens or b not in tokens:
+        word = words[wid]
+        if pair not in word:
             continue
-        n = len(tokens)
-        out = []
-        deltas: dict = {}
-        get = deltas.get
-        prev = -2  # input position of the previous replacement
-        i = 0
-        while i < n:
-            t = tokens[i]
-            if t != a or i + 1 == n or tokens[i + 1] != b:
-                out.append(t)
-                i += 1
-                continue
-            out.append(c)
-            if i and prev != i - 2:
-                x = tokens[i - 1]
-                key = (x, a)
-                deltas[key] = get(key, 0) - 1
-                key = (x, c)
-                deltas[key] = get(key, 0) + 1
-            if i + 2 < n:
-                y = tokens[i + 2]
-                key = (b, y)
-                deltas[key] = get(key, 0) - 1
-                if y == a and i + 3 < n and tokens[i + 3] == b:
-                    y = c  # the next pair is replaced too
-                key = (c, y)
-                deltas[key] = get(key, 0) + 1
-            prev = i
-            i += 2
-        if prev < 0:
-            continue
+        pieces = word.split(pair)
+        words[wid] = join(pieces)
         rewritten += 1
-        words[wid] = tuple(out)
-        n_rep = n - len(out)
-        entries = counts[wid]
-        for li, cnt in entries:
+        n_rep = len(pieces) - 1
+        if pieces[0]:
+            x = pieces[0][-1]
+            lost, gained = [x + ca], [x + cc]
+        else:
+            lost, gained = [], []
+        for piece in pieces[1:-1]:  # between two replacements
+            if piece:
+                y, x = piece[0], piece[-1]
+                lost += (cb + y, x + ca)
+                gained += (cc + y, x + cc)
+            else:
+                lost.append(cb + ca)
+                gained.append(cc + cc)
+        if pieces[-1]:
+            y = pieces[-1][0]
+            lost.append(cb + y)
+            gained.append(cc + y)
+        for key in gained:
+            slot = index_get(key)
+            if slot is None:
+                index[key] = wid
+            elif type(slot) is int:
+                if slot != wid:
+                    index[key] = [slot, wid]
+            elif slot[-1] != wid:
+                slot.append(wid)
+        for li, cnt in counts[wid]:
             repl[li] += n_rep * cnt
+            table = changed[li]
+            get = table.get
+            for key in lost:
+                table[key] = get(key, 0) - cnt
+            for key in gained:
+                table[key] = get(key, 0) + cnt
         if dev_counts is not None:
             for li, cnt in dev_counts[wid]:
                 dev_repl[li] += n_rep * cnt
-        for pair, d in deltas.items():
-            if d > 0:  # the word may hold a pair it did not; list it
-                slot = index.get(pair)
-                if slot is None:
-                    index[pair] = wid
-                elif type(slot) is int:
-                    if slot != wid:
-                        index[pair] = [slot, wid]
-                elif slot[-1] != wid:
-                    slot.append(wid)
-            elif not d:  # a new pair cancelled an old one
-                continue
-            for li, cnt in entries:
-                table = changed[li]
-                table[pair] = table.get(pair, 0) + d * cnt
     # With a == b, as in "aaa", a replacement's neighbours count (a, b) too.
     for table in changed:
-        table.pop((a, b), None)
+        table.pop(pair, None)
     return changed, rewritten, repl, dev_repl
 
 

@@ -14,6 +14,7 @@ steps and applies and logs every merge.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -51,12 +52,21 @@ class ParityConfig:
             raise ConfigError(
                 f"global merges must be in [0, {self.total_merges}], got {self.global_merges}"
             )
-        if not 0 <= self.window_size <= sys.maxsize:
-            raise ConfigError(f"window size must be in [0, {sys.maxsize}], got {self.window_size}")
-        if not math.isfinite(self.alpha):
-            raise ConfigError(f"alpha must be finite, got {self.alpha!r}")
-        if not self.alpha > 0:
-            raise ConfigError(f"alpha must be > 0, got {self.alpha!r}")
+        window, alpha = self.window_size, self.alpha
+        if isinstance(window, bool) or not isinstance(window, int):
+            raise ConfigError(f"window size must be an integer, got {window!r}")
+        if not 0 <= window <= sys.maxsize:
+            raise ConfigError(f"window size must be in [0, {sys.maxsize}], got {window}")
+        if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
+            raise ConfigError(f"alpha must be a real number, got {alpha!r}")
+        try:
+            finite = math.isfinite(alpha)
+        except OverflowError:  # an int too large for a float
+            finite = False
+        if not finite:
+            raise ConfigError(f"alpha must be finite, got {alpha!r}")
+        if not alpha > 0:
+            raise ConfigError(f"alpha must be > 0, got {alpha!r}")
 
 
 @dataclass

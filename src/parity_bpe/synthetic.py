@@ -40,6 +40,7 @@ _ALPHABET_SIZE = 13
 MAX_VOCAB_SIZE = 10**6
 MAX_DEV_LINES = 10**6
 MAX_TRAIN_BYTES = 10**10
+MAX_WORDS_PER_LINE = 10**4  # a line draws its words in one list
 
 
 @dataclass
@@ -146,6 +147,8 @@ class SyntheticSpec:
             and all(isinstance(v, int) for v in pair) and 1 <= pair[0] <= pair[1]
         ):
             raise ConfigError("words_per_line must be a (low, high) pair with 1 <= low <= high")
+        if pair[1] > MAX_WORDS_PER_LINE:
+            raise ConfigError(f"words_per_line must be at most {MAX_WORDS_PER_LINE}")
         exponent = self.zipf_exponent
         cum = None
         try:  # json.loads reads NaN and Infinity; a huge exponent overflows a weight

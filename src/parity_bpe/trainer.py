@@ -1,30 +1,23 @@
 """Greedy merge learning over a tokenized corpus.
 
 The trainer keeps every distinct pre-token of the training text and, for
-parity training, of the dev text once, as a token-id sequence in one store
-with one pair index. Each word carries sparse (language index, count)
-entries for each text, either possibly empty, and equal entry tuples are
-shared. The pair index lists, for each pair, the ids of the words that
-hold it: a bare id while one word is listed, a list of ids once two are. An
-id is added when a word gains the pair and never removed, so a slot may
-also name a word that has lost the pair, or name a word twice. A merge is
-one ``TrainerState.apply``: one ``_kernels.merge_and_deltas`` call, which
-visits the listed words, skips those that no longer hold the pair and
-rewrites the others, then one pass over the pair-count deltas it returns.
-Adjacent-pair counts come from the training entries only and are maintained
-incrementally, from the pairs beside each replacement only, in one table per
-language that holds only the pairs occurring in it: a merge touches the
-tables of the languages its words occur in. The summed table of global
-selection is derived from them on its first use and kept from then on.
+parity training, of the dev text once, as a str of token codes, in one store
+with one index keyed by pair codes (``_WordStore``). A merge is one
+``TrainerState.apply``: one ``_kernels.merge_and_deltas`` call, which visits
+the words listed under the pair, skips those that no longer hold it and
+rewrites the others with C-level str operations, then one pass over the
+pair-count deltas it returns. Pair counts come from the training text only
+and are kept incrementally, from the pairs beside each replacement, in one
+table per language: a merge touches the tables of the languages its words
+occur in. The summed table of global selection is derived from them on its
+first use and kept from then on.
 
-Selection uses lazily-invalidated max-heaps keyed on (count, left bytes,
-right bytes), so ties break deterministically on the lexicographically
-smallest byte spans. Each heap is built on its first selection and keeps
-only counts of at least ``MIN_PAIR_COUNT``, the ones selection can pick.
-After that it is pushed only counts that grew, in the pass that updates
-the counts; an entry above a shrunk count is re-pushed at the live count
-when it reaches the top, as in Hugging Face ``tokenizers``' BPE trainer, so
-the picks are those of an exact heap.
+Selection uses lazily-invalidated max-heaps of (count, left bytes, right
+bytes) entries, so ties break on the smallest byte spans. A heap is built
+on its first selection with the counts of at least ``MIN_PAIR_COUNT``, then
+pushed only counts that grew; an entry above a shrunk count is re-pushed at
+the live count when it reaches the top, as in Hugging Face ``tokenizers``'
+BPE trainer, so the picks are those of an exact heap.
 
 ``run_merges`` is the one loop that selects, applies and logs merges, for
 every training mode: global steps first, then steps chosen by a picker.
@@ -50,6 +43,8 @@ from .tokenizer import TokenizerModel, escape_token, unescape_token
 
 # Pairs occurring once are never merged; they cannot compress held-out text.
 MIN_PAIR_COUNT = 2
+# A merge's id is at most 255 plus the merges before it (1,113,600 merges).
+MAX_MERGES = _kernels.MAX_TOKEN_ID - 255
 
 
 @dataclass
@@ -177,40 +172,33 @@ class LogWriter:
 class _WordStore:
     """Each distinct training or dev pre-token once, in byte order, with one pair index.
 
+    ``words[word_id]`` is the word as a str of token codes (``_kernels``).
     ``counts[word_id]`` is a tuple of ``(lang_index, count)`` training
-    entries, one per language the word occurs in, in language order, and
-    ``dev_counts[word_id]`` the dev entries (``dev_counts`` is None without a
-    dev set); either may be empty, and equal tuples are one shared object.
-    Most words occur in one language, so the per-word loops run once per
-    entry, not once per language. ``index[pair]`` names every word holding
-    the pair: a bare word id while it names one word, since most pairs occur
-    in one word, and a list of ids once it names two. It may also name a
-    word that has since lost the pair, or name a word twice: ids are
-    appended when a merge gives a word a pair and never removed. That is
-    safe because a visit without an ``(a, b)`` changes nothing, and after
-    one visit a word holds no ``(a, b)``, so a stale or repeated id only
-    costs a membership test; counts and totals come from the replacements
-    alone. ``lang_counts[lang_index]`` maps each pair to its occurrence count
-    in that language, weighted by training multiplicity, and holds only
-    positive counts: a pair is in the tables of the languages it occurs in,
-    and leaves a table when its count there reaches zero. A dev-only word
-    adds to no table. ``total_counts`` is the summed table, None until the
-    global heap is first built; from then on it is kept beside the language
-    tables. The values are ints, which the cyclic garbage collector never
-    tracks. ``token_totals`` and ``dev_totals`` are the per-language token
-    totals of the two texts and shrink by one per replacement. The store
-    holds data only: ``TrainerState.apply`` updates it, through one
-    ``_kernels.merge_and_deltas`` call and one pass over the deltas.
+    entries, one per language the word occurs in, and ``dev_counts[word_id]``
+    the dev entries (None without a dev set); either may be empty, and equal
+    tuples are one shared object, so per-word loops run once per entry.
+    ``index[key]`` names every word holding the pair whose code str is
+    ``key``: a bare word id while it names one word, as for most pairs, and a
+    list of ids once it names two. Ids are added when a merge gives a word a
+    pair and never removed, so a slot may name a word that has lost the
+    pair, in a later merge or in the same one, or name a word twice: a visit
+    to a word without the pair changes nothing. ``lang_counts[lang_index]``
+    maps each pair key to its positive count in that language, weighted by
+    training multiplicity; a dev-only word adds to no table. ``total_counts``
+    is the summed table, None until the global heap is first built and kept
+    up from then on. The counts are ints, which the cyclic garbage collector
+    never tracks. ``token_totals`` and ``dev_totals`` are the per-language
+    token totals of the two texts. ``TrainerState.apply`` updates the store.
     """
 
     def __init__(self, n_langs: int, with_dev: bool):
         self.n_langs = n_langs
-        self.words: list[tuple[int, ...]] = []
+        self.words: list[str] = []
         self.counts: list[tuple[tuple[int, int], ...]] = []
         self.dev_counts: list[tuple[tuple[int, int], ...]] | None = [] if with_dev else None
-        self.index: dict[tuple[int, int], int | list[int]] = {}
-        self.lang_counts: list[dict[tuple[int, int], int]] = [{} for _ in range(n_langs)]
-        self.total_counts: dict[tuple[int, int], int] | None = None
+        self.index: dict[str, int | list[int]] = {}
+        self.lang_counts: list[dict[str, int]] = [{} for _ in range(n_langs)]
+        self.total_counts: dict[str, int] | None = None
         self.token_totals = [0] * n_langs
         self.dev_totals: list[int] | None = [0] * n_langs if with_dev else None
 
@@ -223,9 +211,9 @@ class _WordStore:
         """
         dense: dict = {}
         for li, table in enumerate(self.lang_counts):
-            for pair, count in table.items():
-                dense.setdefault(pair, [0] * self.n_langs)[li] = count
-        return {pair: tuple(vec) for pair, vec in dense.items()}
+            for key, count in table.items():
+                dense.setdefault(key, [0] * self.n_langs)[li] = count
+        return {_kernels.token_ids(key): tuple(vec) for key, vec in dense.items()}
 
 
 def _add_counts(acc: dict, counts: dict) -> None:
@@ -297,11 +285,12 @@ class TrainerState:
         index_get = index.get
         tables = store.lang_counts
         token_totals, dev_totals = store.token_totals, store.dev_totals
+        codes = _kernels.BYTE_CODES
         for wid, word in enumerate(sorted(train)):
-            tokens = tuple(word)
-            n = len(tokens)
+            text = word.decode("latin-1").translate(codes)
+            n = len(text)
             entries = train[word]
-            words.append(tokens)
+            words.append(text)
             counts.append(entries)
             for li, c in entries:
                 token_totals[li] += n * c
@@ -310,7 +299,8 @@ class TrainerState:
                 dev_counts.append(dev_entries)
                 for li, c in dev_entries:
                     dev_totals[li] += n * c
-            for pair in zip(word, word[1:]):  # byte values are the initial ids
+            for i in range(n - 1):
+                pair = text[i : i + 2]
                 slot = index_get(pair)
                 if slot is None:
                     index[pair] = wid
@@ -326,10 +316,10 @@ class TrainerState:
     def _build_heap(self, heap: list, table: dict) -> None:
         """Fill an empty heap with one entry per pair of ``table`` that selection could pick."""
         vocab = self.vocab
-        least = MIN_PAIR_COUNT
-        for (a, b), count in table.items():
+        least, offset = MIN_PAIR_COUNT, _kernels.CODE_OFFSET
+        for key, count in table.items():
             if count >= least:
-                heap.append((-count, vocab[a], vocab[b], a, b))
+                heap.append((-count, vocab[ord(key[0]) - offset], vocab[ord(key[1]) - offset]))
         heapq.heapify(heap)
 
     def _select(self, heap, table: dict):
@@ -339,16 +329,19 @@ class TrainerState:
         growth is pushed, a shrunk count keeps its higher entry, and a popped
         entry above a selectable live count is re-pushed at it. So no entry
         below its live count reaches the top, and as keys are unique per pair,
-        an entry at its live count outranks every other pair's live key.
+        an entry at its live count outranks every other pair's live key. The
+        pair's ids are the first ids of its byte spans, those its words hold.
         """
         get = table.get
+        first_id = self.first_id
         while heap:
-            negc, lb, rb, a, b = heapq.heappop(heap)
-            current = get((a, b), 0)
+            negc, lb, rb = heapq.heappop(heap)
+            pair = first_id[lb], first_id[rb]
+            current = get(_kernels.token_codes(pair), 0)
             if current == -negc:
-                return (a, b), current
+                return pair, current
             if MIN_PAIR_COUNT <= current < -negc:
-                heapq.heappush(heap, (-current, lb, rb, a, b))
+                heapq.heappush(heap, (-current, lb, rb))
         return None
 
     def select_global(self):
@@ -372,16 +365,13 @@ class TrainerState:
         return self._select(self.lang_heaps[li], table)
 
     def apply(self, pair: tuple[int, int]) -> list[int]:
-        """Record the merge, replace it in every word, and update counts and heaps.
+        """Record the merge of an id pair, replace it in every word, update counts and heaps.
 
-        No (a, b) is left afterwards, and none can form again, so its index
-        slot and counts go first. The kernel returns one delta table per
-        language; one loop over each adds its deltas to that language's
-        counts (removing a pair whose count reaches zero) and pushes each
-        selectable count that grew into the language's heap, if built. Once
-        the global heap is built, the summed deltas update the summed table
-        and heap the same way. Returns the per-language replacement counts in
-        the training text.
+        No (a, b) is left afterwards, and none can form again, so the index
+        slot and counts of its key go first. The kernel returns one delta
+        table per language; each updates its language's counts and built
+        heap, and once the global heap is built, their sum updates the summed
+        table and heap. Returns the per-language training replacements.
         """
         a, b = pair
         vocab = self.vocab
@@ -396,14 +386,15 @@ class TrainerState:
         self.merges.append(byte_pair)
 
         store = self.train
-        listed = store.index.pop((a, b), ())
+        key = _kernels.token_codes(pair)
+        listed = store.index.pop(key, ())
         if type(listed) is int:
             listed = (listed,)
         for table in store.lang_counts:
-            table.pop((a, b), None)
+            table.pop(key, None)
         total = store.total_counts
         if total is not None:
-            total.pop((a, b), None)
+            total.pop(key, None)
         changed, _, repl, dev_repl = _kernels.merge_and_deltas(store, listed, a, b, canonical)
         # in place: run_merges holds these lists as its reference totals
         store.token_totals[:] = map(sub, store.token_totals, repl)
@@ -428,7 +419,7 @@ class TrainerState:
     def _add_deltas(self, table: dict, deltas: dict, heap: list | None) -> None:
         """Add count deltas to a count table, pushing each selectable count that grew."""
         vocab = self.vocab
-        least = MIN_PAIR_COUNT
+        least, offset = MIN_PAIR_COUNT, _kernels.CODE_OFFSET
         push = heapq.heappush
         get = table.get
         for key, d in deltas.items():
@@ -440,8 +431,7 @@ class TrainerState:
             else:
                 del table[key]
             if d > 0 and heap is not None and count >= least:
-                x, y = key
-                push(heap, (-count, vocab[x], vocab[y], x, y))
+                push(heap, (-count, vocab[ord(key[0]) - offset], vocab[ord(key[1]) - offset]))
 
     def to_model(self) -> TokenizerModel:
         return TokenizerModel(list(self.merges))
@@ -504,9 +494,12 @@ def run_merges(
 
 
 def check_merge_budget(num_merges: int) -> None:
-    """The one rule for a merge budget, in every training mode: at least 0."""
+    """The one rule for a merge budget, in every training mode: at least 0, and at
+    most ``MAX_MERGES``, so that every id has a code point (``_kernels.CODE_OFFSET``)."""
     if num_merges < 0:
         raise ConfigError(f"merge budget must be >= 0, got {num_merges}")
+    if num_merges > MAX_MERGES:
+        raise ConfigError(f"merge budget must be at most {MAX_MERGES}, got {num_merges}")
 
 
 def train_classical(

@@ -15,9 +15,10 @@ except the two per-line ``encode`` formatters, which format a whole line's
 pre-token once; and the per-line ``decode``, which parses and checks each
 field, as the CLI did before it looked fields up in ``text_spans``.
 
-``listed_ids``, ``global_pair_counts``, ``lang_pair_counts`` and
-``tokenized_words`` are not oracles but views: they read a trainer state's
-store by byte spans, so tests can compare it with the recounts above.
+``store_ids``, ``listed_ids``, ``global_pair_counts``, ``lang_pair_counts``
+and ``tokenized_words`` are not oracles but views: they read a trainer
+state's store by token ids or byte spans, so tests can compare it with the
+recounts above.
 """
 
 import hashlib
@@ -44,6 +45,7 @@ from parity_bpe import (
     renyi_entropy,
     unit_length,
 )
+from parity_bpe import _kernels
 from parity_bpe.corpus import char_count
 from parity_bpe.metrics import RENYI_ALPHA_DEFAULT, CompressionRates
 from parity_bpe.tokenizer import escape_token, unescape_token
@@ -110,8 +112,21 @@ def sliding_pair_counts(words) -> Counter:
     return counts
 
 
+def store_ids(value):
+    """A trainer store's code strs as token ids: a word or pair key becomes
+    its id tuple, a dict keyed by pair keys (the pair index, a count or
+    delta table) the same dict keyed by id pairs, and a list its items so.
+    """
+    if isinstance(value, str):
+        return _kernels.token_ids(value)
+    if isinstance(value, dict):
+        return {store_ids(key): item for key, item in value.items()}
+    return [store_ids(item) for item in value]
+
+
 def listed_ids(index, pair) -> list[int]:
-    """The word ids a trainer pair index lists under ``pair``, in order.
+    """The word ids a trainer pair index, keyed by id pairs (``store_ids``),
+    lists under ``pair``, in order.
 
     A slot is a bare id while it names one word and a list of ids after.
     """
@@ -144,7 +159,7 @@ def tokenized_words(state, dev: bool = False):
     entries_of = store.dev_counts if dev else store.counts
     return [
         (tuple(state.vocab[t] for t in tokens), {state.langs[li]: c for li, c in entries if c})
-        for tokens, entries in zip(store.words, entries_of)
+        for tokens, entries in zip(store_ids(store.words), entries_of)
         if entries
     ]
 

@@ -23,7 +23,7 @@ from parity_bpe import (
 )
 
 from .conftest import MERGE_BUDGET
-from .oracles import audit_selection_windows, greedy_steps, pairwise_gini
+from .oracles import audit_selection_windows, greedy_steps, pairwise_gini, store_ids
 
 
 @contextlib.contextmanager
@@ -87,7 +87,7 @@ def test_criterion_4_incremental_consistency(corpus, dev):
             # dev-only word has none and adds to no training count), compared
             # as the store keeps it: one tuple of per-language counts per pair
             recount = {}
-            for tokens, entries in zip(state.train.words, state.train.counts):
+            for tokens, entries in zip(store_ids(state.train.words), state.train.counts):
                 if not entries:
                     continue
                 for i in range(len(tokens) - 1):

@@ -29,7 +29,7 @@ from parity_bpe import (
     load_parallel_dev,
     pretokenize,
 )
-from parity_bpe import cli, synthetic, tokenizer
+from parity_bpe import cli, synthetic, tokenizer, trainer
 from parity_bpe.cli import main
 from parity_bpe.tokenizer import escape_token
 from parity_bpe.trainer import LogWriter
@@ -63,6 +63,9 @@ BAD_INPUT_FILES = {
     "config_both_modes.json": json.dumps({"classical": True, "parity": True}),
     "spec_words_per_line_zero.json": json.dumps(
         {"proportions": [1], "languages": ["aa"], "words_per_line": [0, 3]}
+    ),
+    "spec_words_per_line_huge.json": json.dumps(
+        {"proportions": [1], "languages": ["aa"], "words_per_line": [1, 10**12]}
     ),
     "deep.json": "[" * 100_000,
     "deep_record.jsonl": "[" * 200_000 + "]" * 200_000 + "\n",
@@ -165,6 +168,11 @@ BAD_INPUT_ARGV = {
     "synth-train-bytes-over-ceiling":
         _SYNTH + ["--train-bytes", str(synthetic.MAX_TRAIN_BYTES + 1)],
     "synth-config-train-bytes-nan": _SYNTH + ["--config", "{tmp}/spec_train_bytes_nan.json"],
+    "synth-config-words-per-line-over-ceiling":
+        _SYNTH + ["--config", "{tmp}/spec_words_per_line_huge.json"],
+    # one merge above the code-point ceiling of the trainer's words
+    "train-merges-over-ceiling": _CLASSICAL_TRAIN[:2] + ["--merges", str(trainer.MAX_MERGES + 1)]
+    + _CLASSICAL_TRAIN[4:],
 }
 
 
@@ -494,6 +502,9 @@ class TestTrain:
         "flags, message",
         [
             (["--classical", "--merges", "-1"], "merge budget must be >= 0, got -1"),
+            (["--classical", "--merges", "1113601"], "merge budget must be at most 1113600"),
+            (["--parity", "--merges", "1113601", "--dev", "x"],
+             "merge budget must be at most 1113600"),
             (["--parity", "--window", "-1", "--merges", "5", "--dev", "x"],
              "window size must be in [0, "),
             (["--parity", "--alpha", "0", "--merges", "5", "--dev", "x"], "alpha must be > 0"),
@@ -1408,6 +1419,8 @@ class TestSynth:
         ("synth-train-bytes-over-ceiling",
          f"total_train_bytes must be at most {synthetic.MAX_TRAIN_BYTES}"),
         ("synth-config-train-bytes-nan", "total_train_bytes must be positive"),
+        ("synth-config-words-per-line-over-ceiling",
+         f"words_per_line must be at most {synthetic.MAX_WORDS_PER_LINE}"),
     ])
     def test_bad_spec_writes_nothing(self, name, message, tmp_path, capsys):
         for file_name, content in BAD_INPUT_FILES.items():

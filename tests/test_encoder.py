@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from parity_bpe import TokenizerModel, _kernels, pretokenize
 from parity_bpe.trainer import _WordStore
 
-from .oracles import replace_pair, replay_encode, rescan_encode_ids, sliding_pair_counts
+from .oracles import replace_pair, replay_encode, rescan_encode_ids, sliding_pair_counts, store_ids
 
 
 def test_overlapping_pairs_counted_positionally():
@@ -22,15 +22,21 @@ def _merge_in_store(tokens, a, b, c, n_langs, entries):
     """The training kernel on a store of one word with training ``entries``.
 
     Returns the word afterwards, the per-language replacement counts and
-    pair deltas, and the store's index, which starts empty, as the kernel
-    leaves them.
+    nonzero pair deltas, and the store's index, which starts empty, as the
+    kernel leaves them, by token ids (``store_ids``). A word the kernel does
+    not rewrite must keep its str.
     """
     store = _WordStore(n_langs, with_dev=False)
-    store.words.append(tokens)
+    store.words.append(_kernels.token_codes(tokens))
     store.counts.append(entries)
+    word = store.words[0]
     changed, rewritten, repl, _ = _kernels.merge_and_deltas(store, [0], a, b, c)
     assert rewritten == (max(repl) > 0)
-    return store.words[0], repl, changed, store.index
+    if not rewritten:
+        assert store.words[0] is word
+    # a delta of 0, a pair the word both gains and loses, changes no count
+    changed = [{pair: d for pair, d in deltas.items() if d} for deltas in store_ids(changed)]
+    return store_ids(store.words[0]), repl, changed, store_ids(store.index)
 
 
 def _merge_one_word(tokens, a, b, c):
@@ -54,7 +60,7 @@ def test_overlapping_merge_is_leftmost_nonoverlapping():
 def test_no_match_returns_input():
     for word in ((1, 2, 3), (7, 1, 8)):  # the second holds both ids, apart
         new, replaced, deltas, index = _merge_one_word(word, 7, 8, 9)
-        assert new is word and replaced == 0 and deltas == {} and index == {}
+        assert new == word and replaced == 0 and deltas == {} and index == {}
 
 
 def _recount_merge(tokens, a, b, c):
@@ -95,11 +101,9 @@ def test_merge_and_deltas_matches_recount(tokens, a, b, c, absent, counts):
     expected_new, expected_replaced, expected = _recount_merge(tokens, a, b, c)
     expected.pop((a, b), None)  # the store drops the merged pair's counts
     assert (new, replaced, deltas) == (expected_new, expected_replaced, expected)
-    if not replaced:
-        assert new is tokens
-    # the word is listed under each pair it gained
+    # the word is listed under each pair it gained, and under no pair it lacks
     gained = {pair for pair, d in expected.items() if d > 0}
-    assert set(index) - {(a, b)} == gained
+    assert gained <= set(index) - {(a, b)} <= set(zip(new, new[1:]))
     assert all(listed == 0 for listed in index.values())
 
     # in two languages, each language's deltas scale by its count, and the
@@ -192,3 +196,17 @@ def test_long_whitespace_free_pretoken_matches_replay(synth_dir, classical_run):
     assert len(text) == 4096 and len(pretokenize(text)) == 1
     small = TokenizerModel(list(model.merges[:150]))
     assert _queue_encode(small, text) == replay_encode(small.merges, text)
+
+
+def test_a_merge_into_an_id_the_word_holds_already():
+    """When the merged bytes already have an id, ``apply`` reuses it, and the
+    kernel may write an id the word holds: ``ab`` is 256 beside a lone a, b."""
+    ab, a, b = 256, ord("a"), ord("b")
+    word = (ab, a, b, ab, a, b)
+    new, replaced, deltas, index = _merge_one_word(word, a, b, ab)
+    assert (new, replaced) == ((ab,) * 4, 2)
+    before, after = sliding_pair_counts([(word, 1)]), sliding_pair_counts([(new, 1)])
+    expected = {pair: after[pair] - before[pair] for pair in before | after if pair != (a, b)}
+    assert deltas == {pair: d for pair, d in expected.items() if d}
+    assert deltas == {(ab, ab): 3, (ab, a): -2, (b, ab): -1}
+    assert index == {(ab, ab): 0}  # gained three times, listed once

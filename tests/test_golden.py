@@ -41,6 +41,11 @@ GOLDEN = {
         "0ab5df0d84ecda76e4a3abcfbe114ae109a36f0ec4f308106328dd117e92534f",
         "9c9c6b3edb005a9f170c3406cc1d7a24b6b7c3c23db3f76333b82749ec20e94b",
     ),
+    # the same merges as "parity", its log's compression rates in bytes
+    "parity_bytes": (
+        "0ab5df0d84ecda76e4a3abcfbe114ae109a36f0ec4f308106328dd117e92534f",
+        "24212f690be17a8b06ade262706c934a08f3818410ec5b4d1791952080c69da1",
+    ),
     "window": (
         "c3ac740daa6abc097bb290d31dd51cf6f3084f9df1bc17f04c726b005d98ce8f",
         "9a516d17dc91c153b0731421b43d9957d60e8284fbe0970b7ba191c89d7c1903",
@@ -54,6 +59,7 @@ CLI_FLAGS = {
     "hybrid": ["--parity", "--hybrid-split", "0.5", "--window", "0", "--dev", "{dev}"],
     "no_dev": ["--parity", "--no-dev", "--window", "20"],
     "parity": ["--parity", "--window", "0", "--dev", "{dev}"],
+    "parity_bytes": ["--parity", "--window", "0", "--unit", "bytes", "--dev", "{dev}"],
     "window": ["--parity", "--window", "6", "--alpha", "2", "--dev", "{dev}"],
 }
 
@@ -66,6 +72,12 @@ def no_dev_run(corpus):
         unit=NormUnit.BYTES,
     )
     return train_no_dev(corpus, config)
+
+
+@pytest.fixture(scope="module")
+def parity_bytes_run(corpus, dev):
+    config = ParityConfig(total_merges=MERGE_BUDGET, window_size=0, unit=NormUnit.BYTES)
+    return train_parity(corpus, dev, config)
 
 
 def _sha256(path) -> str:

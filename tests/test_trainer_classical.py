@@ -122,6 +122,14 @@ class TestTrainClassical:
         with pytest.raises(ConfigError):
             train_classical(corpus, -1)
 
+    def test_budget_ceiling(self):
+        """Every id of a budget up to 0x10FFFF - 511 merges has a code point."""
+        corpus = corpus_of({b"abab": 2})
+        with pytest.raises(ConfigError, match="must be at most 1113600"):
+            train_classical(corpus, 1_113_601)
+        model, log = train_classical(corpus, 1_113_600)  # stops when no pair is left
+        assert list(model.merges) == [(b"a", b"b"), (b"ab", b"ab")] and log.stopped_early
+
     def test_abab_trace(self):
         model, log = train_classical(corpus_of({b"abab": 2}), 2)
         assert list(model.merges) == [(b"a", b"b"), (b"ab", b"ab")]

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from itertools import product
 
@@ -67,6 +68,17 @@ class TestParityConfig:
                 LabeledCorpus.from_multisets({"aa": {b"abab": 2}}),
                 ParityConfig(total_merges=10, unit=NormUnit.LINES),
             )
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("window_size", 2.5, "window size must be an integer, got 2.5"),
+        ("window_size", True, "window size must be an integer, got True"),
+        ("alpha", True, "alpha must be a real number, got True"),
+        ("alpha", "2", "alpha must be a real number, got '2'"),
+        ("alpha", 10**400, "alpha must be finite"),
+    ])
+    def test_value_types_are_checked(self, field, value, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ParityConfig(total_merges=10, **{field: value}).validate()
 
     def test_quota_is_the_floor_of_the_exact_decimal(self):
         """alpha 1.4 with W 45 over 3 languages gives a limit of 21 picks; the

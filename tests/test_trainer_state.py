@@ -32,6 +32,7 @@ from .oracles import (
     listed_ids,
     replace_pair,
     sliding_pair_counts,
+    store_ids,
     tokenized_words,
 )
 
@@ -132,7 +133,8 @@ def _check(state, multisets, dev_multisets):
     _check_side(state, multisets, dev=False)
     _check_side(state, dev_multisets, dev=True)
     # each distinct pre-token of training and dev text is stored once, in byte order
-    stored = [b"".join(state.vocab[t] for t in tokens) for tokens in state.train.words]
+    words = store_ids(state.train.words)
+    stored = [b"".join(state.vocab[t] for t in tokens) for tokens in words]
     assert stored == sorted(set().union(*multisets.values(), *dev_multisets.values()))
     for heap in (state.global_heap, *state.lang_heaps):
         assert all(-entry[0] >= trainer.MIN_PAIR_COUNT for entry in heap)
@@ -141,17 +143,17 @@ def _check(state, multisets, dev_multisets):
     built += [(state.lang_heaps[li], state.train.lang_counts[li]) for li in state._built_langs]
     for heap, table in built:
         top = {}
-        for negc, _, _, a, b in heap:
-            top[a, b] = max(top.get((a, b), 0), -negc)
-        for pair, count in table.items():
+        for negc, left, right in heap:
+            top[left, right] = max(top.get((left, right), 0), -negc)
+        for (a, b), count in store_ids(table).items():
             if count >= trainer.MIN_PAIR_COUNT:
-                assert top.get(pair, 0) >= count
+                assert top.get((state.vocab[a], state.vocab[b]), 0) >= count
     # the index lists every word under each pair it holds, and names only words
-    index = state.train.index
-    for wid, tokens in enumerate(state.train.words):
+    index = store_ids(state.train.index)
+    for wid, tokens in enumerate(words):
         for pair in zip(tokens, tokens[1:]):
             assert wid in listed_ids(index, pair)
-    n_words = len(state.train.words)
+    n_words = len(words)
     assert all(0 <= wid < n_words for pair in index for wid in listed_ids(index, pair))
     _check_tables(state)
 
@@ -164,11 +166,11 @@ def _check_tables(state):
     for li, table in enumerate(store.lang_counts):
         words = [
             (tokens, count)
-            for tokens, entries in zip(store.words, store.counts)
+            for tokens, entries in zip(store_ids(store.words), store.counts)
             for lang, count in entries
             if lang == li
         ]
-        assert table == dict(sliding_pair_counts(words))
+        assert store_ids(table) == dict(sliding_pair_counts(words))
         assert all(count > 0 for count in table.values())
     if state._global_built:
         assert store.total_counts == dict(sum(map(Counter, store.lang_counts), Counter()))
@@ -219,14 +221,14 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     multisets = {"aa": {b"cab": 3, b"ab": 2, b"dca": 2}, "bb": {b"ca": 4}}
     dev_multisets = {"aa": {b"cab": 1, b"dca": 1}, "bb": {b"ca": 2}}
     state = TrainerState(LabeledCorpus.from_multisets(multisets), dev_words=dev_multisets)
-    words, index = state.train.words, state.train.index
+    words = state.train.words
     a, b, c, d = b"abcd"
-    cab, ca, dca = (words.index(tuple(w)) for w in (b"cab", b"ca", b"dca"))
+    cab, ca, dca = (store_ids(words).index(tuple(w)) for w in (b"cab", b"ca", b"dca"))
     state.apply((a, b))  # cab loses (c, a) and keeps c
     state.apply((d, c))  # dca loses (c, a) and keeps a
     ab, dc = state.first_id[b"ab"], state.first_id[b"dc"]
-    assert (words[cab], words[dca]) == ((c, ab), (dc, a))
-    assert {cab, ca, dca} <= set(listed_ids(index, (c, a)))
+    assert store_ids([words[cab], words[dca]]) == [(c, ab), (dc, a)]
+    assert {cab, ca, dca} <= set(listed_ids(store_ids(state.train.index), (c, a)))
     _check(state, multisets, dev_multisets)
 
     calls = []
@@ -242,7 +244,7 @@ def test_stale_index_entries_are_skipped(monkeypatch):
     assert state.apply((c, a)) == [0, 4]
     assert calls == [(sorted([cab, ca, dca]), 1)]  # one call; it rewrote only ca
     assert words[cab] is stale[0] and words[dca] is stale[1]
-    assert (words[cab], words[dca]) == ((c, ab), (dc, a))
+    assert store_ids([words[cab], words[dca]]) == [(c, ab), (dc, a)]
     _check(state, multisets, dev_multisets)
 
 
@@ -286,7 +288,7 @@ def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
 def _state_of(*words):
     """A one-language trainer state of ``words``, each counted once, and each word's id."""
     state = TrainerState(LabeledCorpus.from_multisets({"aa": {w: 1 for w in words}}))
-    ids = {w: state.train.words.index(tuple(w)) for w in words}
+    ids = {w: store_ids(state.train.words).index(tuple(w)) for w in words}
     return state, ids
 
 
@@ -295,7 +297,8 @@ def test_a_stale_bare_id_is_skipped(monkeypatch):
     store = state.train
     a, b, c = b"abc"
     state.apply((a, b))  # the word loses (c, a) and stays listed under it
-    assert store.index[(c, a)] == ids[b"cab"] and (c, a) not in store.lang_counts[0]
+    assert store_ids(store.index)[(c, a)] == ids[b"cab"]
+    assert (c, a) not in store_ids(store.lang_counts[0])
     word = store.words[ids[b"cab"]]
     calls = []
     merge_and_deltas = _kernels.merge_and_deltas
@@ -308,7 +311,7 @@ def test_a_stale_bare_id_is_skipped(monkeypatch):
     monkeypatch.setattr(_kernels, "merge_and_deltas", record)
     assert state.apply((c, a)) == [0]
     assert calls == [((ids[b"cab"],), [{}])]  # one visit, no deltas
-    assert store.words[ids[b"cab"]] is word and (c, a) not in store.index
+    assert store.words[ids[b"cab"]] is word and (c, a) not in store_ids(store.index)
 
 
 def test_a_word_gaining_a_pair_twice_stays_a_bare_id():
@@ -317,33 +320,51 @@ def test_a_word_gaining_a_pair_twice_stays_a_bare_id():
     state, ids = _state_of(b"ccabc")
     store = state.train
     a, b, c = b"abc"
-    assert store.index[(c, c)] == ids[b"ccabc"]
-    assert store.lang_counts == [{(c, c): 1, (c, a): 1, (a, b): 1, (b, c): 1}]
+    assert store_ids(store.index)[(c, c)] == ids[b"ccabc"]
+    assert store_ids(store.lang_counts) == [{(c, c): 1, (c, a): 1, (a, b): 1, (b, c): 1}]
     changed, _, repl, _ = _kernels.merge_and_deltas(store, (ids[b"ccabc"],), a, b, c)
-    assert store.words[ids[b"ccabc"]] == (c, c, c, c) and repl == [1]
-    assert store.index[(c, c)] == ids[b"ccabc"]
+    assert store_ids(store.words[ids[b"ccabc"]]) == (c, c, c, c) and repl == [1]
+    assert store_ids(store.index)[(c, c)] == ids[b"ccabc"]
     # folded into the counts above, with (a, b) gone: [{(c, c): 3}]
-    assert changed == [{(c, c): 2, (c, a): -1, (b, c): -1}]
+    assert store_ids(changed) == [{(c, c): 2, (c, a): -1, (b, c): -1}]
 
 
 def test_a_second_word_turns_the_slot_into_a_list():
     state, ids = _state_of(b"xab", b"xabab")
     store = state.train
     a, b, x = b"abx"
-    assert store.index[(a, b)] == [ids[b"xab"], ids[b"xabab"]]
-    assert store.index[(b, a)] == ids[b"xabab"]
+    assert store_ids(store.index)[(a, b)] == [ids[b"xab"], ids[b"xabab"]]
+    assert store_ids(store.index)[(b, a)] == ids[b"xabab"]
     state.apply((a, b))
-    assert store.index[(x, 256)] == [ids[b"xab"], ids[b"xabab"]]
-    assert store.index[(256, 256)] == ids[b"xabab"]
-    assert store.lang_counts == [{(x, 256): 2, (256, 256): 1}]
+    assert store_ids(store.index)[(x, 256)] == [ids[b"xab"], ids[b"xabab"]]
+    assert store_ids(store.index)[(256, 256)] == ids[b"xabab"]
+    assert store_ids(store.lang_counts) == [{(x, 256): 2, (256, 256): 1}]
 
 
 def test_a_run_of_a_equal_pair_leaves_no_count_of_it():
     state, ids = _state_of(b"aaa")
     store = state.train
     a = ord("a")
-    assert store.lang_counts == [{(a, a): 2}] and store.index == {(a, a): ids[b"aaa"]}
+    assert store_ids(store.lang_counts) == [{(a, a): 2}]
+    assert store_ids(store.index) == {(a, a): ids[b"aaa"]}
     state.apply((a, a))
-    assert store.words[ids[b"aaa"]] == (256, a)
-    assert store.lang_counts == [{(256, a): 1}]
-    assert store.index == {(256, a): ids[b"aaa"]}
+    assert store_ids(store.words[ids[b"aaa"]]) == (256, a)
+    assert store_ids(store.lang_counts) == [{(256, a): 1}]
+    assert store_ids(store.index) == {(256, a): ids[b"aaa"]}
+
+
+def test_runs_of_an_equal_pair_of_even_and_odd_length():
+    """An even run of a merges whole, an odd run leaves its last a."""
+    state, ids = _state_of(b"aaaa", b"xaaaaax")
+    store = state.train
+    a, x = b"ax"
+    assert store_ids(store.lang_counts) == [{(a, a): 7, (x, a): 1, (a, x): 1}]
+    _check_tables(state)
+    assert state.apply((a, a)) == [2 + 2]
+    assert store_ids([store.words[ids[b"aaaa"]], store.words[ids[b"xaaaaax"]]]) == [
+        (256, 256), (x, 256, 256, a, x)]
+    assert store_ids(store.lang_counts) == [{(256, 256): 2, (x, 256): 1, (256, a): 1, (a, x): 1}]
+    _check_tables(state)
+    index = store_ids(store.index)
+    assert listed_ids(index, (256, 256)) == [ids[b"aaaa"], ids[b"xaaaaax"]]
+    assert index[(x, 256)] == index[(256, a)] == ids[b"xaaaaax"]
