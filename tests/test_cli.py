@@ -502,13 +502,13 @@ class TestTrain:
         "flags, message",
         [
             (["--classical", "--merges", "-1"], "merge budget must be >= 0, got -1"),
-            (["--classical", "--merges", "1113601"], "merge budget must be at most 1113600"),
-            (["--parity", "--merges", "1113601", "--dev", "x"],
-             "merge budget must be at most 1113600"),
             (["--parity", "--window", "-1", "--merges", "5", "--dev", "x"],
              "window size must be in [0, "),
             (["--parity", "--alpha", "0", "--merges", "5", "--dev", "x"], "alpha must be > 0"),
             (["--parity", "--merges", "5"], "--dev is required"),
+            (["--classical", "--merges", "1113601"], "merge budget must be at most 1113600"),
+            (["--parity", "--merges", "1113601", "--dev", "x"],
+             "merge budget must be at most 1113600"),
         ],
     )
     def test_usage_checked_before_corpus(self, tmp_path, flags, message, capsys):
