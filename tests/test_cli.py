@@ -7,8 +7,10 @@ import os
 import random
 import shutil
 import stat
+import tempfile
 import weakref
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -34,7 +36,15 @@ from parity_bpe.cli import main
 from parity_bpe.tokenizer import escape_token
 from parity_bpe.trainer import LogWriter
 
-from .oracles import decode_line, ids_line, tokens_line
+from .oracles import (
+    decode_line,
+    greedy_steps,
+    ids_line,
+    naive_parity_steps,
+    per_line_load_labeled_corpus,
+    tokens_line,
+)
+from .test_trainer_parity import parity_cases
 
 EXAMPLE_MODEL = "parity-bpe v1\nmerges:\nb\ta\nba\tb\n"
 NON_BYTE_UNITS = ("lines", "chars", "words")
@@ -581,6 +591,115 @@ class TestTrain:
                     "--model-out", tmp_path / "m.bpe",
                     "--config", configs[0], f"--config={configs[1]}"]) == 0
         assert len(TokenizerModel.load(tmp_path / "m.bpe").merges) == 9
+
+
+# A --config value for a flag that argv gives too: each is invalid, so a
+# run that let the file win over the command line would fail.
+_DECOYS = {"--merges": -1, "--window": -1, "--alpha": 0, "--hybrid-split": 2,
+           "--limit-per-language": 0}
+_SPLITS = [0.0, 0.25, 0.29, 1 / 3, 0.5, 0.7, 1.0]
+
+
+@st.composite
+def _train_runs(draw):
+    """A drawn parity case as ``train`` input: its mode switches, and each
+    given flag with its value and place (argv, the --config file, or both)."""
+    corpus, dev_lines, config, no_dev = draw(parity_cases())
+    mode = "no-dev" if no_dev else draw(st.sampled_from(["classical", "parity"]))
+    flags = {"--merges": config.total_merges,
+             "--limit-per-language": draw(st.sampled_from([None, 1, 2, 3]))}
+    if mode == "classical":
+        flags["--unit"] = draw(st.sampled_from([None, "bytes"]))
+    else:
+        flags.update({"--window": draw(st.none() | st.just(config.window_size)),
+                      "--alpha": draw(st.none() | st.just(config.alpha)),
+                      "--hybrid-split": draw(st.none() | st.sampled_from(_SPLITS)),
+                      "--unit": draw(st.none() | st.just(config.unit.value))})
+    places = {flag: draw(st.sampled_from(["argv", "config", "both"] if flag in _DECOYS
+                                         else ["argv", "config"]))
+              for flag, value in flags.items() if value is not None}
+    switches = {"classical": ["--classical"], "parity": ["--parity"],
+                "no-dev": ["--parity", "--no-dev"]}[mode]
+    places.update((switch, draw(st.sampled_from(["argv", "config"]))) for switch in switches)
+    return corpus, dev_lines, mode, flags, places
+
+
+def _write_train_run(root: Path, corpus, dev_lines, flags, places) -> list:
+    """Write the corpus as a manifest, JSONL and dev files under ``root``;
+    return the argv of the run, its --config file written beside them."""
+    (root / "train").mkdir()
+    (root / "dev").mkdir()
+    entries = []
+    for lang in corpus.languages:
+        records = [json.dumps({"text": word.decode(), "lang": lang}) + "\n"
+                   for word, count in corpus.per_language[lang].items() for _ in range(count)]
+        (root / "train" / f"{lang}.jsonl").write_text("".join(records))
+        (root / "dev" / f"{lang}.txt").write_bytes(b"".join(l + b"\n" for l in dev_lines[lang]))
+        entries.append({"lang": lang, "path": f"train/{lang}.jsonl"})
+    (root / "dev" / "zz.txt").write_bytes(b"ab\nab\nab\nab\n")  # not a training language
+    (root / "manifest.json").write_text(json.dumps({"languages": entries}))
+    argv, config = ["train"], {}
+    for flag, place in places.items():
+        value = flags.get(flag, True)  # a mode switch is True
+        if place in ("config", "both"):
+            config[flag[2:]] = _DECOYS[flag] if place == "both" else value
+        if place in ("argv", "both"):
+            argv += [flag] if value is True else [flag, str(value)]
+    if config:
+        (root / "run.json").write_text(json.dumps(config))
+        argv += ["--config", root / "run.json"]
+    return argv + ["--corpus", root / "manifest.json", "--model-out", root / "m.bpe"]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_train_runs())
+def test_train_matches_the_oracles(case, tmp_path, capsys):
+    """``train`` from files, argv and --config gives the log, model and meta
+    config of the brute-force trainer on the corpus as read line by line."""
+    corpus, dev_lines, mode, flags, places = case
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        root = Path(root)
+        argv = _write_train_run(root, corpus, dev_lines, flags, places)
+        dev_dir = None if mode != "parity" else root / "dev"
+        if dev_dir is not None:
+            argv += ["--dev", dev_dir]
+        capsys.readouterr()
+        code = run(argv)
+        assert (code, capsys.readouterr().err) == (0, "")
+
+        merges, limit = flags["--merges"], flags["--limit-per-language"]
+        train, _ = per_line_load_labeled_corpus(root / "manifest.json", limit)
+        split = 0.0 if flags.get("--hybrid-split") is None else flags["--hybrid-split"]
+        window = flags.get("--window")
+        alpha = flags.get("--alpha")
+        unit = flags["--unit"] or ("lines" if mode == "parity" else "bytes")
+        config = ParityConfig(merges, int(Fraction(str(split)) * merges),
+                              ParityConfig.window_size if window is None else window,
+                              ParityConfig.alpha if alpha is None else alpha, NormUnit(unit))
+        if mode == "classical":
+            summed = Counter()
+            for lang in train.languages:
+                summed.update(train.per_language[lang])
+            expected = [dict(step, dev_tokens=None) for step in naive_parity_steps(
+                train, None, ParityConfig(merges, merges, unit=NormUnit.BYTES), no_dev=True)]
+            assert greedy_steps(summed, merges) == [
+                (step["left"], step["right"], step["count"]) for step in expected]
+        else:
+            expected = naive_parity_steps(train, dev_lines, config, no_dev=mode == "no-dev")
+        log = TrainLog.from_jsonl(root / "m.bpe.log.jsonl")
+        assert [vars(step) for step in log] == expected
+        model = TokenizerModel.load(root / "m.bpe")
+        assert list(model.merges) == [(step["left"], step["right"]) for step in expected]
+        meta = json.loads((root / "m.bpe.meta.json").read_text())
+        assert meta["summary"]["stopped_early"] == (len(expected) < merges)
+        assert meta["config"] == {
+            "command": "train", "corpus": str(root / "manifest.json"), "merges": merges,
+            "mode": "classical" if mode == "classical" else "parity",
+            "no_dev": mode == "no-dev", "dev": dev_dir and str(dev_dir), "unit": unit,
+            "window": config.window_size, "alpha": config.alpha, "hybrid_split": split,
+            "limit_per_language": limit,
+        }
 
 
 class TestEncodeDecode:
