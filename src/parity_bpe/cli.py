@@ -19,7 +19,6 @@ import json
 import os
 import stat
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .corpus import (
@@ -34,7 +33,7 @@ from .metrics import RENYI_ALPHA_DEFAULT, check_renyi_order, full_report, load_g
 from .parity import CRTable, ParityConfig, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel, unescape_token
-from .trainer import LogWriter, check_merge_budget, train_classical
+from .trainer import LogWriter, train_classical
 
 
 def _digest_config(config: dict) -> str:
@@ -219,6 +218,9 @@ def _require(args, name: str):
 
 
 def cmd_train(args) -> int:
+    """Train from flags. Only the mode rules live here (which flags go with
+    --classical, --parity and --no-dev): the flags map to one ``ParityConfig``,
+    whose ``validate`` checks every value before any corpus file is read."""
     manifest = Path(_require(args, "corpus"))
     merges = _require(args, "merges")
     if not (args.classical or args.parity or args.no_dev):
@@ -226,36 +228,17 @@ def cmd_train(args) -> int:
     if args.classical and args.no_dev:
         raise ConfigError("--no-dev only applies to --parity")
     if args.classical:
-        parity_flags = {
-            "--window": args.window,
-            "--alpha": args.alpha,
-            "--hybrid-split": args.hybrid_split,
-            "--dev": args.dev,
-        }
-        given = [flag for flag, value in parity_flags.items() if value is not None]
+        parity_flags = [("--window", args.window), ("--alpha", args.alpha),
+                        ("--hybrid-split", args.hybrid_split), ("--dev", args.dev)]
+        given = [flag for flag, value in parity_flags if value is not None]
         if given:
             raise ConfigError(f"--classical takes no {', '.join(given)}")
     if args.no_dev and args.dev is not None:
         raise ConfigError("--no-dev takes no --dev")
-    # Parity-only flags get their defaults here, not from argparse, so that
-    # --classical can tell a given flag from an absent one; ParityConfig's
-    # field defaults are the one source of them.
-    window = ParityConfig.window_size if args.window is None else args.window
-    alpha = ParityConfig.alpha if args.alpha is None else args.alpha
-    hybrid_split = 0.0 if args.hybrid_split is None else args.hybrid_split
-    if not 0.0 <= hybrid_split <= 1.0:  # also false for nan
-        raise ConfigError(f"hybrid split must be in [0, 1], got {hybrid_split}")
     if args.limit_per_language is not None and args.limit_per_language < 1:
         raise ConfigError(f"--limit-per-language must be >= 1, got {args.limit_per_language}")
-    unit = args.unit
-    if args.classical or args.no_dev:
-        # both measure compression on the training corpus, which is in bytes
-        if unit not in (None, NormUnit.BYTES.value):
-            flag = "--classical" if args.classical else "--no-dev"
-            raise ConfigError(f"{flag} forces --unit bytes")
-        unit = NormUnit.BYTES.value
-    elif unit is None:
-        unit = ParityConfig.unit.value
+    if args.classical and args.unit not in (None, NormUnit.BYTES.value):
+        raise ConfigError("--classical forces --unit bytes")
 
     model_out = Path(args.model_out)
     log_out = Path(args.log_out) if args.log_out else Path(str(model_out) + ".log.jsonl")
@@ -264,20 +247,17 @@ def cmd_train(args) -> int:
     outputs = [("--model-out", model_out), ("--log-out", log_out), ("the meta file", meta_out)]
     _check_distinct(outputs, [("--corpus", manifest)])
 
-    # Every usage check runs before the corpus is read.
-    dev_dir = None
-    if args.classical:
-        check_merge_budget(merges)
-    else:
-        config = ParityConfig(
-            total_merges=merges,
-            global_merges=int(Fraction(str(hybrid_split)) * merges),
-            window_size=window,
-            alpha=alpha,
-            unit=NormUnit(unit),
-        )
-        config.validate()
-        dev_dir = None if args.no_dev else _require(args, "dev")
+    # The knobs' argparse defaults are None, so that --classical can tell a given
+    # flag from an absent one; an absent one takes ParityConfig's field default.
+    fields = {"window_size": args.window, "alpha": args.alpha,
+              "unit": None if args.unit is None else NormUnit(args.unit)}
+    fields = {name: value for name, value in fields.items() if value is not None}
+    if args.classical or args.no_dev:  # both measure compression on the training corpus
+        fields.setdefault("unit", NormUnit.BYTES)
+    hybrid_split = 0.0 if args.hybrid_split is None else args.hybrid_split
+    config = ParityConfig.hybrid(merges, hybrid_split, **fields)
+    config.validate(no_dev=args.no_dev)
+    dev_dir = None if args.classical or args.no_dev else _require(args, "dev")
 
     # The data files are known once the manifest is read, and checked before any is.
     declared = read_manifest(manifest)
@@ -288,13 +268,13 @@ def cmd_train(args) -> int:
     resolved = {
         "command": "train",
         "corpus": str(manifest),
-        "merges": merges,
+        "merges": config.total_merges,
         "mode": "classical" if args.classical else "parity",
         "no_dev": bool(args.no_dev),
         "dev": args.dev,
-        "unit": unit,
-        "window": window,
-        "alpha": alpha,
+        "unit": config.unit.value,
+        "window": config.window_size,
+        "alpha": config.alpha,
         "hybrid_split": hybrid_split,
         "limit_per_language": args.limit_per_language,
     }
@@ -324,14 +304,14 @@ def cmd_train(args) -> int:
     ):
         writer = LogWriter(log_fh)
         if args.classical:
-            model, log = train_classical(training_corpus(), merges, on_step=writer)
+            model, log = train_classical(training_corpus(), config.total_merges, on_step=writer)
         elif args.no_dev:
             model, log = train_no_dev(training_corpus(), config, on_step=writer)
         else:
             model, log = train_parity(training_corpus(), dev_corpus(), config, on_step=writer)
         # The trainer's final token totals are what encoding the reference
         # corpus with the model would give, so it is not encoded again.
-        summary_table = CRTable(NormUnit(unit), tuple(langs), log.unit_totals, log.token_totals)
+        summary_table = CRTable(config.unit, tuple(langs), log.unit_totals, log.token_totals)
         summary = {
             "merges_learned": len(model.merges),
             "stopped_early": log.stopped_early,

@@ -24,20 +24,19 @@ from itertools import chain
 from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, reference_unit_totals
 from .errors import ConfigError, CorpusError, DataError
 from .tokenizer import TokenizerModel
-from .trainer import TrainerState, TrainLog, check_merge_budget, run_merges
+from .trainer import TrainerState, TrainLog, check_int, check_merge_budget, run_merges
 
 
 @dataclass
 class ParityConfig:
-    """Knobs for min-max training.
+    """Knobs for min-max training, each with its rules in ``validate``.
 
     ``global_merges`` is the hybrid prelude length (0 for pure parity
-    training). ``window_size`` W and ``alpha`` bound how often one language
-    is picked: a language already holding ``floor(alpha * W / L)`` of the last
-    W parity picks (L languages, ``alpha`` read as the decimal it prints as)
-    ranks after every other; W 0 disables the bound. ``train_no_dev``
-    measures compression rates on the training corpus, so it requires the
-    bytes ``unit``.
+    training; ``hybrid`` sets it from a share of the budget). ``window_size``
+    W and ``alpha`` bound how often one language is picked: a language
+    already holding ``floor(alpha * W / L)`` of the last W parity picks (L
+    languages, ``alpha`` read as the decimal it prints as) ranks after every
+    other; W 0 disables the bound. ``unit`` measures the compression rates.
     """
 
     total_merges: int
@@ -46,27 +45,37 @@ class ParityConfig:
     alpha: float = 2.0
     unit: NormUnit = NormUnit.LINES
 
-    def validate(self) -> None:
-        check_merge_budget(self.total_merges)
-        if not 0 <= self.global_merges <= self.total_merges:
-            raise ConfigError(
-                f"global merges must be in [0, {self.total_merges}], got {self.global_merges}"
-            )
-        window, alpha = self.window_size, self.alpha
-        if isinstance(window, bool) or not isinstance(window, int):
-            raise ConfigError(f"window size must be an integer, got {window!r}")
+    @classmethod
+    def hybrid(cls, total_merges: int, split: float, **fields) -> "ParityConfig":
+        """A config whose global merges are ``split`` (in [0, 1]) of ``total_merges``:
+        the floor of the exact product with the decimal ``split`` prints as, so
+        0.29 of 100 is 29 (the float product 28.999... would give 28)."""
+        if isinstance(split, bool) or not isinstance(split, numbers.Real) or not 0 <= split <= 1:
+            raise ConfigError(f"hybrid split must be in [0, 1], got {split!r}")  # nan too
+        check_merge_budget(total_merges)
+        return cls(total_merges, int(Fraction(str(split)) * total_merges), **fields)
+
+    def validate(self, no_dev: bool = False) -> None:
+        """Raise ``ConfigError`` for the first field of a bad type or value. ``no_dev``
+        (``train_no_dev``, which measures the training corpus) requires bytes."""
+        total, window, alpha = self.total_merges, self.window_size, self.alpha
+        check_merge_budget(total)
+        check_int(self.global_merges, "global merges")
+        if not 0 <= self.global_merges <= total:
+            raise ConfigError(f"global merges must be in [0, {total}], got {self.global_merges}")
+        check_int(window, "window size")
         if not 0 <= window <= sys.maxsize:
             raise ConfigError(f"window size must be in [0, {sys.maxsize}], got {window}")
         if isinstance(alpha, bool) or not isinstance(alpha, numbers.Real):
             raise ConfigError(f"alpha must be a real number, got {alpha!r}")
-        try:
-            finite = math.isfinite(alpha)
-        except OverflowError:  # an int too large for a float
-            finite = False
-        if not finite:
+        if not abs(alpha) <= sys.float_info.max:  # nan, inf or an int too large for a float
             raise ConfigError(f"alpha must be finite, got {alpha!r}")
         if not alpha > 0:
             raise ConfigError(f"alpha must be > 0, got {alpha!r}")
+        if not isinstance(self.unit, NormUnit):
+            raise ConfigError(f"unit must be a NormUnit, got {self.unit!r}")
+        if no_dev and self.unit is not NormUnit.BYTES:
+            raise ConfigError(f"no-dev training needs --unit bytes, got {self.unit.value}")
 
 
 @dataclass
@@ -187,9 +196,7 @@ def train_no_dev(
     train: LabeledCorpus, config: ParityConfig, on_step=None
 ) -> tuple[TokenizerModel, TrainLog]:
     """Min-max training with byte-unit compression rates on the training corpus."""
-    config.validate()
-    if NormUnit(config.unit) is not NormUnit.BYTES:
-        raise ConfigError("train_no_dev requires the bytes normalization unit")
+    config.validate(no_dev=True)
     unit_totals = reference_unit_totals(train, NormUnit.BYTES)
     state = TrainerState(train)
     del train  # not needed past the build (see trainer's docstring)

@@ -493,9 +493,16 @@ def run_merges(
     return state.to_model(), log
 
 
+def check_int(value, name: str) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an ``int`` and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def check_merge_budget(num_merges: int) -> None:
-    """The one rule for a merge budget, in every training mode: at least 0, and at
-    most ``MAX_MERGES``, so that every id has a code point (``_kernels.CODE_OFFSET``)."""
+    """The one rule for a merge budget, in every training mode: an int in [0,
+    ``MAX_MERGES``], so that every id has a code point (``_kernels.CODE_OFFSET``)."""
+    check_int(num_merges, "merge budget")
     if num_merges < 0:
         raise ConfigError(f"merge budget must be >= 0, got {num_merges}")
     if num_merges > MAX_MERGES:

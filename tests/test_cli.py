@@ -519,6 +519,7 @@ class TestTrain:
             (["--classical", "--merges", "1113601"], "merge budget must be at most 1113600"),
             (["--parity", "--merges", "1113601", "--dev", "x"],
              "merge budget must be at most 1113600"),
+            (["--parity", "--no-dev", "--unit", "lines", "--merges", "5"], "--unit bytes"),
         ],
     )
     def test_usage_checked_before_corpus(self, tmp_path, flags, message, capsys):

@@ -130,6 +130,11 @@ class TestTrainClassical:
         model, log = train_classical(corpus, 1_113_600)  # stops when no pair is left
         assert list(model.merges) == [(b"a", b"b"), (b"ab", b"ab")] and log.stopped_early
 
+    @pytest.mark.parametrize("budget", [2.5, 3.0, True, "3"])
+    def test_budget_must_be_an_int(self, budget):
+        with pytest.raises(ConfigError, match=f"merge budget must be an integer, got {budget!r}"):
+            train_classical(corpus_of({b"abab": 2}), budget)
+
     def test_abab_trace(self):
         model, log = train_classical(corpus_of({b"abab": 2}), 2)
         assert list(model.merges) == [(b"a", b"b"), (b"ab", b"ab")]

@@ -75,10 +75,37 @@ class TestParityConfig:
         ("alpha", True, "alpha must be a real number, got True"),
         ("alpha", "2", "alpha must be a real number, got '2'"),
         ("alpha", 10**400, "alpha must be finite"),
+        ("total_merges", 2.5, "merge budget must be an integer, got 2.5"),
+        ("total_merges", True, "merge budget must be an integer, got True"),
+        ("total_merges", "3", "merge budget must be an integer, got '3'"),
+        ("global_merges", 1.5, "global merges must be an integer, got 1.5"),
+        ("global_merges", True, "global merges must be an integer, got True"),
+        ("unit", "furlongs", "unit must be a NormUnit, got 'furlongs'"),
+        ("unit", "bytes", "unit must be a NormUnit, got 'bytes'"),
     ])
     def test_value_types_are_checked(self, field, value, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
-            ParityConfig(total_merges=10, **{field: value}).validate()
+            ParityConfig(**{"total_merges": 10, field: value}).validate()
+
+    @pytest.mark.parametrize("split, total, global_merges", [
+        (0.29, 100, 29), (0.57, 100, 57), (1 / 3, 7, 2), (0, 5, 0), (1, 5, 5), (0.5, 0, 0),
+    ])
+    def test_hybrid_floors_the_exact_decimal_share(self, split, total, global_merges):
+        config = ParityConfig.hybrid(total, split, window_size=3, unit=NormUnit.BYTES)
+        assert config == ParityConfig(total, global_merges, 3, unit=NormUnit.BYTES)
+
+    @pytest.mark.parametrize("split, total, message", [
+        (float("nan"), 10, "hybrid split must be in [0, 1], got nan"),
+        (-0.1, 10, "hybrid split must be in [0, 1], got -0.1"),
+        (1.5, 10, "hybrid split must be in [0, 1], got 1.5"),
+        (True, 10, "hybrid split must be in [0, 1], got True"),
+        ("0.5", 10, "hybrid split must be in [0, 1], got '0.5'"),
+        (0.5, "10", "merge budget must be an integer, got '10'"),
+        (0.5, -1, "merge budget must be >= 0, got -1"),
+    ])
+    def test_hybrid_rejects_a_bad_split_or_budget(self, split, total, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            ParityConfig.hybrid(total, split)
 
     def test_quota_is_the_floor_of_the_exact_decimal(self):
         """alpha 1.4 with W 45 over 3 languages gives a limit of 21 picks; the
