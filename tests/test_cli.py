@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from parity_bpe import (
     DataError,
+    LabeledCorpus,
     MetricReport,
     NormUnit,
     ParityConfig,
@@ -30,6 +31,7 @@ from parity_bpe import (
     full_report,
     load_parallel_dev,
     pretokenize,
+    train_classical,
 )
 from parity_bpe import cli, synthetic, tokenizer, trainer
 from parity_bpe.cli import main
@@ -42,6 +44,7 @@ from .oracles import (
     ids_line,
     naive_parity_steps,
     per_line_load_labeled_corpus,
+    replay_encode,
     tokens_line,
 )
 from .test_trainer_parity import parity_cases
@@ -952,6 +955,79 @@ class TestEncodeOutput:
         monkeypatch.undo()
         oracle = TokenizerModel(model.merges)
         assert enc.read_text() == "".join(ids_line(oracle, line) + "\n" for line in lines)
+
+
+# Pieces of the training lines and of the encode input: letters, whitespace
+# runs (CR, VT and FF included), NUL, 0xff and a UTF-8 pair. Training makes
+# some of them active and leaves the others inert.
+_ORACLE_PIECES = [b"a", b"b", b"x", b"y", b"ab", b"xy", b" ", b"  ", b"\t", b"\r\x0b\x0c",
+                  b" \t ", b"\x00", b"\xff", b"\xc3\xa9"]
+_BLANKS = b" \t\r\x0b\x0c"
+
+
+@st.composite
+def _encode_cases(draw):
+    """A classical model trained through the library on drawn lines, and the
+    lines to encode with it: active and inert bytes, whitespace runs, NUL and
+    0xff, and one line holding a whitespace-free run of 200 or more active
+    bytes, after two spaces and before a whitespace run. Returns the model,
+    the lines and the input file's bytes."""
+    line = st.lists(st.sampled_from(_ORACLE_PIECES), min_size=1, max_size=10).map(b"".join)
+    words = Counter(w for text in draw(st.lists(line, min_size=1, max_size=6))
+                    for w in pretokenize(text))
+    # the first merges are x + y and " " + xy, so a space joins the word after it
+    words.update({b"xy": 100, b" xy": 100})
+    model, _ = train_classical(LabeledCorpus.from_multisets({"aa": words}),
+                               draw(st.integers(2, 25)))
+    active = set(b"".join(model.id_to_bytes[256:]))
+    inert = sorted(set(range(256)) - active - {ord("\n")})
+    blanks = st.lists(st.sampled_from(_BLANKS), min_size=1, max_size=4).map(bytes)
+    piece = st.one_of(st.sampled_from(model.id_to_bytes[256:]), st.sampled_from(_ORACLE_PIECES),
+                      st.sampled_from(inert).map(lambda b: bytes([b])), blanks)
+    lines = draw(st.lists(st.lists(piece, max_size=12).map(b"".join), max_size=6))
+    letters = sorted(active - set(_BLANKS))
+    long_run = b"xy" + bytes(letters[b % len(letters)]
+                             for b in draw(st.binary(min_size=200, max_size=240)))
+    lines.insert(draw(st.integers(0, len(lines))), draw(piece) + b"  " + long_run + draw(blanks))
+    source = b"".join(text + b"\n" for text in lines)
+    if lines[-1] and draw(st.booleans()):
+        source = source[:-1]  # no newline at the end of the input
+    return model, lines, source
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_encode_cases())
+def test_encode_and_decode_match_the_oracles(case, tmp_path, capsysbinary):
+    """``encode`` of drawn lines, from files and through stdin and stdout, writes
+    each line's merge replay as canonical ids or escaped spans; ``decode`` of
+    that output gives the lines back."""
+    model, lines, source = case
+    model_path, src = tmp_path / "m.bpe", tmp_path / "in.txt"
+    enc, dec = tmp_path / "enc.txt", tmp_path / "dec.txt"
+    model.save(model_path)
+    src.write_bytes(source)
+    canonical = {}
+    for i, span in enumerate(model.id_to_bytes):
+        canonical.setdefault(span, i)
+    render = {"ids": lambda span: b"%d" % canonical[span],
+              "tokens": lambda span: escape_token(span).encode("ascii")}
+    restored = b"".join(text + b"\n" for text in lines)
+    for fmt in ("ids", "tokens"):
+        expected = b"".join(b" ".join(map(render[fmt], replay_encode(model.merges, text))) + b"\n"
+                            for text in lines)
+        encode = ["encode", "--model", model_path, "--format", fmt]
+        decode = ["decode", "--model", model_path, "--format", fmt]
+        assert run(encode + ["--input", src, "--output", enc]) == 0
+        assert enc.read_bytes() == expected
+        assert run(decode + ["--input", enc, "--output", dec]) == 0
+        assert dec.read_bytes() == restored
+        with pytest.MonkeyPatch.context() as mp:
+            capsysbinary.readouterr()
+            assert run(encode, mp, stdin=source) == 0
+            assert capsysbinary.readouterr() == (expected, b"")
+            assert run(decode, mp, stdin=expected) == 0
+            assert capsysbinary.readouterr() == (restored, b"")
 
 
 TRAIN_OUTPUTS = ("m.bpe", "m.bpe.log.jsonl", "m.bpe.meta.json")
