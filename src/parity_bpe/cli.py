@@ -23,6 +23,7 @@ from pathlib import Path
 
 from .corpus import (
     NormUnit,
+    check_limit_per_language,
     digest,
     load_labeled_corpus,
     load_parallel_dev,
@@ -235,8 +236,7 @@ def cmd_train(args) -> int:
             raise ConfigError(f"--classical takes no {', '.join(given)}")
     if args.no_dev and args.dev is not None:
         raise ConfigError("--no-dev takes no --dev")
-    if args.limit_per_language is not None and args.limit_per_language < 1:
-        raise ConfigError(f"--limit-per-language must be >= 1, got {args.limit_per_language}")
+    check_limit_per_language(args.limit_per_language, "--limit-per-language")
     if args.classical and args.unit not in (None, NormUnit.BYTES.value):
         raise ConfigError("--classical forces --unit bytes")
 

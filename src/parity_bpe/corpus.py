@@ -46,6 +46,22 @@ def digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()[:16]
 
 
+def check_int(value, name: str) -> None:
+    """Raise ``ConfigError`` unless ``value`` is an ``int`` and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_limit_per_language(limit, name: str = "limit_per_language") -> None:
+    """The one rule for a per-language record limit: None (no limit), or an
+    ``int`` that is not a ``bool`` and is at least 1. ``name`` is the limit's
+    name in the ``ConfigError`` raised otherwise."""
+    if limit is not None:
+        check_int(limit, name)
+        if limit < 1:
+            raise ConfigError(f"{name} must be >= 1, got {limit}")
+
+
 class NormUnit(str, Enum):
     """Normalization unit used as the denominator basis of compression rates."""
 
@@ -236,8 +252,11 @@ def load_labeled_corpus(
     read from it. Each file the manifest names is JSONL with ``text`` and
     ``lang`` fields per record. A file that several entries name, however
     spelled (by ``os.path.realpath``), is read and counted once, and each of
-    those languages records its digest.
+    those languages records its digest. ``limit_per_language`` (see
+    :func:`check_limit_per_language`) keeps each language's first records,
+    across the files in manifest order; it is checked before any file is read.
     """
+    check_limit_per_language(limit_per_language)
     if not isinstance(manifest, Manifest):
         manifest = read_manifest(manifest)
     declared = manifest.entries

@@ -21,10 +21,17 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from .corpus import LabeledCorpus, NormUnit, ParallelDevCorpus, pretokenize, reference_unit_totals
+from .corpus import (
+    LabeledCorpus,
+    NormUnit,
+    ParallelDevCorpus,
+    check_int,
+    pretokenize,
+    reference_unit_totals,
+)
 from .errors import ConfigError, CorpusError, DataError
 from .tokenizer import TokenizerModel
-from .trainer import TrainerState, TrainLog, check_int, check_merge_budget, run_merges
+from .trainer import TrainerState, TrainLog, check_merge_budget, run_merges
 
 
 @dataclass

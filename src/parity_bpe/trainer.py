@@ -37,7 +37,7 @@ from operator import sub
 from pathlib import Path
 
 from . import _kernels
-from .corpus import LabeledCorpus, NormUnit, reference_unit_totals
+from .corpus import LabeledCorpus, NormUnit, check_int, reference_unit_totals
 from .errors import ConfigError, CorpusError, InternalError
 from .tokenizer import TokenizerModel, escape_token, unescape_token
 
@@ -491,12 +491,6 @@ def run_merges(
     log.unit_totals = unit_totals
     log.token_totals = dict(zip(langs, reference_totals))
     return state.to_model(), log
-
-
-def check_int(value, name: str) -> None:
-    """Raise ``ConfigError`` unless ``value`` is an ``int`` and not a ``bool``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def check_merge_budget(num_merges: int) -> None:

@@ -159,6 +159,12 @@ class TestLoadLabeledCorpus:
         corpus = load_labeled_corpus(mpath, limit_per_language=1)
         assert corpus.per_language["aa"] == Counter(pretokenize(b"x y"))  # the first record only
 
+    @pytest.mark.parametrize("limit", [0, -3, True, 2.5])
+    def test_bad_limit_is_config_error_before_reading(self, tmp_path, limit):
+        # the manifest does not exist: the limit is refused before it is read
+        with pytest.raises(ConfigError, match="limit_per_language"):
+            load_labeled_corpus(tmp_path / "missing.json", limit_per_language=limit)
+
     def test_synthetic_totals_match_declared(self, synth_dir, corpus):
         stats = json.loads((synth_dir / "synth_stats.json").read_text())
         for lang in corpus.languages:
