@@ -30,6 +30,7 @@ from pathlib import Path
 from typing import Sequence
 
 from parity_bpe import (
+    ConfigError,
     CorpusError,
     DataError,
     GoldSegmentation,
@@ -307,11 +308,18 @@ def per_line_load_labeled_corpus(
 ) -> tuple[LabeledCorpus, dict[str, dict[NormUnit, int]]]:
     """The labeled-corpus loader as it was before its fast path: one
     ``json.loads`` and one ``Counter.update`` per line. The package loader
-    must return the same corpus, or raise the same ``CorpusError``.
+    must return the same corpus, or raise the same ``CorpusError``, or the
+    same ``ConfigError`` for a limit that is not None or an int of at least 1.
 
     Beside the corpus it returns each language's bytes, chars and words,
     summed record by record, for ``reference_unit_totals`` to match.
     """
+    limit = limit_per_language
+    if limit is not None:  # a usage fault, found before any file is read
+        if type(limit) is not int:
+            raise ConfigError(f"limit_per_language must be an integer, got {limit!r}")
+        if limit < 1:
+            raise ConfigError(f"limit_per_language must be >= 1, got {limit}")
     manifest = Path(manifest)
     try:
         spec = json.loads(manifest.read_text(encoding="utf-8"))

@@ -190,17 +190,18 @@ def write_files(directory: Path, files: dict[str, bytes]) -> Path:
 def load_both(directory: Path, files: dict[str, bytes], limit=None):
     """Write one file per language and load it with both loaders.
 
-    Returns (fast, per-line), each a corpus or the CorpusError message, and
-    the per-line loader's record-by-record totals (None when it raised).
+    Returns (fast, per-line), each a corpus or the CorpusError or ConfigError
+    message, and the per-line loader's record-by-record totals (None when it
+    raised).
     """
     manifest = write_files(directory, files)
     try:
         fast = load_labeled_corpus(manifest, limit)
-    except CorpusError as exc:
+    except (CorpusError, ConfigError) as exc:
         fast = str(exc)
     try:
         per_line, totals = per_line_load_labeled_corpus(manifest, limit)
-    except CorpusError as exc:
+    except (CorpusError, ConfigError) as exc:
         per_line, totals = str(exc), None
     return fast, per_line, totals
 
