@@ -357,12 +357,9 @@ def cmd_encode(args) -> int:
     model = TokenizerModel.load(args.model)
     texts, runs = model.text_cache(args.format).__getitem__, model.run_splitter()
     del model  # the loop needs neither its vocabulary nor its id cache
-    with (
-        _input(args.input) as lines,
-        _output(args.output, "w", encoding="utf-8", newline="\n") as out,
-    ):
+    with _input(args.input) as lines, _output(args.output, "wb") as out:
         for line in lines:
-            out.write(" ".join(map(texts, runs(line.rstrip(b"\n")))) + "\n")
+            out.write(b" ".join(map(texts, runs(line.rstrip(b"\n")))) + b"\n")
     return 0
 
 

@@ -32,9 +32,10 @@ MODEL_HEADER = "parity-bpe v1"
 # Bytes a word cache's keys and values (``sys.getsizeof``) may hold before it
 # starts over: above the distinct pre-tokens of a few MB of text, so only a
 # long stream of new or long words ever clears it. The id cache is keyed on
-# pre-tokens, which random bytes keep new. ``encode``'s text cache is keyed on
-# runs, and random bytes are mostly inert single-byte runs, so there only long
-# lines of active bytes fill it. A cache holds at most this plus its table.
+# pre-tokens, which random bytes keep new; its values are id lists.
+# ``encode``'s text cache is keyed on runs, and random bytes are mostly inert
+# single-byte runs, so there only long lines of active bytes fill it; its
+# values are ASCII bytes. A cache holds at most this plus its table.
 WORD_CACHE_BYTES = 1 << 24
 
 _PRINTABLE = frozenset(range(0x21, 0x7F)) - {0x5C}  # visible ASCII minus backslash
@@ -133,8 +134,8 @@ class TokenizerModel:
     Token ids follow model order: ids 0-255 are the singleton bytes, id
     256+k is the result of merge k. When two merges produce identical bytes
     the earliest id is the canonical one and is the only id emitted by
-    ``encode_ids``. ``file_digest`` is the ``corpus.digest`` of the file
-    :meth:`load` read the model from, and None for a model built in memory.
+    ``encode_ids``. :attr:`file_digest` names the file :meth:`load` read
+    the model from.
     """
 
     def __init__(self, merges: list[tuple[bytes, bytes]]):
@@ -169,7 +170,15 @@ class TokenizerModel:
         # a partial, not a bound method: no reference cycle through the model
         self._word_cache = _WordCache(partial(_kernel_encode, table))
         self._run_findall = None
-        self.file_digest: str | None = None
+        self._file_bytes: bytes | None = None
+
+    @property
+    def file_digest(self) -> str | None:
+        """The ``corpus.digest`` of the bytes :meth:`load` parsed, or None for a
+        model built in memory. It is computed when read, from the bytes kept at
+        load, so it names them even if the file changes later, and a command
+        that never reads it (``encode``, ``decode``) never loads ``hashlib``."""
+        return None if self._file_bytes is None else digest(self._file_bytes)
 
     @property
     def vocab_size(self) -> int:
@@ -226,11 +235,12 @@ class TokenizerModel:
             self._run_findall = re.compile(pattern).findall
         return self._run_findall
 
-    def _id_text(self, fmt: str) -> list[str]:
-        """Each id's output text: its decimal id for ``"ids"``, else its escaped span."""
+    def _id_text(self, fmt: str) -> list[bytes]:
+        """Each id's output text as ASCII bytes: its decimal id for ``"ids"``,
+        else its escaped span."""
         if fmt == "ids":
-            return [str(i) for i in range(len(self.id_to_bytes))]
-        return [escape_token(span) for span in self.id_to_bytes]
+            return [b"%d" % i for i in range(len(self.id_to_bytes))]
+        return [escape_token(span).encode("ascii") for span in self.id_to_bytes]
 
     def text_cache(self, fmt: str) -> _WordCache:
         """A new cache from a word to its tokens as ``encode`` output text.
@@ -239,28 +249,28 @@ class TokenizerModel:
         looks up runs, which random bytes repeat far more often than
         pre-tokens. ``fmt`` is ``"ids"`` (decimal ids) or ``"tokens"``
         (escaped spans); a value is the word's tokens joined by single
-        spaces. Each id's text is the one :meth:`text_spans` maps back to its
-        span. The cache is filled straight from the kernel, not from the id
-        cache, so a word is held once, as text.
+        spaces, as ASCII bytes, ready for a binary output (an ASCII ``bytes``
+        is 16 bytes smaller than the same ``str``). Each id's text is the one
+        :meth:`text_spans` maps back to its span. The cache is filled straight
+        from the kernel, not from the id cache, so a word is held once, as text.
         """
         id_text = self._id_text(fmt)
         table = self._table
 
-        def render(word: bytes) -> str:
-            return " ".join(map(id_text.__getitem__, _kernel_encode(table, word)))
+        def render(word: bytes) -> bytes:
+            return b" ".join(map(id_text.__getitem__, _kernel_encode(table, word)))
 
         return _WordCache(render)
 
     def text_spans(self, fmt: str) -> dict[bytes, bytes]:
-        """Each id's output text in ``fmt``, as ASCII bytes, mapped to its span.
+        """Each id's output text in ``fmt`` mapped to its span.
 
         This is the inverse of :meth:`text_cache`'s per-id text, so a field
         that ``encode`` writes decodes with one lookup; each span is what
         :meth:`decode_ids` gives for the id. Other spellings that
         ``decode_ids`` or ``decode`` accept (``007``, ``\\x41``) are not keys.
         """
-        texts = (text.encode("ascii") for text in self._id_text(fmt))
-        return dict(zip(texts, self.id_to_bytes))
+        return dict(zip(self._id_text(fmt), self.id_to_bytes))
 
     def decode(self, tokens) -> bytes:
         """Concatenate token byte spans; every token must be in the vocabulary."""
@@ -333,6 +343,6 @@ class TokenizerModel:
             model = cls(merges)
         except ModelFormatError as exc:
             raise ModelFormatError(f"{path}: {exc}") from None
-        model.file_digest = digest(data)
+        model._file_bytes = data
         return model
 

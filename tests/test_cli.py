@@ -7,6 +7,8 @@ import os
 import random
 import shutil
 import stat
+import subprocess
+import sys
 import tempfile
 import weakref
 from collections import Counter
@@ -740,6 +742,23 @@ class TestEncodeDecode:
         assert run(["decode", "--model", example_model, "--input", enc,
                     "--output", dec, "--format", "ids"]) == 0
         assert dec.read_bytes() == src.read_bytes()
+
+    def test_encode_and_decode_never_load_openssl(self, example_model, tmp_path):
+        """``hashlib`` maps OpenSSL's libcrypto. Only the commands that record a
+        digest import it, so a process that encodes and decodes never does."""
+        src, enc, dec = tmp_path / "in.txt", tmp_path / "enc.txt", tmp_path / "dec.txt"
+        src.write_bytes(b"babab\n")
+        code = ("import sys\n"
+                "from parity_bpe.cli import main\n"
+                "model, src, enc, dec = sys.argv[1:]\n"
+                "assert main(['encode', '--model', model, '--input', src, '--output', enc]) == 0\n"
+                "assert main(['decode', '--model', model, '--input', enc, '--output', dec]) == 0\n"
+                "print(sorted({'hashlib', '_hashlib'} & set(sys.modules)))\n")
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+        argv = [sys.executable, "-c", code, *map(str, (example_model, src, enc, dec))]
+        proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+        assert dec.read_bytes() == b"babab\n"
 
     def test_empty_stdin(self, example_model, capsys, monkeypatch):
         code = run(["encode", "--model", example_model], monkeypatch, stdin=b"")

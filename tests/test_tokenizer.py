@@ -17,6 +17,7 @@ from parity_bpe import (
     tokenizer,
     train_classical,
 )
+from parity_bpe.corpus import digest
 from parity_bpe.tokenizer import escape_token, unescape_token
 
 from .oracles import replay_encode
@@ -95,7 +96,7 @@ class TestTextSpans:
         model = TokenizerModel([(b"b", b"c"), (b"a", b"bc"), (b"a", b"b"), (b"ab", b"c")])
         texts, spans = model.text_cache(fmt), model.text_spans(fmt)
         for i, span in enumerate(model.id_to_bytes):
-            fields = texts[span].encode("ascii").split(b" ")
+            fields = texts[span].split(b" ")
             assert b"".join(spans[f] for f in fields) == span
             field = b"%d" % i if fmt == "ids" else escape_token(span).encode("ascii")
             assert spans[field] == model.id_to_bytes[i]
@@ -191,7 +192,7 @@ class TestWordCache:
             )
             for word in pretokenize(line):
                 ids = TokenizerModel(merges).encode_ids(word)
-                for cache, expected in zip(caches, (ids, " ".join(map(str, ids)))):
+                for cache, expected in zip(caches, (ids, b" ".join(b"%d" % i for i in ids))):
                     before, held = dict(cache), cache.held
                     value = cache[word]
                     assert value == expected
@@ -245,7 +246,8 @@ class TestWordCache:
             assert pretokenize(word) == [word]
             ids = _kernels.encode_ids(list(word), model._table)
             assert model.encode_ids(word) == ids
-            assert texts[word] == " ".join(escape_token(model.id_to_bytes[i]) for i in ids)
+            assert texts[word] == b" ".join(escape_token(model.id_to_bytes[i]).encode("ascii")
+                                       for i in ids)
             for cache in (model._word_cache, texts):
                 assert word in cache
                 assert cache.held == _held(cache) <= budget
@@ -332,6 +334,17 @@ class TestSerialization:
         for _ in range(200):
             data = rng.randbytes(rng.randint(0, 64))
             assert loaded.encode_ids(data) == model.encode_ids(data)
+
+    def test_file_digest_names_the_bytes_parsed(self, tmp_path):
+        """The digest is computed when read, from the bytes load parsed, not
+        from the file as it is by then."""
+        path = tmp_path / "model.bpe"
+        TokenizerModel(EXAMPLE_MERGES).save(path)
+        parsed = path.read_bytes()
+        model = TokenizerModel.load(path)
+        TokenizerModel(EXAMPLE_MERGES[:1]).save(path)
+        assert model.file_digest == digest(parsed) != digest(path.read_bytes())
+        assert TokenizerModel(EXAMPLE_MERGES).file_digest is None
 
     def test_empty_model_roundtrips(self, tmp_path):
         path = tmp_path / "empty.bpe"
