@@ -258,9 +258,9 @@ def load_labeled_corpus(
     read from it. Each file the manifest names is JSONL with ``text`` and
     ``lang`` fields per record. A file that several entries name, however
     spelled (by ``os.path.realpath``), is read and counted once, and each of
-    those languages records its digest. ``limit_per_language`` (see
-    :func:`check_limit_per_language`) keeps each language's first records,
-    across the files in manifest order; it is checked before any file is read.
+    those languages records its digest. ``limit_per_language`` keeps at
+    most that many records per language; :func:`check_limit_per_language`
+    checks it before the manifest is read.
     """
     check_limit_per_language(limit_per_language)
     if not isinstance(manifest, Manifest):
