@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from operator import sub
 from pathlib import Path
 
@@ -49,7 +49,11 @@ MAX_MERGES = _kernels.MAX_TOKEN_ID - 255
 
 @dataclass
 class TrainStep:
-    """One learned merge and the statistics that justified it."""
+    """One learned merge and the statistics that justified it.
+
+    Its log record is its fields by name, ``left`` and ``right`` escaped
+    (``escape_token``), without an optional field while it holds its default.
+    """
 
     step: int
     left: bytes
@@ -64,47 +68,36 @@ class TrainStep:
     replacements: dict[str, int] | None = None
 
     def to_record(self) -> dict:
-        rec = {
-            "step": self.step,
-            "left": escape_token(self.left),
-            "right": escape_token(self.right),
-            "count": self.count,
-            "mode": self.mode,
-        }
-        if self.lang is not None:
-            rec["lang"] = self.lang
-        if self.fallback:
-            rec["fallback"] = True
-        if self.skipped:
-            rec["skipped"] = self.skipped
-        if self.cr_snapshot is not None:
-            rec["cr_snapshot"] = self.cr_snapshot
-        if self.dev_tokens is not None:
-            rec["dev_tokens"] = self.dev_tokens
-        if self.replacements is not None:
-            rec["replacements"] = self.replacements
+        rec = vars(self).copy()
+        for name, default in _OPTIONAL:
+            if rec[name] == default:
+                del rec[name]
+        rec["left"], rec["right"] = escape_token(self.left), escape_token(self.right)
         return rec
 
     @classmethod
     def from_record(cls, rec: dict) -> "TrainStep":
-        return cls(
-            step=rec["step"],
-            left=unescape_token(rec["left"]),
-            right=unescape_token(rec["right"]),
-            count=rec["count"],
-            mode=rec["mode"],
-            lang=rec.get("lang"),
-            fallback=rec.get("fallback", False),
-            skipped=rec.get("skipped", []),
-            cr_snapshot=rec.get("cr_snapshot"),
-            dev_tokens=rec.get("dev_tokens"),
-            replacements=rec.get("replacements"),
-        )
+        """The step of a record; a key that is not a field is ignored."""
+        kwargs = {name: value for name, value in rec.items() if name in _NAMES}
+        kwargs["left"], kwargs["right"] = unescape_token(rec["left"]), unescape_token(rec["right"])
+        return cls(**kwargs)
 
 
-class TrainLog:
-    """Ordered record of learned merges, one entry per merge.
+# The record rule's tables, made once: the field names, and each optional
+# field with the default that a record leaves it out at.
+_NAMES = frozenset(f.name for f in fields(TrainStep))
+_OPTIONAL = tuple(
+    (f.name, f.default_factory() if f.default is MISSING else f.default)
+    for f in fields(TrainStep)
+    if f.default is not MISSING or f.default_factory is not MISSING
+)
 
+
+class TrainLog(list):
+    """A run's ``TrainStep``s, one per merge in merge order, and how the run ended.
+
+    ``stop_reason`` says why a run made fewer merges than its budget, and is
+    None when it made them all; ``stopped_early`` follows from it.
     ``unit_totals`` and ``token_totals`` hold the per-language length, in
     the run's compression unit (bytes for classical and no-dev training),
     and the token totals after the last merge of the reference corpus: the
@@ -114,49 +107,34 @@ class TrainLog:
     has None.
     """
 
-    def __init__(self):
-        self.steps: list[TrainStep] = []
-        self.stopped_early = False
-        self.stop_reason: str | None = None
-        self.unit_totals: dict[str, int] | None = None
-        self.token_totals: dict[str, int] | None = None
+    stop_reason: str | None = None
+    unit_totals: dict[str, int] | None = None
+    token_totals: dict[str, int] | None = None
 
-    def append(self, step: TrainStep) -> None:
-        self.steps.append(step)
-
-    def __len__(self):
-        return len(self.steps)
-
-    def __iter__(self):
-        return iter(self.steps)
-
-    def __getitem__(self, i):
-        return self.steps[i]
+    @property
+    def stopped_early(self) -> bool:
+        return self.stop_reason is not None
 
     def to_jsonl(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             write = LogWriter(fh).write
-            for step in self.steps:
+            for step in self:
                 write(step)
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "TrainLog":
-        log = cls()
         with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    log.append(TrainStep.from_record(json.loads(line)))
-        return log
+            return cls(TrainStep.from_record(json.loads(line)) for line in fh if line.strip())
 
 
 class LogWriter:
-    """Writes log records to an open text file, one JSON line each.
+    """Writes ``TrainStep`` records to an open text file, one JSON line each.
 
-    This is the one rendering of a record, which ``TrainLog.to_jsonl`` uses
-    too. Given as a training run's ``on_step``, it writes each record as the
-    merge is made and the run's log keeps no steps (only its stop and
-    totals), so the memory a run holds does not grow with its log.
+    A line is ``json.dumps`` of ``to_record``, keys sorted: the one rendering
+    of a record, which ``TrainLog.to_jsonl`` uses too. Given as a training
+    run's ``on_step``, it writes each record as the merge is made and the
+    run's log stays empty (it keeps its stop reason and totals), so the
+    memory a run holds does not grow with its log.
     """
 
     def __init__(self, fh):
@@ -268,7 +246,6 @@ class TrainerState:
         # never reads the global one.
         self.global_heap: list = []
         self.lang_heaps: list[list] = [[] for _ in range(n_langs)]
-        self._global_built = False
         self._built_langs: list[int] = []
 
     def _fill_store(self, train_sets: list[dict], dev_sets: list[dict] | None) -> None:
@@ -347,12 +324,11 @@ class TrainerState:
     def select_global(self):
         """Best pair by summed count across languages, or None if exhausted."""
         store = self.train
-        if not self._global_built:
+        if store.total_counts is None:
             store.total_counts = total = {}
             for table in store.lang_counts:
                 _add_counts(total, table)
             self._build_heap(self.global_heap, total)
-            self._global_built = True
         return self._select(self.global_heap, store.total_counts)
 
     def select_for_lang(self, lang: str):
@@ -463,13 +439,12 @@ def run_merges(
     log = TrainLog()
     for k in range(1, num_merges + 1):
         if k <= global_merges:
-            sel, fields = state.select_global(), {"mode": "global"}
+            sel, step_fields = state.select_global(), {"mode": "global"}
             exhausted = "no pair"
         else:
-            sel, fields = pick(state)
+            sel, step_fields = pick(state)
             exhausted = "no language has a pair"
         if sel is None:
-            log.stopped_early = True
             log.stop_reason = f"{exhausted} with count >= {MIN_PAIR_COUNT} after {k - 1} merges"
             break
         pair, count = sel
@@ -482,7 +457,7 @@ def run_merges(
             count,
             dev_tokens=dict(zip(langs, reference_totals)) if dev_tokens else None,
             replacements=dict(zip(langs, repl)),
-            **fields,
+            **step_fields,
         )
         if keep_steps:
             log.append(record)

@@ -110,7 +110,7 @@ def test_a_log_writer_takes_the_records(corpus, dev, window_run, tmp_path):
     with open(tmp_path / "log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         model, log = train_parity(corpus, dev, config, on_step=LogWriter(fh))
     assert _sha256(tmp_path / "log.jsonl") == GOLDEN["window"][1]
-    assert log.steps == []
+    assert log == []
     full_model, full = window_run
     assert model.merges == full_model.merges
     assert (log.stopped_early, log.unit_totals, log.token_totals) == (

@@ -9,6 +9,7 @@ from parity_bpe import (
     NormUnit,
     ParityConfig,
     TrainLog,
+    TrainStep,
     train_classical,
     train_no_dev,
 )
@@ -187,6 +188,24 @@ class TestTrainClassical:
         log.to_jsonl(path)
         loaded = TrainLog.from_jsonl(path)
         assert [s.to_record() for s in loaded] == [s.to_record() for s in log]
+
+    def test_record_writes_each_field_unless_it_holds_its_default(self):
+        bare = TrainStep(3, b"a\n", b"b", 7, "global")
+        assert bare.to_record() == {"step": 3, "left": "a\\x0a", "right": "b", "count": 7,
+                                    "mode": "global"}
+        full = TrainStep(4, b"x", b"\xff", 2, "parity", lang="", fallback=True, skipped=["bb"],
+                         cr_snapshot={}, dev_tokens={"aa": 0}, replacements={"aa": 1})
+        record = full.to_record()
+        assert record == {**vars(full), "left": "x", "right": "\\xff"}
+        assert TrainStep.from_record({**record, "unknown": [1]}) == full
+        assert TrainStep.from_record(bare.to_record()) == bare
+
+    def test_log_is_its_steps_and_stops_by_its_reason(self):
+        _, log = train_classical(corpus_of({b"abab": 2, b"cd": 4}), 50)
+        assert isinstance(log, list) and len(log) == 3 and log.stopped_early
+        assert log.stop_reason == "no pair with count >= 2 after 3 merges"
+        _, log = train_classical(corpus_of({b"abab": 2, b"cd": 4}), 1)
+        assert log.stop_reason is None and not log.stopped_early
 
     def test_multilingual_counts_are_aggregated(self):
         corpus = LabeledCorpus.from_multisets(

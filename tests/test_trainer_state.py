@@ -139,7 +139,8 @@ def _check(state, multisets, dev_multisets):
     for heap in (state.global_heap, *state.lang_heaps):
         assert all(-entry[0] >= trainer.MIN_PAIR_COUNT for entry in heap)
     # a built heap holds an entry at or above each count its selection could pick
-    built = [(state.global_heap, state.train.total_counts)] if state._global_built else []
+    total = state.train.total_counts
+    built = [(state.global_heap, total)] if total is not None else []
     built += [(state.lang_heaps[li], state.train.lang_counts[li]) for li in state._built_langs]
     for heap, table in built:
         top = {}
@@ -172,7 +173,7 @@ def _check_tables(state):
         ]
         assert store_ids(table) == dict(sliding_pair_counts(words))
         assert all(count > 0 for count in table.values())
-    if state._global_built:
+    if store.total_counts is not None:
         assert store.total_counts == dict(sum(map(Counter, store.lang_counts), Counter()))
     else:
         assert store.total_counts is None
@@ -273,7 +274,7 @@ def test_store_holds_no_object_per_pair_for_the_collector(corpus, dev):
     config = ParityConfig(200, global_merges=50, window_size=0)
     train_parity(corpus, dev, config, on_step=lambda state, record: seen.append(state))
     state = seen[-1]
-    assert state._global_built and state._built_langs  # both kinds of step ran
+    assert state.train.total_counts is not None and state._built_langs  # both kinds of step ran
     store = state.train
     gc.collect()
     assert len(store.lang_counts) == store.n_langs
