@@ -1,7 +1,8 @@
 """Command-line surface: train, encode, decode, eval, compare, synth.
 
-Exit codes: 0 success, 1 usage/config error, 2 data error (bad input data, or
-a path that cannot be read or written), 3 internal error. An output file is
+Exit codes: 0 success, 1 usage/config error, 2 data error (bad input data, a
+path that cannot be read or written, or a text-only stdin or stdout where
+encode or decode needs bytes), 3 internal error. An output file is
 replaced only once it is completely written; a train meta implies the model
 and log of the same run.
 All outputs embed provenance (config hash plus input digests) sufficient to
@@ -74,11 +75,19 @@ def _replaced(path: str | Path):
         raise
 
 
+def _bytes_of(stream, name: str):
+    """The byte buffer under ``stream``; a text-only stream (a ``StringIO``) is a data error."""
+    buffer = getattr(stream, "buffer", None)
+    if buffer is None:
+        raise DataError(f"{name} is a text-only stream: it cannot carry bytes")
+    return buffer
+
+
 @contextlib.contextmanager
 def _output(path: str | Path | None, mode: str, **kwargs):
     """``path`` opened for writing through :func:`_replaced`; None or "-" is stdout."""
     if path in (None, "-"):
-        yield sys.stdout.buffer if "b" in mode else sys.stdout
+        yield _bytes_of(sys.stdout, "stdout") if "b" in mode else sys.stdout
         return
     with _replaced(path) as tmp, open(tmp, mode, **kwargs) as fh:
         yield fh
@@ -201,9 +210,12 @@ def build_parser() -> _Parser:
     synth.add_argument("--out", help="output directory")
     synth.add_argument("--langs", default="aa,bb,cc", help="comma-separated language codes")
     synth.add_argument("--proportions", default=None, help="comma-separated byte proportions")
-    synth.add_argument("--dev-lines", type=int, default=100)
-    synth.add_argument("--train-bytes", type=int, default=600_000)
-    synth.add_argument("--vocab-size", type=int, default=400)
+    synth.add_argument("--dev-lines", type=int, default=None,
+                       help=f"dev lines per language (default {SyntheticSpec.dev_lines})")
+    synth.add_argument("--train-bytes", type=int, default=None,
+                       help=f"training text bytes (default {SyntheticSpec.total_train_bytes})")
+    synth.add_argument("--vocab-size", type=int, default=None,
+                       help=f"words per language (default {SyntheticSpec.vocab_size})")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--config", default=None, help="JSON synthetic spec")
     synth.set_defaults(func=cmd_synth)
@@ -343,7 +355,7 @@ def cmd_train(args) -> int:
 def _input(path: str | None):
     """``path`` opened for binary reading, one line at a time; None or "-" is stdin."""
     if path in (None, "-"):
-        return contextlib.nullcontext(sys.stdin.buffer)
+        return contextlib.nullcontext(_bytes_of(sys.stdin, "stdin"))
     return open(path, "rb")
 
 
@@ -531,12 +543,11 @@ def cmd_synth(args) -> int:
         else:
             # no codes give no proportions, which SyntheticSpec.validate rejects
             proportions = [1.0 / len(codes) for _ in codes]
+        # an absent flag is None and leaves its field at the spec's default
+        fields = {"dev_lines": args.dev_lines, "total_train_bytes": args.train_bytes,
+                  "vocab_size": args.vocab_size}
         spec = SyntheticSpec.default(
-            codes,
-            proportions,
-            dev_lines=args.dev_lines,
-            total_train_bytes=args.train_bytes,
-            vocab_size=args.vocab_size,
+            codes, proportions, **{name: v for name, v in fields.items() if v is not None}
         )
     stats = generate_synthetic(spec, args.seed, out_dir)
     print(f"wrote synthetic corpus to {out_dir} (seed {args.seed})")

@@ -25,6 +25,7 @@ from dataclasses import dataclass, fields
 from itertools import islice, product, repeat, starmap
 from pathlib import Path
 
+from .corpus import check_int
 from .errors import ConfigError, DataError
 
 # Pool of ASCII characters carved into disjoint per-language alphabets.
@@ -62,14 +63,9 @@ class SyntheticSpec:
     words_per_line: tuple[int, int] = (6, 12)
 
     @classmethod
-    def default(
-        cls,
-        codes: list[str],
-        proportions: list[float],
-        dev_lines: int = 100,
-        **kwargs,
-    ) -> "SyntheticSpec":
-        """Assign disjoint ASCII alphabets to ``codes`` automatically."""
+    def default(cls, codes: list[str], proportions: list[float], **kwargs) -> "SyntheticSpec":
+        """Assign disjoint ASCII alphabets to ``codes`` automatically; ``kwargs``
+        set the other fields, which keep their defaults when not given."""
         if len(codes) * _ALPHABET_SIZE > len(_ALPHABET_POOL):
             raise ConfigError(
                 f"at most {len(_ALPHABET_POOL) // _ALPHABET_SIZE} languages "
@@ -79,22 +75,33 @@ class SyntheticSpec:
             SyntheticLanguage(code, _ALPHABET_POOL[i * _ALPHABET_SIZE : (i + 1) * _ALPHABET_SIZE])
             for i, code in enumerate(codes)
         ]
-        return cls(languages=langs, proportions=list(proportions), dev_lines=dev_lines, **kwargs)
+        return cls(langs, proportions, **kwargs)
 
     def validate(self) -> list[float]:
-        """Raise ``ConfigError`` for a spec that cannot be generated.
+        """Raise ``ConfigError`` for a spec that cannot be generated, library
+        and JSON specs alike: the integer fields take an ``int`` and the real
+        ones an ``int`` or ``float``, never a ``bool``.
 
         Returns the cumulative Zipf weights of the word inventory, the table
         every line's draws bisect.
         """
-        numbers = (self.total_train_bytes, self.zipf_exponent, *self.proportions)
-        if not all(isinstance(v, int) for v in (self.dev_lines, self.vocab_size)) or not all(
-            isinstance(v, (int, float)) for v in numbers
-        ):
+        if not all(isinstance(v, (list, tuple)) for v in (self.languages, self.proportions)):
+            raise ConfigError("languages and proportions must be lists")
+        if not all(isinstance(l, SyntheticLanguage) and isinstance(l.alphabet, str)
+                   for l in self.languages):
             raise ConfigError(
-                "dev_lines and vocab_size must be integers; total_train_bytes, "
-                "zipf_exponent and proportions must be numbers"
+                "a language is a SyntheticLanguage with a string alphabet (in a JSON spec, "
+                "a code or an object with string 'code' and 'alphabet')"
             )
+        pair = self.words_per_line
+        if not (isinstance(pair, (tuple, list)) and len(pair) == 2):
+            raise ConfigError("words_per_line must be a (low, high) pair with 1 <= low <= high")
+        for name, value in [("dev_lines", self.dev_lines), ("vocab_size", self.vocab_size),
+                            ("words_per_line low", pair[0]), ("words_per_line high", pair[1])]:
+            check_int(value, name)
+        numbers = (self.total_train_bytes, self.zipf_exponent, *self.proportions)
+        if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in numbers):
+            raise ConfigError("total_train_bytes, zipf_exponent and proportions must be numbers")
         try:  # an int too large for a float overflows where generation meets one
             for v in (self.total_train_bytes, *self.proportions):
                 float(v)
@@ -109,14 +116,14 @@ class SyntheticSpec:
         if abs(sum(self.proportions) - 1.0) > 1e-9:
             raise ConfigError(f"proportions must sum to 1 (got {sum(self.proportions)!r})")
         codes = [l.code for l in self.languages]
-        if len(set(codes)) != len(codes):
-            raise ConfigError("duplicate language codes")
         for code in codes:  # each names train/<code>.jsonl and dev/<code>.txt
             if not isinstance(code, str) or code in ("", ".", "..") or "/" in code or "\0" in code:
                 raise ConfigError(
                     f"language code {code!r} cannot name a file: it must be a non-empty "
                     "string other than '.' and '..', without '/' or NUL"
                 )
+        if len(set(codes)) != len(codes):
+            raise ConfigError("duplicate language codes")
         byte_sets = []
         for lang in self.languages:
             if not lang.alphabet:
@@ -141,11 +148,7 @@ class SyntheticSpec:
         ]:
             if value > ceiling:
                 raise ConfigError(f"{name} must be at most {ceiling}")
-        pair = self.words_per_line
-        if not (
-            isinstance(pair, (tuple, list)) and len(pair) == 2
-            and all(isinstance(v, int) for v in pair) and 1 <= pair[0] <= pair[1]
-        ):
+        if not 1 <= pair[0] <= pair[1]:
             raise ConfigError("words_per_line must be a (low, high) pair with 1 <= low <= high")
         if pair[1] > MAX_WORDS_PER_LINE:
             raise ConfigError(f"words_per_line must be at most {MAX_WORDS_PER_LINE}")
@@ -177,21 +180,13 @@ class SyntheticSpec:
         if unknown:
             raise ConfigError(f"synthetic spec {path}: unknown config keys: {sorted(unknown)}")
         langs, proportions = data.get("languages", []), data["proportions"]
-        if not isinstance(langs, list) or not isinstance(proportions, list):
-            raise ConfigError(f"synthetic spec {path}: languages and proportions must be lists")
-        if all(isinstance(l, str) for l in langs):
+        if isinstance(langs, list) and all(isinstance(l, str) for l in langs):
             spec = cls.default(langs, proportions)
-        elif all(
-            isinstance(l, dict) and isinstance(l.get("code"), str)
-            and isinstance(l.get("alphabet"), str)
-            for l in langs
-        ):
-            spec = cls([SyntheticLanguage(l["code"], l["alphabet"]) for l in langs], proportions)
-        else:
-            raise ConfigError(
-                f"synthetic spec {path}: a language is a code or an object with string "
-                "'code' and 'alphabet'"
-            )
+        else:  # an object is a language; validate rejects any other value
+            if isinstance(langs, list):
+                langs = [SyntheticLanguage(l.get("code"), l.get("alphabet"))
+                         if isinstance(l, dict) else l for l in langs]
+            spec = cls(langs, proportions)
         for key in data.keys() - {"languages", "proportions"}:
             setattr(spec, key, data[key])  # validate checks each value
         return spec

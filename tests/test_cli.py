@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import hashlib
 import io
 import json
@@ -22,21 +23,28 @@ from hypothesis import strategies as st
 
 from parity_bpe import (
     DataError,
+    InternalError,
     LabeledCorpus,
     MetricReport,
     NormUnit,
+    ParallelDevCorpus,
+    ParityBpeError,
     ParityConfig,
+    SyntheticSpec,
     TokenizerModel,
     TrainLog,
     _kernels,
     compute_cr,
     full_report,
+    generate_synthetic,
     load_parallel_dev,
     pretokenize,
     train_classical,
 )
 from parity_bpe import cli, synthetic, tokenizer, trainer
 from parity_bpe.cli import main
+from parity_bpe.metrics import RENYI_ALPHA_DEFAULT
+from parity_bpe.synthetic import SyntheticLanguage
 from parity_bpe.tokenizer import escape_token
 from parity_bpe.trainer import LogWriter
 
@@ -47,6 +55,7 @@ from .oracles import (
     naive_parity_steps,
     per_line_load_labeled_corpus,
     replay_encode,
+    ten_pass_full_report,
     tokens_line,
 )
 from .test_trainer_parity import parity_cases
@@ -59,6 +68,16 @@ _EVAL = ["eval", "--model", "{model}", "--dev", "{synth}/dev", "--out", "{tmp}/r
 _SYNTH = ["synth", "--out", "{tmp}/corpus", "--train-bytes", "3000"]
 _CLASSICAL_TRAIN = ["train", "--classical", "--merges", "5", "--corpus", "{synth}/manifest.json",
                     "--model-out", "{tmp}/m.bpe"]
+# each synth spec field given true, and what validate says of it
+_SPEC_TRUE = {
+    "dev_lines": (True, "dev_lines must be an integer, got True"),
+    "total_train_bytes": (True, "total_train_bytes, zipf_exponent and proportions must be numbers"),
+    "vocab_size": (True, "vocab_size must be an integer, got True"),
+    "zipf_exponent": (True, "total_train_bytes, zipf_exponent and proportions must be numbers"),
+    "proportions": ([True], "total_train_bytes, zipf_exponent and proportions must be numbers"),
+    "words_per_line": ([True, 3], "words_per_line low must be an integer, got True"),
+    "words_per_line_high": ([1, True], "words_per_line high must be an integer, got True"),
+}
 # files the argv below name, written into {tmp}
 BAD_INPUT_FILES = {
     "not.json": "{not json",
@@ -102,6 +121,30 @@ BAD_INPUT_FILES = {
     ),
     "spec_unknown_key.json": json.dumps({"languages": ["aa", "bb"], "proportions": [0.5, 0.5],
                                          "dev_line": 3, "vocab_sise": 50, "train_bytes": 2000}),
+    # error branches: manifests, records, dev lines, configs, specs and a model
+    "manifest_no_languages.json": json.dumps({"languages": []}),
+    "manifest_entry_without_path.json": json.dumps({"languages": [{"lang": "aa"}]}),
+    "manifest_duplicate_language.json": json.dumps(
+        {"languages": [{"lang": "aa", "path": "a.jsonl"}, {"lang": "aa", "path": "b.jsonl"}]}),
+    "text_not_string.jsonl": '{"text": 5, "lang": "aa"}\n',
+    "manifest_text_not_string.json": json.dumps(
+        {"languages": [{"lang": "aa", "path": "text_not_string.jsonl"}]}),
+    "blank_dev.txt": "ab\n\nab\n",
+    "config_not_object.json": "[1]",
+    "config_string_nul.json": json.dumps({"corpus": "a\0b"}),
+    "config_string_surrogate.json": json.dumps({"corpus": "\ud800"}),
+    "spec_empty_alphabet.json": json.dumps(
+        {"proportions": [1], "languages": [{"code": "aa", "alphabet": ""}]}),
+    "spec_whitespace_alphabet.json": json.dumps(
+        {"proportions": [1], "languages": [{"code": "aa", "alphabet": "a b"}]}),
+    "non_ascii.bpe": "parity-bpe v1\nmerges:\n\u00e9\ta\n",
+    **{
+        f"spec_{field}_true.json": json.dumps(
+            {"languages": ["aa"], "proportions": [1], "total_train_bytes": 2000,
+             field.removesuffix("_high"): value}
+        )
+        for field, (value, _) in _SPEC_TRUE.items()
+    },
     **{
         f"spec_zipf_{name}.json": json.dumps(
             {"proportions": [1], "languages": ["aa"], "zipf_exponent": value}
@@ -185,9 +228,61 @@ BAD_INPUT_ARGV = {
     "synth-config-train-bytes-nan": _SYNTH + ["--config", "{tmp}/spec_train_bytes_nan.json"],
     "synth-config-words-per-line-over-ceiling":
         _SYNTH + ["--config", "{tmp}/spec_words_per_line_huge.json"],
+    # a bool where a spec takes an int or a real number
+    **{f"synth-config-{field}-true": _SYNTH + ["--config", f"{{tmp}}/spec_{field}_true.json"]
+       for field in _SPEC_TRUE},
+    # each error branch below once, with the exit code and message in ERROR_BRANCHES
+    "train-classical-no-dev": _CLASSICAL_TRAIN + ["--no-dev"],
+    "train-config-not-object": _CLASSICAL_TRAIN + ["--config", "{tmp}/config_not_object.json"],
+    "train-config-string-nul": _CLASSICAL_TRAIN + ["--config", "{tmp}/config_string_nul.json"],
+    "train-config-string-surrogate":
+        _CLASSICAL_TRAIN + ["--config", "{tmp}/config_string_surrogate.json"],
+    "train-manifest-no-languages":
+        _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_no_languages.json"],
+    "train-manifest-entry-without-path":
+        _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_entry_without_path.json"],
+    "train-manifest-duplicate-language":
+        _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_duplicate_language.json"],
+    "train-record-text-not-string":
+        _CLASSICAL_TRAIN + ["--corpus", "{tmp}/manifest_text_not_string.json"],
+    "eval-blank-dev-line": ["eval", "--model", "{model}", "--dev", "{tmp}", "--langs", "blank_dev"],
+    "synth-too-many-auto-alphabets": _SYNTH + ["--langs", "a1,a2,a3,a4,a5,a6,a7"],
+    "synth-duplicate-codes": _SYNTH + ["--langs", "aa,aa"],
+    "synth-config-empty-alphabet": _SYNTH + ["--config", "{tmp}/spec_empty_alphabet.json"],
+    "synth-config-whitespace-alphabet":
+        _SYNTH + ["--config", "{tmp}/spec_whitespace_alphabet.json"],
+    "encode-model-not-ascii": ["encode", "--model", "{tmp}/non_ascii.bpe",
+                               "--input", "{synth}/dev/aa.txt"],
     # one merge above the code-point ceiling of the trainer's words
     "train-merges-over-ceiling": _CLASSICAL_TRAIN[:2] + ["--merges", str(trainer.MAX_MERGES + 1)]
     + _CLASSICAL_TRAIN[4:],
+}
+
+# The exit code and stderr of each error-branch argv above.
+ERROR_BRANCHES = {
+    "train-classical-no-dev": (1, "error: --no-dev only applies to --parity\n"),
+    "train-config-not-object":
+        (1, "error: config {tmp}/config_not_object.json must be a JSON object\n"),
+    "train-config-string-nul": (1, 'error: config: invalid value for --corpus: "a\\u0000b"\n'),
+    "train-config-string-surrogate":
+        (1, 'error: config: invalid value for --corpus: "\\ud800"\n'),
+    "train-manifest-no-languages":
+        (2, "data error: manifest {tmp}/manifest_no_languages.json lists no languages\n"),
+    "train-manifest-entry-without-path":
+        (2, "data error: manifest {tmp}/manifest_entry_without_path.json: bad language entry "
+            "{{'lang': 'aa'}}\n"),
+    "train-manifest-duplicate-language":
+        (2, "data error: manifest {tmp}/manifest_duplicate_language.json: duplicate language "
+            "'aa'\n"),
+    "train-record-text-not-string":
+        (2, "data error: {tmp}/text_not_string.jsonl:1: text and lang must be strings\n"),
+    "eval-blank-dev-line": (2, "data error: {tmp}/blank_dev.txt:2: empty line after trimming\n"),
+    "synth-too-many-auto-alphabets":
+        (1, "error: at most 6 languages supported with auto-assigned alphabets\n"),
+    "synth-duplicate-codes": (1, "error: duplicate language codes\n"),
+    "synth-config-empty-alphabet": (1, "error: empty alphabet for 'aa'\n"),
+    "synth-config-whitespace-alphabet": (1, "error: alphabet for 'aa' contains whitespace\n"),
+    "encode-model-not-ascii": (2, "data error: {tmp}/non_ascii.bpe: not a text model file ("),
 }
 
 
@@ -708,6 +803,56 @@ def test_train_matches_the_oracles(case, tmp_path, capsys):
         }
 
 
+@st.composite
+def _eval_runs(draw):
+    """A drawn ``train`` run, then ``eval`` of its model on its dev files: a
+    ``--langs`` list of training languages (repeats and any order) and a
+    ``--renyi-alpha`` or none, each on argv or in a --config file."""
+    run_case = draw(_train_runs())
+    langs = draw(st.lists(st.sampled_from(run_case[0].languages), min_size=1, max_size=4))
+    alpha = draw(st.none() | st.sampled_from([0.5, 1, 2, 2.5, 7]))
+    flags = {"--langs": ",".join(langs), "--renyi-alpha": alpha}
+    places = {flag: draw(st.sampled_from(["argv", "config"]))
+              for flag, value in flags.items() if value is not None}
+    return run_case, flags, places
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_eval_runs())
+def test_eval_matches_the_ten_pass_report(case, tmp_path, capsys):
+    """``eval`` of a trained model on the files of a drawn run, with --langs and
+    --renyi-alpha from argv or --config, reports what the ten-pass oracle does
+    on the dev lines as drawn; only the provenance differs."""
+    (corpus, dev_lines, mode, train_flags, train_places), flags, places = case
+    with tempfile.TemporaryDirectory(dir=tmp_path) as root:
+        root = Path(root)
+        argv = _write_train_run(root, corpus, dev_lines, train_flags, train_places)
+        assert run(argv + (["--dev", root / "dev"] if mode == "parity" else [])) == 0
+        argv, config = ["eval", "--model", root / "m.bpe", "--dev", root / "dev"], {}
+        for flag, place in places.items():
+            if place == "config":
+                config[flag[2:]] = flags[flag]
+            else:
+                argv += [flag, str(flags[flag])]
+        if config:
+            (root / "eval.json").write_text(json.dumps(config))
+            argv += ["--config", root / "eval.json"]
+        capsys.readouterr()
+        assert run(argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        model = TokenizerModel.load(root / "m.bpe")
+    langs = sorted(set(flags["--langs"].split(",")))
+    dev = ParallelDevCorpus(tuple(langs), {lang: dev_lines[lang] for lang in langs})
+    alpha = RENYI_ALPHA_DEFAULT if flags["--renyi-alpha"] is None else flags["--renyi-alpha"]
+    expected = json.loads(ten_pass_full_report(model, dev, alpha).to_json())
+    provenance = {"model", "model_digest", "dev", "config_hash"}
+    assert report["provenance"].keys() - expected["provenance"].keys() == provenance
+    for key in provenance:
+        del report["provenance"][key]
+    assert report == expected
+
+
 class TestEncodeDecode:
     def test_paper_example_tokens(self, example_model, tmp_path, capsys, monkeypatch):
         code = run(["encode", "--model", example_model], monkeypatch, stdin=b"babab\n")
@@ -790,6 +935,27 @@ class TestEncodeDecode:
         assert code == 2
         assert "missing.txt" in capsys.readouterr().err
         assert out.read_text() == "kept\n"
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_text_only_stdout_is_data_error(self, example_model, tmp_path, command, capsys):
+        src = tmp_path / "in.txt"
+        src.write_bytes(b"b a\n")
+        text_out = io.StringIO()
+        with contextlib.redirect_stdout(text_out):
+            code = run([command, "--model", example_model, "--input", src])
+        assert (code, text_out.getvalue()) == (2, "")
+        assert capsys.readouterr().err == (
+            "data error: stdout is a text-only stream: it cannot carry bytes\n")
+
+    @pytest.mark.parametrize("command", ["encode", "decode"])
+    def test_text_only_stdin_is_data_error(self, example_model, tmp_path, command, capsys,
+                                           monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("b a\n"))
+        out = tmp_path / "out.txt"
+        assert run([command, "--model", example_model, "--output", out]) == 2
+        assert capsys.readouterr().err == (
+            "data error: stdin is a text-only stream: it cannot carry bytes\n")
+        assert not out.exists()
 
     def test_bad_record_leaves_output_intact(self, example_model, tmp_path):
         src = tmp_path / "tokens.txt"
@@ -1604,6 +1770,22 @@ class TestSynth:
         dev = load_parallel_dev(out / "dev", ["pp", "qq"])
         assert dev.n_lines == 4
 
+    def test_spec_config_with_explicit_alphabets(self, tmp_path, capsys):
+        """A spec whose languages are {"code", "alphabet"} objects writes the
+        files ``generate_synthetic`` writes for the same spec."""
+        languages = [{"code": "pp", "alphabet": "abc"}, {"code": "qq", "alphabet": "\u0440\u0441"}]
+        config = tmp_path / "spec.json"
+        config.write_text(json.dumps({"languages": languages, "proportions": [0.6, 0.4],
+                                      "dev_lines": 5, "total_train_bytes": 2000}))
+        assert run(["synth", "--config", config, "--out", tmp_path / "cli", "--seed", "3"]) == 0
+        spec = SyntheticSpec([SyntheticLanguage(**lang) for lang in languages], [0.6, 0.4],
+                             dev_lines=5, total_train_bytes=2000)
+        generate_synthetic(spec, 3, tmp_path / "library")
+        written = {root: {p.relative_to(tmp_path / root): p.read_bytes()
+                          for p in (tmp_path / root).rglob("*") if p.is_file()}
+                   for root in ("cli", "library")}
+        assert len(written["cli"]) == 6 and written["cli"] == written["library"]
+
     def test_failed_rerun_leaves_no_manifest(self, tmp_path, capsys):
         out = tmp_path / "corpus"
         args = ["synth", "--out", out, "--train-bytes", "3000", "--dev-lines", "5"]
@@ -1636,6 +1818,7 @@ class TestSynth:
         ("synth-config-train-bytes-nan", "total_train_bytes must be positive"),
         ("synth-config-words-per-line-over-ceiling",
          f"words_per_line must be at most {synthetic.MAX_WORDS_PER_LINE}"),
+        *[(f"synth-config-{field}-true", message) for field, (_, message) in _SPEC_TRUE.items()],
     ])
     def test_bad_spec_writes_nothing(self, name, message, tmp_path, capsys):
         for file_name, content in BAD_INPUT_FILES.items():
@@ -1702,3 +1885,27 @@ class TestUsage:
         code = run([arg.format(**paths) for arg in argv])
         assert code in (1, 2)
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", list(ERROR_BRANCHES))
+    def test_error_branch_exit_code_and_message(
+        self, name, tmp_path, synth_dir, example_model, capsys
+    ):
+        for file_name, content in BAD_INPUT_FILES.items():
+            (tmp_path / file_name).write_text(content)
+        paths = {"tmp": tmp_path, "synth": synth_dir, "model": example_model}
+        code, message = ERROR_BRANCHES[name]
+        assert run([arg.format(**paths) for arg in BAD_INPUT_ARGV[name]]) == code
+        assert capsys.readouterr().err.startswith(message.format(**paths))
+
+    @pytest.mark.parametrize("raised, code, err", [
+        (InternalError("invariant broken"), 3, "internal error: invariant broken\n"),
+        (ParityBpeError("unclassified"), 3, "error: unclassified\n"),
+        (BrokenPipeError(), 0, ""),
+    ], ids=["internal", "other", "broken-pipe"])
+    def test_main_maps_the_other_errors(self, raised, code, err, monkeypatch, capsys):
+        def failing(args):
+            raise raised
+
+        monkeypatch.setattr(cli, "cmd_eval", failing)
+        assert main(["eval"]) == code
+        assert capsys.readouterr().err == err

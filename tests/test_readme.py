@@ -3,6 +3,7 @@
 import re
 from pathlib import Path
 
+import parity_bpe
 from parity_bpe import SyntheticSpec, generate_synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -21,3 +22,11 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     exec(compile(library_example(), str(README), "exec"), {})
     gini = float(capsys.readouterr().out)
     assert 0.0 <= gini < 1.0
+
+
+def test_readme_names_every_public_name():
+    """Each name in ``parity_bpe.__all__`` appears in the README as code."""
+    text = README.read_text(encoding="utf-8")
+    missing = [name for name in parity_bpe.__all__
+               if not re.search(rf"`(?:\w+\.)*{re.escape(name)}\b", text)]
+    assert missing == []

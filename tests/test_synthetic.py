@@ -162,3 +162,19 @@ def test_output_bytes_are_pinned(tmp_path, name):
         if path.is_file()
     }
     assert written == digests
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"proportions": 5}, "languages and proportions must be lists"),
+    ({"languages": ["aa"]}, "a language is a SyntheticLanguage with a string alphabet"),
+    ({"languages": [SyntheticLanguage("aa", None)]}, "a language is a SyntheticLanguage"),
+    ({"dev_lines": True}, "dev_lines must be an integer, got True"),
+    ({"zipf_exponent": True}, "must be numbers"),
+])
+def test_library_spec_meets_the_json_spec_rules(tmp_path, fields, message):
+    """A spec built in Python is checked as one read from JSON: no traceback."""
+    spec = SyntheticSpec(**{"languages": [SyntheticLanguage("aa", "ab")], "proportions": [1.0],
+                            **fields})
+    with pytest.raises(ConfigError, match=message):
+        generate_synthetic(spec, seed=0, out_dir=tmp_path / "out")
+    assert list(tmp_path.iterdir()) == []
