@@ -1,7 +1,8 @@
 """The kernels' semantics, and the encoder against independent references.
 
-``encode_ids`` encodes with a rank-ordered merge queue; these tests hold it
-to the results of a per-merge rescan and a sequential merge replay.
+``encode_ids`` encodes with a rank-ordered merge queue (a heap, or rank
+buckets from ``LONG_PRETOKEN`` ids on); these tests hold it to the results
+of a per-merge rescan and a sequential merge replay.
 """
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parity_bpe import TokenizerModel, _kernels, pretokenize
+from parity_bpe._kernels import LONG_PRETOKEN
 from parity_bpe.trainer import _WordStore
 
 from .oracles import replace_pair, replay_encode, rescan_encode_ids, sliding_pair_counts, store_ids
@@ -124,13 +126,14 @@ def test_encode_applies_by_rank():
 
 
 @st.composite
-def tables_and_ids(draw):
+def tables_and_ids(draw, long=False):
     """A merge table over a 2-4 byte alphabet and an id sequence over it.
 
     Merge operands are drawn from everything produced so far, so with so few
     letters many merges rebuild bytes an earlier merge already produced and
     map to its earlier, canonical id. The input is a run of produced tokens,
-    so that long merges apply too.
+    so that long merges apply too: at most 200 ids, or with ``long`` at least
+    ``LONG_PRETOKEN``, enough to take the rank-bucket path.
     """
     letters = [bytes([ord("a") + i]) for i in range(draw(st.integers(2, 4)))]
     produced = list(letters)
@@ -141,7 +144,12 @@ def tables_and_ids(draw):
             merges.append(pair)
             produced.append(pair[0] + pair[1])
     table = TokenizerModel(merges)._table
-    data = b"".join(draw(st.lists(st.sampled_from(produced), max_size=60)))[:200]
+    if long:
+        rnd = draw(st.randoms(use_true_random=False))
+        size = LONG_PRETOKEN + draw(st.integers(0, 64))
+        data = b"".join(rnd.choices(produced, k=size))[:size]
+    else:
+        data = b"".join(draw(st.lists(st.sampled_from(produced), max_size=60)))[:200]
     return table, list(data)
 
 
@@ -150,6 +158,36 @@ def tables_and_ids(draw):
 def test_matches_rescan(case):
     table, ids = case
     assert _kernels.encode_ids(ids, table) == rescan_encode_ids(ids, table)
+
+
+# In a model's table an id is one byte string, so equal spans merge in step
+# and a rank's positions come in order; here 5 is made from (3, 4) a pass
+# before (1, 2), so the (5, 5) positions come unsorted.
+@settings(max_examples=20, deadline=None)
+@given(tables_and_ids(long=True))
+@example(({(3, 4): (0, 5), (1, 2): (1, 5), (5, 5): (2, 6)}, [1, 2, 3, 4, 3, 4] * 200))
+def test_long_pretokens_match_rescan(case):
+    table, ids = case
+    expected = rescan_encode_ids(ids, table)
+    assert _kernels.encode_ids(ids, table) == expected
+    assert _kernels.encode_ids(bytes(ids), table) == expected
+
+
+def test_rank_buckets_start_at_long_pretoken(monkeypatch, synth_dir, classical_run):
+    calls = []
+    bucketed = _kernels.encode_long_ids
+
+    def counted(ids, table):
+        calls.append(len(ids))
+        return bucketed(ids, table)
+
+    monkeypatch.setattr(_kernels, "encode_long_ids", counted)
+    table = classical_run[0]._table
+    words = b"".join((synth_dir / "dev" / "aa.txt").read_bytes().split())
+    for n in (LONG_PRETOKEN - 1, LONG_PRETOKEN):
+        text = (words * (n // len(words) + 1))[:n]
+        assert _kernels.encode_ids(text, table) == rescan_encode_ids(text, table)
+    assert calls == [LONG_PRETOKEN]
 
 
 @settings(max_examples=200, deadline=None)
@@ -170,23 +208,35 @@ def _queue_encode(model, data: bytes) -> list[bytes]:
 _REBUILD_ABC = [(b"b", b"c"), (b"a", b"b"), (b"ab", b"c")]
 
 
-@pytest.mark.parametrize(
-    "merges, data, expected",
-    [
-        # (abc, a) made on the right must not take the a of the next (a, bc)
-        (_REBUILD_ABC + [(b"abc", b"a"), (b"a", b"bc")], b"abcabc", [b"abc", b"abc"]),
-        # ... and still applies once the queue has run empty
-        (_REBUILD_ABC + [(b"abc", b"a"), (b"a", b"bc")], b"abca", [b"abca"]),
-        # (x, abc) made on the left must not start a chain that takes that a
-        (
-            _REBUILD_ABC + [(b"x", b"abc"), (b"xabc", b"a"), (b"a", b"bc")],
-            b"xabcabc",
-            [b"xabc", b"abc"],
-        ),
-    ],
-)
+_MID_PASS_CASES = [
+    # (abc, a) made on the right must not take the a of the next (a, bc)
+    (_REBUILD_ABC + [(b"abc", b"a"), (b"a", b"bc")], b"abcabc", [b"abc", b"abc"]),
+    # ... and still applies once the queue has run empty
+    (_REBUILD_ABC + [(b"abc", b"a"), (b"a", b"bc")], b"abca", [b"abca"]),
+    # (x, abc) made on the left must not start a chain that takes that a
+    (
+        _REBUILD_ABC + [(b"x", b"abc"), (b"xabc", b"a"), (b"a", b"bc")],
+        b"xabcabc",
+        [b"xabc", b"abc"],
+    ),
+]
+
+
+@pytest.mark.parametrize("merges, data, expected", _MID_PASS_CASES)
 def test_lower_rank_pair_made_mid_pass_waits_for_the_pass(merges, data, expected):
     assert _queue_encode(TokenizerModel(merges), data) == expected
+
+
+# Tiled into one pre-token past LONG_PRETOKEN, for the rank-bucket path. No
+# merge joins two tiles, so each tile encodes as it does alone. (The merge
+# replay is no reference here: it never goes back to (abc, a) once past it,
+# and so splits the second and third cases even untiled.)
+@pytest.mark.parametrize("merges, data, expected", _MID_PASS_CASES)
+def test_lower_rank_pair_made_mid_pass_waits_in_a_long_pretoken(merges, data, expected):
+    model = TokenizerModel(merges)
+    text = data * (LONG_PRETOKEN // len(data) + 1)
+    assert _queue_encode(model, text) == expected * (len(text) // len(data))
+    assert _kernels.encode_ids(text, model._table) == rescan_encode_ids(text, model._table)
 
 
 def test_long_whitespace_free_pretoken_matches_replay(synth_dir, classical_run):
