@@ -9,6 +9,14 @@ A trainer word is a str with one code point per token, its id plus
 and rewrites words with C-level str operations. The bytes are U+0100-U+01FF,
 so a word is two bytes per token from its build on and never widens.
 
+The encoder's merge table is a list of rows indexed by token id, as
+``TokenizerModel`` builds it: ``table[left]`` maps a right id to
+``(rank, merged id)``, and every id in the input, and every id a merge
+makes, is below ``len(table)``. A pair is looked up as
+``table[left].get(right)``, with no tuple built and hashed per probe; that
+took 0.71-0.82x the kernel time of a pair-keyed dict on the cold
+pre-tokens of the ``encode-adversarial`` benchmark workload.
+
 Encoding a pre-token of ``n`` ids takes O(n log n) in one of two regimes,
 chosen by its length. Below ``LONG_PRETOKEN`` ids (the dictionary words
 that nearly all text is made of) a min-heap holds one key per adjacent pair
@@ -18,12 +26,12 @@ and Hugging Face ``Word::merge_all``; van Antwerpen and Neubeck 2024 give
 linear-time variants). From ``LONG_PRETOKEN`` ids on (text written without
 spaces arrives as one such pre-token) each rank present keeps a list of its
 positions, and only the ranks go through a heap: see ``encode_long_ids``.
-Rank lists cost about 1.3x the heap's time on the 2-5 byte pre-tokens of
-the ``train-5lang`` dev and ``encode-zipf`` inputs, and 0.50-0.84x of it at
-8.7 KB (the table in ``encode_long_ids``), hence the split. A plain-loop
-rescan was 6-19% faster than the heap on those words, 12-19% slower on
-8-byte ones and 77-83% slower on ~42-byte random pre-tokens; it would be a
-third path, so it is not taken.
+Rank lists cost about 1.3x the heap's time on the dev words of
+``train-5lang``, and 0.48-0.94x of it at 8.7 KB (the table in
+``encode_long_ids``), hence the split. A plain-loop rescan was 6-19%
+faster than the heap on dictionary words, 12-19% slower on 8-byte ones and
+77-83% slower on ~42-byte random pre-tokens (measured on a pair-keyed
+table); it would be a third path, so it is not taken.
 
 Both regimes apply a rank's occurrences left to right and take a pair that
 a merge makes only on a later pass: a merge whose result has an earlier
@@ -139,15 +147,17 @@ def merge_and_deltas(store, listed, a: int, b: int, c: int):
     return changed, rewritten, repl, dev_repl
 
 
-def encode_ids(ids, table: dict) -> list:
+def encode_ids(ids, table: list) -> list:
     """Tokenize one pre-token's id sequence (its bytes, say) against a merge table.
 
-    ``table`` maps an adjacent id pair to ``(rank, merged_id)``. The lowest
-    rank present in the sequence is applied to all of its occurrences
-    (leftmost-first, non-overlapping) until no pair is in the table.
+    ``table[left]`` maps a right id to ``(rank, merged_id)``, for an adjacent
+    pair ``(left, right)``, and every id in ``ids`` is below ``len(table)``.
+    The lowest rank present in the sequence is applied to all of its
+    occurrences (leftmost-first, non-overlapping) until no pair is in the
+    table.
 
     A pre-token of ``LONG_PRETOKEN`` ids or more goes to
-    ``encode_long_ids``, which gives the same ids in 0.50-0.84x the heap's
+    ``encode_long_ids``, which gives the same ids in 0.48-0.94x the heap's
     time at 8.7 KB but takes about 1.3x it on dictionary words. Below that,
     keys are ``rank * n + position`` of a pair's left symbol in one min-heap.
     Symbols stay at their input positions; a merged-away right symbol becomes
@@ -161,10 +171,9 @@ def encode_ids(ids, table: dict) -> list:
         return encode_long_ids(ids, table)
     seq = list(ids)
     n = len(seq)
-    get = table.get
     heap = []
     for i in range(n - 1):
-        entry = get((seq[i], seq[i + 1]))
+        entry = table[seq[i]].get(seq[i + 1])
         if entry is not None:
             heap.append(entry[0] * n + i)
     heapify(heap)
@@ -188,7 +197,7 @@ def encode_ids(ids, table: dict) -> list:
             j += 1
         if j == n:
             continue
-        entry = get((left, seq[j]))
+        entry = table[left].get(seq[j])
         if entry is None or entry[0] * n + i != key:
             continue
         rank, new = entry
@@ -198,7 +207,7 @@ def encode_ids(ids, table: dict) -> list:
         while h >= 0 and seq[h] is None:
             h -= 1
         if h >= 0:
-            entry = get((seq[h], new))
+            entry = table[seq[h]].get(new)
             if entry is not None:
                 if entry[0] > rank:
                     heappush(heap, entry[0] * n + h)
@@ -208,7 +217,7 @@ def encode_ids(ids, table: dict) -> list:
         while seq[k] is None:
             k += 1
         if k < n:
-            entry = get((new, seq[k]))
+            entry = table[new].get(seq[k])
             if entry is not None:
                 if entry[0] > rank:
                     heappush(heap, entry[0] * n + i)
@@ -220,8 +229,9 @@ def encode_ids(ids, table: dict) -> list:
     return [t for t in seq if t is not None]
 
 
-def encode_long_ids(ids, table: dict) -> list:
-    """``encode_ids`` for a pre-token of ``LONG_PRETOKEN`` ids or more.
+def encode_long_ids(ids, table: list) -> list:
+    """``encode_ids`` for a pre-token of ``LONG_PRETOKEN`` ids or more, on
+    the same rows: ``table[left].get(right)`` is a pair's ``(rank, merged_id)``.
 
     ``buckets`` maps each rank present to the positions of its pairs, and
     ``ranks`` is a min-heap of its keys: per merge, a list append in place
@@ -240,27 +250,28 @@ def encode_long_ids(ids, table: dict) -> list:
 
     Time against the heap, each input timed interleaved with the 2000-merge
     parity model of ``train-5lang``, seed 1 (median of 12 inputs, two
-    rounds, CPython 3.11 on a shared 2-vCPU VM):
+    rounds, best of three calls each, CPython 3.11 on a shared 2-vCPU VM;
+    a second run agreed within 0.04):
 
     ======================================  =====  =====  =====  ======
     input                                   1 KB   2 KB   4 KB   8.7 KB
     ======================================  =====  =====  =====  ======
-    dev words of all five languages, glued  0.91   0.83   0.73   0.67
-    ``l0`` dev text, its spaces removed     0.65   0.59   0.53   0.50
-    random ``l0`` letters                   0.65   0.58   0.53   0.50
-    random letters of all five alphabets    0.98   0.95   0.91   0.84
+    dev words of all five languages, glued  0.96   0.85   0.75   0.66
+    ``l0`` dev text, its spaces removed     0.65   0.58   0.52   0.48
+    random ``l0`` letters                   0.67   0.59   0.52   0.48
+    random letters of all five alphabets    1.11   1.08   1.02   0.94
     ======================================  =====  =====  =====  ======
 
     Fewer merges apply to mixed-alphabet text, so the heap has less to
-    save there: at 1 KB of random letters of all five alphabets the two
-    take about the same time, the closest the rank lists come to losing
-    from ``LONG_PRETOKEN`` on.
+    save there: at 1-4 KB of random letters of all five alphabets the rank
+    lists take up to 1.11x the heap's time, the most they lose from
+    ``LONG_PRETOKEN`` on.
     """
     seq = list(ids)
     n = len(seq)
-    get = table.get
     buckets = {}  # rank -> positions of the pairs with that rank
-    for i, entry in enumerate(map(get, zip(seq, seq[1:]))):
+    for i in range(n - 1):
+        entry = table[seq[i]].get(seq[i + 1])
         if entry is not None:
             bucket = buckets.get(entry[0])
             if bucket is None:
@@ -283,7 +294,7 @@ def encode_long_ids(ids, table: dict) -> list:
                 j += 1
             if j == n:
                 continue
-            entry = get((left, seq[j]))
+            entry = table[left].get(seq[j])
             if entry is None or entry[0] != rank:
                 continue
             new = entry[1]
@@ -293,7 +304,7 @@ def encode_long_ids(ids, table: dict) -> list:
             while h >= 0 and seq[h] is None:
                 h -= 1
             if h >= 0:
-                entry = get((seq[h], new))
+                entry = table[seq[h]].get(new)
                 if entry is not None:
                     bucket = buckets.get(entry[0])
                     if bucket is None:
@@ -305,7 +316,7 @@ def encode_long_ids(ids, table: dict) -> list:
             while seq[k] is None:
                 k += 1
             if k < n:
-                entry = get((new, seq[k]))
+                entry = table[new].get(seq[k])
                 if entry is not None:
                     bucket = buckets.get(entry[0])
                     if bucket is None:

@@ -31,7 +31,7 @@ from .corpus import (
     read_manifest,
 )
 from .errors import ConfigError, DataError, InternalError, ParityBpeError
-from .metrics import RENYI_ALPHA_DEFAULT, check_renyi_order, full_report, load_gold_tsv
+from .metrics import RENYI_ALPHA_DEFAULT, check_renyi_order, full_report, load_gold_with_digest
 from .parity import CRTable, ParityConfig, train_no_dev, train_parity
 from .synthetic import SyntheticSpec, generate_synthetic
 from .tokenizer import TokenizerModel, unescape_token
@@ -418,15 +418,28 @@ def _dev_languages(dev_dir: Path, langs_flag: str | None) -> list[str]:
 
 
 def _report_for(model_path: Path, dev, args):
+    """The report of one model on ``dev``. Its provenance hashes every flag
+    that changes the report (the languages as ``dev`` holds them, sorted and
+    once each) and records the digests of the bytes each input was read from."""
     model = TokenizerModel.load(model_path)
-    gold = load_gold_tsv(args.gold) if getattr(args, "gold", None) else None
+    gold_path = getattr(args, "gold", None)
+    inputs = {f"dev/{lang}": d for lang, d in dev.digests.items()}
+    gold = None
+    if gold_path:
+        gold, inputs["gold"] = load_gold_with_digest(gold_path)
+    config = {
+        "dev": str(args.dev),
+        "langs": list(dev.languages),
+        "gold": gold_path,
+        "renyi_alpha": args.renyi_alpha,
+        "model": str(model_path),
+    }
     provenance = {
         "model": str(model_path),
         "model_digest": model.file_digest,
         "dev": str(args.dev),
-        "config_hash": _digest_config(
-            {"dev": str(args.dev), "renyi_alpha": args.renyi_alpha, "model": str(model_path)}
-        ),
+        "config_hash": _digest_config(config),
+        "inputs": inputs,
     }
     return full_report(
         model, dev, renyi_alpha=args.renyi_alpha, gold=gold, provenance=provenance

@@ -7,6 +7,7 @@ each explicitly so they are never silently conflated.
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from collections import Counter
@@ -15,7 +16,7 @@ from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .corpus import NormUnit, ParallelDevCorpus, char_count, line_count, pretokenize
+from .corpus import NormUnit, ParallelDevCorpus, char_count, digest, line_count, pretokenize
 from .errors import DataError
 from .tokenizer import TokenizerModel
 
@@ -237,32 +238,36 @@ def morph_boundary_scores(
 
 def load_gold_tsv(path: str | Path) -> list[GoldSegmentation]:
     """Parse ``word<TAB>seg|ment|ed`` lines into gold segmentations."""
+    return load_gold_with_digest(path)[0]
+
+
+def load_gold_with_digest(path: str | Path) -> tuple[list[GoldSegmentation], str]:
+    """:func:`load_gold_tsv`, and the ``corpus.digest`` of the bytes it parsed."""
     path = Path(path)
     entries = []
     try:
-        fh = open(path, "rb")
+        data = path.read_bytes()
     except OSError as exc:
         raise DataError(f"cannot read gold file {path}: {exc.strerror or exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.rstrip(b"\r\n")
-            if not line:
-                continue
-            parts = line.split(b"\t")
-            if len(parts) != 2:
-                raise DataError(f"{path}:{lineno}: expected word<TAB>segmentation")
-            word, segmented = parts
-            pieces = segmented.split(b"|")
-            if b"".join(pieces) != word:
-                raise DataError(
-                    f"{path}:{lineno}: segmentation does not concatenate to the word"
-                )
-            if b"" in pieces:
-                raise DataError(f"{path}:{lineno}: empty segment")
-            entries.append(GoldSegmentation(word, _boundaries(pieces)))
+    for lineno, raw in enumerate(io.BytesIO(data), 1):  # the lines a binary file yields
+        line = raw.rstrip(b"\r\n")
+        if not line:
+            continue
+        parts = line.split(b"\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected word<TAB>segmentation")
+        word, segmented = parts
+        pieces = segmented.split(b"|")
+        if b"".join(pieces) != word:
+            raise DataError(
+                f"{path}:{lineno}: segmentation does not concatenate to the word"
+            )
+        if b"" in pieces:
+            raise DataError(f"{path}:{lineno}: empty segment")
+        entries.append(GoldSegmentation(word, _boundaries(pieces)))
     if not entries:
         raise DataError(f"{path}: no gold entries")
-    return entries
+    return entries, digest(data)
 
 
 @dataclass

@@ -90,7 +90,7 @@ def _byte_class(values) -> bytes:
     return b"[" + b"".join(b"\\x%02x-\\x%02x" % (lo, hi) for lo, hi in ranges) + b"]"
 
 
-def _kernel_encode(table: dict, word: bytes) -> list[int]:
+def _kernel_encode(table: list, word: bytes) -> list[int]:
     return _kernels.encode_ids(word, table)
 
 
@@ -136,13 +136,18 @@ class TokenizerModel:
     the earliest id is the canonical one and is the only id emitted by
     ``encode_ids``. :attr:`file_digest` names the file :meth:`load` read
     the model from.
+
+    ``_table`` is the encoder's merge table, one row per id: ``_table[a]``
+    maps a right id ``b`` to ``(rank, merged id)`` for the merge of the
+    canonical pair ``(a, b)``, and every id that leads no merge shares one
+    empty row. ``_kernels.encode_ids`` reads it as ``table[a].get(b)``.
     """
 
     def __init__(self, merges: list[tuple[bytes, bytes]]):
         vocab = [bytes([i]) for i in range(256)]
         first_id = {span: i for i, span in enumerate(vocab)}
-        table: dict[tuple[int, int], tuple[int, int]] = {}
-        seen: set[tuple[bytes, bytes]] = set()
+        no_merges: dict[int, tuple[int, int]] = {}
+        table = [no_merges] * (256 + len(merges))
         for k, (left, right) in enumerate(merges):
             for operand in (left, right):
                 if not operand:
@@ -151,17 +156,20 @@ class TokenizerModel:
                     raise ModelFormatError(
                         f"merge {k}: operand not producible: {escape_token(operand)!r}"
                     )
-            pair = (left, right)
-            if pair in seen:
+            # canonical ids name byte strings one to one, so a repeated id
+            # pair is a repeated byte pair
+            a, b = first_id[left], first_id[right]
+            row = table[a]
+            if row is no_merges:
+                row = table[a] = {}
+            elif b in row:
                 raise ModelFormatError(
                     f"merge {k}: duplicate pair "
                     f"{escape_token(left)!r} + {escape_token(right)!r}"
                 )
             result = left + right
             vocab.append(result)
-            first_id.setdefault(result, 256 + k)
-            seen.add(pair)
-            table[(first_id[left], first_id[right])] = (k, first_id[result])
+            row[b] = (k, first_id.setdefault(result, 256 + k))
 
         self.merges: tuple[tuple[bytes, bytes], ...] = tuple(merges)
         self.id_to_bytes: tuple[bytes, ...] = tuple(vocab)

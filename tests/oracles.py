@@ -1,11 +1,12 @@
 """Independent reference implementations used to check the library.
 
 Everything here is deliberately naive and self-contained: sequential merge
-replay and a per-merge rescan for encoding, from-scratch sliding-window pair
-recounts, classical and min-max training traces that recount everything at
-every step, a bitwise UTF-8 scalar counter, a pairwise-difference Gini, the
-one-``json.loads``-per-line corpus loader, and the ``naive_*`` metric bodies,
-each of which tokenizes the documents on its own and applies its own formula.
+replay, and a per-merge rescan on a pair-keyed ``merge_table``, for
+encoding, from-scratch sliding-window pair recounts, classical and min-max
+training traces that recount everything at every step, a bitwise UTF-8
+scalar counter, a pairwise-difference Gini, the one-``json.loads``-per-line
+corpus loader, and the ``naive_*`` metric bodies, each of which tokenizes
+the documents on its own and applies its own formula.
 ``ten_pass_full_report`` builds the report from those bodies, one
 tokenization pass per metric; it takes only the Renyi entropy, the Gini and
 the morph scores from the package, and the one-pass ``full_report`` must
@@ -72,11 +73,24 @@ def replay_encode(merges, text: bytes) -> list[bytes]:
     return out
 
 
+def merge_table(merges) -> dict:
+    """``{(left id, right id): (rank, merged id)}`` of a merge list, by its
+    canonical ids: a merge's id is 256 plus its rank unless an earlier merge
+    (or a single byte) produced the same bytes."""
+    canonical = {bytes([i]): i for i in range(256)}
+    table = {}
+    for rank, (left, right) in enumerate(merges):
+        merged = canonical.setdefault(left + right, 256 + rank)
+        table[(canonical[left], canonical[right])] = (rank, merged)
+    return table
+
+
 def rescan_encode_ids(ids, table: dict) -> list:
     """Kernel-level encoder: rescan for the lowest-ranked pair, apply it
     leftmost-first and non-overlapping everywhere, repeat.
 
-    ``table`` maps an adjacent id pair to ``(rank, merged_id)``.
+    ``table`` maps an adjacent id pair to ``(rank, merged_id)``, as
+    :func:`merge_table` builds it.
     """
     seq = list(ids)
     while len(seq) > 1:

@@ -846,7 +846,7 @@ def test_eval_matches_the_ten_pass_report(case, tmp_path, capsys):
     dev = ParallelDevCorpus(tuple(langs), {lang: dev_lines[lang] for lang in langs})
     alpha = RENYI_ALPHA_DEFAULT if flags["--renyi-alpha"] is None else flags["--renyi-alpha"]
     expected = json.loads(ten_pass_full_report(model, dev, alpha).to_json())
-    provenance = {"model", "model_digest", "dev", "config_hash"}
+    provenance = {"model", "model_digest", "dev", "config_hash", "inputs"}
     assert report["provenance"].keys() - expected["provenance"].keys() == provenance
     for key in provenance:
         del report["provenance"][key]
@@ -1585,6 +1585,38 @@ class TestEval:
         report = MetricReport.from_json(out.read_text())
         assert report.global_metrics["morph_boundary_recall"] == 1.0
 
+
+    def test_config_hash_covers_the_languages_and_the_gold_file(self, tmp_path, synth_dir):
+        """Each flag that changes the report changes the hash; the same flags
+        on argv or in ``--config`` give the same one; the provenance holds
+        the digest of each dev and gold file read."""
+        model_path, dev = tmp_path / "identity.bpe", synth_dir / "dev"
+        TokenizerModel([]).save(model_path)
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("ab\ta|b\n")
+
+        def provenance(*flags, config=None):
+            argv = ["eval", "--model", model_path, "--dev", dev, "--out", tmp_path / "r.json"]
+            if config is not None:
+                (tmp_path / "eval.json").write_text(json.dumps(config))
+                argv += ["--config", tmp_path / "eval.json"]
+            assert run(argv + list(flags)) == 0
+            return MetricReport.from_json((tmp_path / "r.json").read_text()).provenance
+
+        every = provenance()
+        argv = provenance("--langs", "bb,aa", "--gold", gold)
+        config = provenance(config={"langs": "aa,bb", "gold": str(gold)})
+        hashes = [every["config_hash"], provenance("--langs", "aa")["config_hash"],
+                  provenance("--langs", "aa,bb")["config_hash"], argv["config_hash"]]
+        assert len(set(hashes)) == len(hashes)
+        assert config == argv
+        def sha(path):
+            return hashlib.sha256(path.read_bytes()).hexdigest()[:16]
+
+        files = {f"dev/{lang}": dev / f"{lang}.txt" for lang in ("aa", "bb", "cc")}
+        assert every["inputs"] == {key: sha(path) for key, path in files.items()}
+        assert argv["inputs"] == {"dev/aa": every["inputs"]["dev/aa"],
+                                  "dev/bb": every["inputs"]["dev/bb"], "gold": sha(gold)}
 
     @pytest.mark.parametrize("given, meant", [("aa,aa", "aa"), ("bb,aa,bb", "aa,bb")])
     def test_duplicate_langs_count_once(self, tmp_path, synth_dir, classical_run, given, meant):

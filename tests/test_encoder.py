@@ -13,7 +13,14 @@ from parity_bpe import TokenizerModel, _kernels, pretokenize
 from parity_bpe._kernels import LONG_PRETOKEN
 from parity_bpe.trainer import _WordStore
 
-from .oracles import replace_pair, replay_encode, rescan_encode_ids, sliding_pair_counts, store_ids
+from .oracles import (
+    merge_table,
+    replace_pair,
+    replay_encode,
+    rescan_encode_ids,
+    sliding_pair_counts,
+    store_ids,
+)
 
 
 def test_overlapping_pairs_counted_positionally():
@@ -119,21 +126,30 @@ def test_merge_and_deltas_matches_recount(tokens, a, b, c, absent, counts):
     assert changed[absent] == {} and repl[absent] == 0
 
 
+def rows_of(table: dict) -> list:
+    """A pair-keyed table as the kernel takes it: ``rows[left][right]`` is
+    ``table[(left, right)]``, with a row for every id up to the largest the
+    table names. For tables no model builds, such as one id made twice."""
+    ids = [i for (left, right), (_, merged) in table.items() for i in (left, right, merged)]
+    rows = [{} for _ in range(max(ids, default=-1) + 1)]
+    for (left, right), entry in table.items():
+        rows[left][right] = entry
+    return rows
+
+
 def test_encode_applies_by_rank():
     # ids: a=0 b=1; merges: (1,0)->2 rank0, (2,1)->3 rank1
     table = {(1, 0): (0, 2), (2, 1): (1, 3)}
-    assert _kernels.encode_ids([1, 0, 1, 0, 1], table) == [2, 3]
+    assert _kernels.encode_ids([1, 0, 1, 0, 1], rows_of(table)) == [2, 3]
 
 
 @st.composite
-def tables_and_ids(draw, long=False):
-    """A merge table over a 2-4 byte alphabet and an id sequence over it.
+def merge_lists(draw):
+    """A merge list over a 2-4 byte alphabet, and every token it produces.
 
     Merge operands are drawn from everything produced so far, so with so few
     letters many merges rebuild bytes an earlier merge already produced and
-    map to its earlier, canonical id. The input is a run of produced tokens,
-    so that long merges apply too: at most 200 ids, or with ``long`` at least
-    ``LONG_PRETOKEN``, enough to take the rank-bucket path.
+    map to its earlier, canonical id.
     """
     letters = [bytes([ord("a") + i]) for i in range(draw(st.integers(2, 4)))]
     produced = list(letters)
@@ -143,34 +159,68 @@ def tables_and_ids(draw, long=False):
         if pair not in merges:
             merges.append(pair)
             produced.append(pair[0] + pair[1])
-    table = TokenizerModel(merges)._table
+    return merges, produced
+
+
+@st.composite
+def tables_and_ids(draw, long=False):
+    """A drawn merge list's model table, its pair-keyed ``merge_table`` for
+    the rescan oracle, and an id sequence over its alphabet.
+
+    The input is a run of produced tokens, so that long merges apply too: at
+    most 200 ids, or with ``long`` at least ``LONG_PRETOKEN``, enough to take
+    the rank-bucket path.
+    """
+    merges, produced = draw(merge_lists())
     if long:
         rnd = draw(st.randoms(use_true_random=False))
         size = LONG_PRETOKEN + draw(st.integers(0, 64))
         data = b"".join(rnd.choices(produced, k=size))[:size]
     else:
         data = b"".join(draw(st.lists(st.sampled_from(produced), max_size=60)))[:200]
-    return table, list(data)
+    return TokenizerModel(merges)._table, merge_table(merges), list(data)
+
+
+@settings(max_examples=200, deadline=None)
+@given(merge_lists())
+def test_table_rows_hold_the_merge_table(case):
+    """``_table[left]`` maps each right id to ``(rank, merged id)``: one row
+    per id, the entries exactly the pair-keyed table's, and every id that
+    leads no merge on one shared empty row."""
+    merges, _ = case
+    model = TokenizerModel(merges)
+    rows = model._table
+    assert len(rows) == len(model.id_to_bytes) == 256 + len(merges)
+    expected = merge_table(merges)
+    held = {(left, right): entry for left, row in enumerate(rows) for right, entry in row.items()}
+    assert held == expected
+    leaders = {left for left, _ in expected}
+    empty = [row for left, row in enumerate(rows) if left not in leaders]
+    assert not any(empty)
+    assert len({id(row) for row in empty}) == 1
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables_and_ids())
 def test_matches_rescan(case):
-    table, ids = case
-    assert _kernels.encode_ids(ids, table) == rescan_encode_ids(ids, table)
+    rows, table, ids = case
+    assert _kernels.encode_ids(ids, rows) == rescan_encode_ids(ids, table)
 
 
 # In a model's table an id is one byte string, so equal spans merge in step
 # and a rank's positions come in order; here 5 is made from (3, 4) a pass
 # before (1, 2), so the (5, 5) positions come unsorted.
+_TWO_SPANS_ONE_ID = {(3, 4): (0, 5), (1, 2): (1, 5), (5, 5): (2, 6)}
+
+
 @settings(max_examples=20, deadline=None)
 @given(tables_and_ids(long=True))
-@example(({(3, 4): (0, 5), (1, 2): (1, 5), (5, 5): (2, 6)}, [1, 2, 3, 4, 3, 4] * 200))
+@example((rows_of(_TWO_SPANS_ONE_ID), _TWO_SPANS_ONE_ID, [1, 2, 3, 4, 3, 4] * 200))
 def test_long_pretokens_match_rescan(case):
-    table, ids = case
+    rows, table, ids = case
     expected = rescan_encode_ids(ids, table)
-    assert _kernels.encode_ids(ids, table) == expected
-    assert _kernels.encode_ids(bytes(ids), table) == expected
+    assert _kernels.encode_ids(ids, rows) == expected
+    assert _kernels.encode_ids(bytes(ids), rows) == expected
 
 
 def test_rank_buckets_start_at_long_pretoken(monkeypatch, synth_dir, classical_run):
@@ -182,11 +232,12 @@ def test_rank_buckets_start_at_long_pretoken(monkeypatch, synth_dir, classical_r
         return bucketed(ids, table)
 
     monkeypatch.setattr(_kernels, "encode_long_ids", counted)
-    table = classical_run[0]._table
+    model = classical_run[0]
+    table = merge_table(model.merges)
     words = b"".join((synth_dir / "dev" / "aa.txt").read_bytes().split())
     for n in (LONG_PRETOKEN - 1, LONG_PRETOKEN):
         text = (words * (n // len(words) + 1))[:n]
-        assert _kernels.encode_ids(text, table) == rescan_encode_ids(text, table)
+        assert _kernels.encode_ids(text, model._table) == rescan_encode_ids(text, table)
     assert calls == [LONG_PRETOKEN]
 
 
@@ -236,7 +287,8 @@ def test_lower_rank_pair_made_mid_pass_waits_in_a_long_pretoken(merges, data, ex
     model = TokenizerModel(merges)
     text = data * (LONG_PRETOKEN // len(data) + 1)
     assert _queue_encode(model, text) == expected * (len(text) // len(data))
-    assert _kernels.encode_ids(text, model._table) == rescan_encode_ids(text, model._table)
+    expected = rescan_encode_ids(text, merge_table(merges))
+    assert _kernels.encode_ids(text, model._table) == expected
 
 
 def test_long_whitespace_free_pretoken_matches_replay(synth_dir, classical_run):

@@ -4,7 +4,7 @@ import re
 from pathlib import Path
 
 import parity_bpe
-from parity_bpe import SyntheticSpec, generate_synthetic
+from parity_bpe import SyntheticSpec, _kernels, generate_synthetic
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -30,3 +30,9 @@ def test_readme_names_every_public_name():
     missing = [name for name in parity_bpe.__all__
                if not re.search(rf"`(?:\w+\.)*{re.escape(name)}\b", text)]
     assert missing == []
+
+
+def test_readme_states_the_long_pretoken_threshold():
+    """The README gives the length from which the encoder keeps rank lists."""
+    text = " ".join(README.read_text(encoding="utf-8").split())
+    assert f"{_kernels.LONG_PRETOKEN:,} ids (`_kernels.LONG_PRETOKEN`)" in text
